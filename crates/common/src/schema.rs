@@ -101,23 +101,21 @@ impl Schema {
         if let Some(idx) = self.fields.iter().position(|f| f.name == name) {
             return Ok(idx);
         }
-        // Unqualified request matching qualified fields (suffix `.name`).
-        let suffix = format!(".{name}");
-        let candidates: Vec<usize> = self
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.name.ends_with(&suffix))
-            .map(|(i, _)| i)
-            .collect();
-        match candidates.len() {
-            1 => return Ok(candidates[0]),
-            n if n > 1 => {
-                return Err(DaisyError::Schema(format!(
-                    "ambiguous column `{name}`: {n} matches"
-                )))
-            }
-            _ => {}
+        // Unqualified request matching qualified fields (suffix `.name`),
+        // compared in place: this runs per predicate operand.
+        let mut qualified = self.fields.iter().enumerate().filter(|(_, f)| {
+            f.name
+                .strip_suffix(name)
+                .is_some_and(|qualifier| qualifier.ends_with('.'))
+        });
+        if let Some((idx, _)) = qualified.next() {
+            return match qualified.count() {
+                0 => Ok(idx),
+                more => Err(DaisyError::Schema(format!(
+                    "ambiguous column `{name}`: {} matches",
+                    more + 1
+                ))),
+            };
         }
         // Qualified request matching an unqualified field (strip the prefix).
         if let Some((_, bare)) = name.rsplit_once('.') {
@@ -232,6 +230,8 @@ mod tests {
         let q = cities().qualify("cities");
         assert_eq!(q.index_of("cities.zip").unwrap(), 0);
         assert_eq!(q.index_of("zip").unwrap(), 0);
+        // A name's tail alone is not a qualified match.
+        assert!(q.index_of("ip").is_err());
 
         let bare = cities();
         assert_eq!(bare.index_of("cities.zip").unwrap(), 0);

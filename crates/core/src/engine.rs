@@ -40,7 +40,7 @@ use daisy_storage::{
 };
 
 use crate::accuracy::{estimate_accuracy, CleaningDecision};
-use crate::clean_dc::repair_dc_violations;
+use crate::clean_dc::{repair_dc_violations, DcCleanOutcome};
 use crate::clean_select::clean_select_fd_with;
 use crate::cost::{CostParameters, CostTracker, DetectionEstimate};
 use crate::fd_index::FdIndex;
@@ -579,7 +579,6 @@ impl DaisyEngine {
                 Some(snapshot) => filter_selection(
                     &self.ctx,
                     schema,
-                    table.tuples(),
                     &snapshot,
                     None,
                     filter,
@@ -840,35 +839,47 @@ impl DaisyEngine {
         report.estimated_accuracy = estimate.accuracy.min(report.estimated_accuracy);
 
         // The snapshot was refreshed before any borrow of the matrix, so it
-        // reflects exactly the tuples cloned here.
-        let table_tuples: Vec<Tuple> = self.world.catalog.table(table_name)?.tuples().to_vec();
+        // reflects exactly the table read here.
+        let table = self.world.catalog.table(table_name)?;
         let snapshot = self.world.snapshots.get(table_name).map(Arc::as_ref);
         let (violations, stats) = if estimate.decision == CleaningDecision::Full {
             report.strategy = CleaningStrategy::FullRemaining;
-            matrix.check_all_with(&self.ctx, schema, &table_tuples, snapshot)?
+            matrix.check_all_with(&self.ctx, schema, table.tuples(), snapshot)?
         } else {
             matrix.check_range_with(
                 &self.ctx,
                 schema,
-                &table_tuples,
+                table.tuples(),
                 snapshot,
                 low.as_ref(),
                 high.as_ref(),
             )?
         };
 
-        // Resolve the violations' tuples through the parallel id index of
-        // the violation-index subsystem before computing candidate ranges.
-        let by_id: HashMap<TupleId, &Tuple> = crate::index::id_index(&self.ctx, &table_tuples);
-        let provenance = Arc::make_mut(
-            self.world
-                .provenance
-                .entry(table_name.to_string())
-                .or_default(),
-        );
-        let outcome =
-            repair_dc_violations(&self.ctx, schema, rule, &violations, &by_id, provenance)?;
-        drop(by_id);
+        // A check that found nothing (most requests after the first) skips
+        // the id index and the repair; the table's provenance entry is
+        // created either way, so worlds dump identically.
+        let provenance = self
+            .world
+            .provenance
+            .entry(table_name.to_string())
+            .or_default();
+        let outcome = if violations.is_empty() {
+            DcCleanOutcome::default()
+        } else {
+            // Resolve the violations' tuples through the parallel id index
+            // of the violation-index subsystem before computing candidate
+            // ranges.
+            let by_id: HashMap<TupleId, &Tuple> = crate::index::id_index(&self.ctx, table.tuples());
+            repair_dc_violations(
+                &self.ctx,
+                schema,
+                rule,
+                &violations,
+                &by_id,
+                Arc::make_mut(provenance),
+            )?
+        };
 
         let cells_updated = outcome.delta.len();
         let candidates_written = outcome.delta.total_candidates();

@@ -13,7 +13,9 @@
 //! The same trick applies to query WHERE clauses: a [`BoolExpr`] resolves
 //! into a [`CodedScalarPredicate`] — one coded comparison tree evaluated
 //! per *row* instead of per tuple pair — which is what the vectorized
-//! filter kernel of `daisy-query` runs over selection vectors.
+//! filter kernel of `daisy-query` runs over selection vectors, under
+//! expected-value and possible-world semantics alike (the snapshot carries
+//! every relaxed cell's candidates in coded form).
 //!
 //! Semantics are byte-identical with the row path by construction: the
 //! NULL rules come from the shared [`ComparisonOp::eval_parts`] core, and
@@ -28,11 +30,12 @@
 use std::cmp::Ordering;
 
 use daisy_common::{DaisyError, Result, Schema, Value};
-use daisy_storage::{ColumnCode, ColumnSnapshot, ConstProbe, Tuple};
+use daisy_storage::{CodedCandidate, CodedCandidates, ColumnCode, ColumnSnapshot, ConstProbe};
 
 use crate::constraint::{DcPredicate, Operand};
 use crate::operators::ComparisonOp;
-use crate::scalar::{BoolExpr, ScalarExpr};
+use crate::possible::{CandidateList, Domain, Resolved, Row, Scalar};
+use crate::scalar::BoolExpr;
 
 /// One operand of a [`CodedPredicate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,7 +131,7 @@ impl CodedPredicate {
         let left = fetch(&self.left);
         let right = fetch(&self.right);
         self.op
-            .eval_parts(left.is_null(), right.is_null(), || left.cmp_fetched(right))
+            .eval_parts(left.is_null(), right.is_null(), || left.total_cmp(right))
     }
 
     /// Evaluates the predicate for the binding `(t1 = rows[0], t2 =
@@ -178,12 +181,12 @@ impl CodedPredicate {
 
 /// A fetched operand: a cell code or a constant probe.
 #[derive(Clone, Copy)]
-enum Fetched {
+pub(crate) enum Fetched {
     Cell(ColumnCode),
     Const(ConstProbe),
 }
 
-impl Fetched {
+impl Scalar for Fetched {
     fn is_null(self) -> bool {
         match self {
             Fetched::Cell(code) => code.is_null(),
@@ -191,9 +194,9 @@ impl Fetched {
         }
     }
 
-    /// `self.cmp(other)` mirroring `Value::total_cmp` on the underlying
-    /// values.  Const/const never reaches here (pre-evaluated at resolve).
-    fn cmp_fetched(self, other: Fetched) -> Ordering {
+    /// Mirrors `Value::total_cmp` on the underlying values.  Const/const
+    /// never reaches here (pre-evaluated at resolve).
+    fn total_cmp(self, other: Fetched) -> Ordering {
         match (self, other) {
             (Fetched::Cell(a), Fetched::Cell(b)) => a.total_cmp(b),
             (Fetched::Cell(cell), Fetched::Const(probe)) => probe.cmp_cell(cell),
@@ -205,51 +208,69 @@ impl Fetched {
     }
 }
 
-/// One operand of a coded scalar comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CodedScalar {
-    /// A column of the filtered table, resolved to its snapshot index.
-    Column(usize),
-    /// A literal, resolved against the snapshot dictionary.
-    Const(ConstProbe),
-}
-
 /// A query WHERE predicate ([`BoolExpr`]) resolved for evaluation over one
 /// snapshot's column codes — the single-tuple counterpart of
 /// [`CodedPredicate`].
 ///
-/// Evaluation over a **clean** row (no probabilistic referenced cell) is
-/// byte-identical to [`BoolExpr::eval_expected`] *and*
-/// [`BoolExpr::eval_possible`] by construction: a current snapshot stores
-/// exactly the expected value of every cell, comparisons run through the
-/// shared [`ComparisonOp::eval_parts`] core, and possible-world semantics
-/// collapse to expected semantics when no referenced cell is relaxed.  Rows
-/// where [`CodedScalarPredicate::references_probabilistic`] holds must fall
-/// back to exact per-tuple evaluation under `Possible` mode (the vectorized
-/// filter kernel does; under `Expected` mode the coded path already reads
-/// the expected values and no fallback is needed).
+/// Both evaluation modes are byte-identical to their per-tuple
+/// counterparts by construction.  [`CodedScalarPredicate::eval`] mirrors
+/// [`BoolExpr::eval_expected`]: a current snapshot stores exactly the
+/// expected value of every cell.  [`CodedScalarPredicate::eval_possible`]
+/// mirrors [`BoolExpr::eval_possible`]: the snapshot stores every relaxed
+/// cell's candidates as codes, and world enumeration and the optimistic
+/// rule are the one shared core of `daisy-expr/src/possible.rs`, which the
+/// per-tuple kernel runs too.  Comparisons on either side go through
+/// [`ComparisonOp::eval_parts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CodedScalarPredicate {
-    node: CodedExpr,
-    /// Referenced column ordinals, deduplicated and sorted.
-    columns: Vec<usize>,
+    resolved: Resolved<ConstProbe>,
 }
 
-/// The coded form of a [`BoolExpr`] node.
-#[derive(Debug, Clone, PartialEq)]
-enum CodedExpr {
-    True,
-    Not(Box<CodedExpr>),
-    And(Box<CodedExpr>, Box<CodedExpr>),
-    Or(Box<CodedExpr>, Box<CodedExpr>),
-    Compare {
-        op: ComparisonOp,
-        left: CodedScalar,
-        right: CodedScalar,
-        /// Pre-evaluated result when both operands are literals (probes
-        /// cannot order two strings absent from the dictionary).
-        const_result: Option<bool>,
-    },
+/// One snapshot row as the possible-world core reads it.
+struct SnapshotRow<'a> {
+    snapshot: &'a ColumnSnapshot,
+    row: usize,
+}
+
+impl<'a> Row for SnapshotRow<'a> {
+    type Literal = ConstProbe;
+    type Scalar = Fetched;
+    type Candidates = CodedCandidates<'a>;
+
+    fn literal(&self, literal: &ConstProbe) -> Fetched {
+        Fetched::Const(*literal)
+    }
+
+    fn expected(&self, column: usize) -> Fetched {
+        Fetched::Cell(self.snapshot.ordering_code(self.row, column))
+    }
+
+    fn candidates(&self, column: usize) -> Option<CodedCandidates<'a>> {
+        self.snapshot.candidates(self.row, column)
+    }
+}
+
+impl CandidateList for CodedCandidates<'_> {
+    type Scalar = Fetched;
+
+    fn len(self) -> usize {
+        CodedCandidates::len(self)
+    }
+
+    fn all_exact(self) -> bool {
+        CodedCandidates::all_exact(self)
+    }
+
+    fn get(self, index: usize) -> Domain<Fetched> {
+        match CodedCandidates::get(self, index) {
+            CodedCandidate::Exact(v) => Domain::Exact(Fetched::Cell(v)),
+            CodedCandidate::LessThan(b) => Domain::LessThan(Fetched::Cell(b)),
+            CodedCandidate::GreaterThan(b) => Domain::GreaterThan(Fetched::Cell(b)),
+            CodedCandidate::Between(lo, hi) => {
+                Domain::Between(Fetched::Cell(lo), Fetched::Cell(hi))
+            }
+        }
+    }
 }
 
 impl CodedScalarPredicate {
@@ -261,99 +282,20 @@ impl CodedScalarPredicate {
         schema: &Schema,
         snapshot: &ColumnSnapshot,
     ) -> Result<CodedScalarPredicate> {
-        let node = Self::compile(expr, schema, snapshot)?;
-        let mut columns: Vec<usize> = expr
-            .columns()
-            .iter()
-            .map(|name| schema.index_of(name))
-            .collect::<Result<Vec<usize>>>()?;
-        columns.sort_unstable();
-        columns.dedup();
-        Ok(CodedScalarPredicate { node, columns })
+        let resolved = Resolved::resolve(expr, schema, |literal| snapshot.probe_value(literal))?;
+        Ok(CodedScalarPredicate { resolved })
     }
 
-    fn compile(expr: &BoolExpr, schema: &Schema, snapshot: &ColumnSnapshot) -> Result<CodedExpr> {
-        let scalar = |operand: &ScalarExpr| -> Result<CodedScalar> {
-            match operand {
-                ScalarExpr::Column(name) => Ok(CodedScalar::Column(schema.index_of(name)?)),
-                ScalarExpr::Literal(v) => Ok(CodedScalar::Const(snapshot.probe_value(v))),
-            }
-        };
-        Ok(match expr {
-            BoolExpr::True => CodedExpr::True,
-            BoolExpr::Not(e) => CodedExpr::Not(Box::new(Self::compile(e, schema, snapshot)?)),
-            BoolExpr::And(a, b) => CodedExpr::And(
-                Box::new(Self::compile(a, schema, snapshot)?),
-                Box::new(Self::compile(b, schema, snapshot)?),
-            ),
-            BoolExpr::Or(a, b) => CodedExpr::Or(
-                Box::new(Self::compile(a, schema, snapshot)?),
-                Box::new(Self::compile(b, schema, snapshot)?),
-            ),
-            BoolExpr::Compare { left, op, right } => {
-                let const_result = match (left, right) {
-                    (ScalarExpr::Literal(l), ScalarExpr::Literal(r)) => Some(op.eval(l, r)),
-                    _ => None,
-                };
-                CodedExpr::Compare {
-                    op: *op,
-                    left: scalar(left)?,
-                    right: scalar(right)?,
-                    const_result,
-                }
-            }
-        })
-    }
-
-    /// Evaluates the predicate for one snapshot row.
+    /// Evaluates the predicate for one snapshot row over expected values.
     pub fn eval(&self, snapshot: &ColumnSnapshot, row: usize) -> bool {
-        self.node.eval(snapshot, row)
+        self.resolved.eval_expected(&SnapshotRow { snapshot, row })
     }
 
-    /// The referenced column ordinals (deduplicated, sorted).
-    pub fn columns(&self) -> &[usize] {
-        &self.columns
-    }
-
-    /// `true` when some referenced cell of `tuple` is probabilistic — the
-    /// rows that must take the exact per-tuple fallback under
-    /// possible-world semantics.
-    pub fn references_probabilistic(&self, tuple: &Tuple) -> bool {
-        self.columns
-            .iter()
-            .any(|&c| tuple.cell(c).is_ok_and(|cell| cell.is_probabilistic()))
-    }
-}
-
-impl CodedExpr {
-    fn eval(&self, snapshot: &ColumnSnapshot, row: usize) -> bool {
-        match self {
-            CodedExpr::True => true,
-            CodedExpr::Not(e) => !e.eval(snapshot, row),
-            CodedExpr::And(a, b) => a.eval(snapshot, row) && b.eval(snapshot, row),
-            CodedExpr::Or(a, b) => a.eval(snapshot, row) || b.eval(snapshot, row),
-            CodedExpr::Compare {
-                op,
-                left,
-                right,
-                const_result,
-            } => {
-                if let Some(fixed) = const_result {
-                    return *fixed;
-                }
-                let fetch = |operand: &CodedScalar| -> Fetched {
-                    match operand {
-                        CodedScalar::Column(column) => {
-                            Fetched::Cell(snapshot.ordering_code(row, *column))
-                        }
-                        CodedScalar::Const(probe) => Fetched::Const(*probe),
-                    }
-                };
-                let l = fetch(left);
-                let r = fetch(right);
-                op.eval_parts(l.is_null(), r.is_null(), || l.cmp_fetched(r))
-            }
-        }
+    /// Evaluates the predicate for one snapshot row with possible-world
+    /// semantics (§4): does some choice of candidates for the row's relaxed
+    /// cells satisfy it?
+    pub fn eval_possible(&self, snapshot: &ColumnSnapshot, row: usize) -> bool {
+        self.resolved.eval_possible(&SnapshotRow { snapshot, row })
     }
 }
 
@@ -372,6 +314,7 @@ pub fn resolve_predicates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar::ScalarExpr;
     use daisy_common::{DataType, Value};
     use daisy_storage::Table;
 
@@ -629,44 +572,39 @@ mod tests {
         }
     }
 
+    /// A relaxed cell qualifies under possible-world semantics through any
+    /// of its candidates — read from the snapshot, not from the tuple — and
+    /// a conjunction over one cell still needs a single world.
     #[test]
-    fn coded_scalar_tracks_probabilistic_references() {
+    fn coded_scalar_possible_eval_reads_snapshot_candidates() {
         use daisy_storage::{Candidate, Cell};
 
         let mut table = table();
         let id = table.tuples()[1].id;
         *table.tuple_mut(id).unwrap().cell_mut(2).unwrap() = Cell::probabilistic(vec![
-            Candidate::exact(Value::Float(0.5), 0.5),
-            Candidate::exact(Value::Float(0.9), 0.5),
+            Candidate::exact(Value::Float(0.5), 0.6),
+            Candidate::exact(Value::Float(0.9), 0.4),
         ]);
         let snapshot = ColumnSnapshot::build(&table).unwrap();
-        let on_rate = CodedScalarPredicate::resolve(
-            &BoolExpr::cmp("rate", ComparisonOp::Gt, 0.1),
-            table.schema(),
-            &snapshot,
-        )
+        let resolve =
+            |expr: &BoolExpr| CodedScalarPredicate::resolve(expr, table.schema(), &snapshot);
+        let high = resolve(&BoolExpr::cmp("rate", ComparisonOp::Gt, 0.8)).unwrap();
+        assert!(!high.eval(&snapshot, 1), "the expected value is 0.5");
+        assert!(high.eval_possible(&snapshot, 1), "the 0.9 world qualifies");
+        assert!(
+            !high.eval_possible(&snapshot, 0),
+            "row 0 is determinate 0.5"
+        );
+        let between = resolve(&BoolExpr::between("rate", 0.6, 0.8)).unwrap();
+        assert!(!between.eval_possible(&snapshot, 1));
+        // Literal-only predicates are folded at resolve time.
+        let trivial = resolve(&BoolExpr::Compare {
+            left: ScalarExpr::lit(1),
+            op: ComparisonOp::Lt,
+            right: ScalarExpr::lit(2),
+        })
         .unwrap();
-        assert_eq!(on_rate.columns(), &[2]);
-        assert!(on_rate.references_probabilistic(&table.tuples()[1]));
-        assert!(!on_rate.references_probabilistic(&table.tuples()[0]));
-        let on_zip =
-            CodedScalarPredicate::resolve(&BoolExpr::eq("zip", 9001), table.schema(), &snapshot)
-                .unwrap();
-        assert!(!on_zip.references_probabilistic(&table.tuples()[1]));
-        // Literal-only predicates reference nothing.
-        let trivial = CodedScalarPredicate::resolve(
-            &BoolExpr::Compare {
-                left: ScalarExpr::lit(1),
-                op: ComparisonOp::Lt,
-                right: ScalarExpr::lit(2),
-            },
-            table.schema(),
-            &snapshot,
-        )
-        .unwrap();
-        assert!(trivial.columns().is_empty());
-        assert!(!trivial.references_probabilistic(&table.tuples()[0]));
-        assert!(trivial.eval(&snapshot, 0));
+        assert!(trivial.eval(&snapshot, 0) && trivial.eval_possible(&snapshot, 1));
     }
 
     #[test]

@@ -21,6 +21,7 @@
 pub mod columnar;
 pub mod constraint;
 pub mod operators;
+mod possible;
 pub mod sat;
 pub mod scalar;
 pub mod violation;
@@ -32,5 +33,5 @@ pub use constraint::{
 };
 pub use operators::ComparisonOp;
 pub use sat::{Clause, Literal, SatSolver};
-pub use scalar::{BoolExpr, ScalarExpr};
+pub use scalar::{BoolExpr, RowPredicate, ScalarExpr};
 pub use violation::Violation;

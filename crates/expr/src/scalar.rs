@@ -12,16 +12,21 @@
 //!   could satisfy the predicate.  Daisy uses this after cleaning so that
 //!   tuples whose candidate fixes may fall in the query range are retained
 //!   (e.g. Table 3's `{9001 50%, 10001 50%}` tuple qualifies `zip = 9001`).
+//!
+//! Both resolve the expression against the schema first; a caller that
+//! evaluates one expression over many tuples resolves it once into a
+//! [`RowPredicate`] and evaluates that.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use daisy_common::{DaisyError, Result, Schema, Value};
-use daisy_storage::Tuple;
+use daisy_storage::{Candidate, CandidateValue, Cell, Tuple};
 
 use crate::operators::ComparisonOp;
+use crate::possible::{CandidateList, Domain, Resolved, Row};
 
 /// A scalar expression: a column reference or a literal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -142,22 +147,10 @@ impl BoolExpr {
     }
 
     /// Evaluates over the expected (most probable) value of each cell.
+    /// Fails when any referenced column is unknown to `schema`, whether or
+    /// not its comparison would have been reached.
     pub fn eval_expected(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        match self {
-            BoolExpr::True => Ok(true),
-            BoolExpr::Not(e) => Ok(!e.eval_expected(schema, tuple)?),
-            BoolExpr::And(a, b) => {
-                Ok(a.eval_expected(schema, tuple)? && b.eval_expected(schema, tuple)?)
-            }
-            BoolExpr::Or(a, b) => {
-                Ok(a.eval_expected(schema, tuple)? || b.eval_expected(schema, tuple)?)
-            }
-            BoolExpr::Compare { left, op, right } => {
-                let l = resolve_expected(left, schema, tuple)?;
-                let r = resolve_expected(right, schema, tuple)?;
-                Ok(op.eval(&l, &r))
-            }
-        }
+        RowPredicate::resolve(self, schema)?.eval_expected(tuple)
     }
 
     /// Evaluates with possible-world semantics (§4): the tuple qualifies iff
@@ -165,131 +158,15 @@ impl BoolExpr {
     /// probabilistic cell under which the whole predicate is true.
     ///
     /// For exact (point) candidates the possible worlds of the referenced
-    /// cells are enumerated (their number is bounded by `MAX_WORLDS`); this
-    /// makes conjunctions over the same cell sound — `{3, 17}` does *not*
-    /// satisfy `x >= 5 AND x <= 10` even though each conjunct is satisfied by
-    /// some candidate.  When a referenced cell carries range candidates (the
+    /// cells are enumerated (their number is bounded); this makes
+    /// conjunctions over the same cell sound — `{3, 17}` does *not* satisfy
+    /// `x >= 5 AND x <= 10` even though each conjunct is satisfied by some
+    /// candidate.  When a referenced cell carries range candidates (the
     /// holistic fixes of general DCs) or the world count explodes, evaluation
     /// falls back to the optimistic per-comparison check, which
     /// over-approximates but never loses qualifying tuples.
     pub fn eval_possible(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        /// Bound on the number of enumerated candidate combinations.
-        const MAX_WORLDS: usize = 4096;
-
-        // Referenced columns whose cell is probabilistic, deduplicated by
-        // ordinal (qualified and unqualified names may resolve to the same
-        // cell).
-        let mut probabilistic: Vec<(usize, Vec<Value>)> = Vec::new();
-        let mut only_exact_candidates = true;
-        for name in self.columns() {
-            let idx = schema.index_of(&name)?;
-            if probabilistic.iter().any(|(i, _)| *i == idx) {
-                continue;
-            }
-            let cell = tuple.cell(idx)?;
-            if cell.is_probabilistic() {
-                let exact: Vec<Value> = cell
-                    .candidates()
-                    .iter()
-                    .filter_map(|c| c.value.as_exact().cloned())
-                    .collect();
-                if exact.len() != cell.candidate_count() {
-                    only_exact_candidates = false;
-                }
-                probabilistic.push((idx, exact));
-            }
-        }
-        if probabilistic.is_empty() {
-            return self.eval_expected(schema, tuple);
-        }
-        let worlds: usize = probabilistic
-            .iter()
-            .map(|(_, values)| values.len().max(1))
-            .try_fold(1usize, |acc, n| acc.checked_mul(n))
-            .unwrap_or(usize::MAX);
-        if !only_exact_candidates || worlds > MAX_WORLDS {
-            return self.eval_possible_optimistic(schema, tuple);
-        }
-        let mut assignment: HashMap<usize, Value> = HashMap::new();
-        self.any_world_satisfies(schema, tuple, &probabilistic, &mut assignment)
-    }
-
-    /// Recursively enumerates one candidate per probabilistic column and
-    /// checks whether any combination satisfies the predicate.
-    fn any_world_satisfies(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        remaining: &[(usize, Vec<Value>)],
-        assignment: &mut HashMap<usize, Value>,
-    ) -> Result<bool> {
-        let Some(((column, values), rest)) = remaining.split_first() else {
-            return self.eval_assigned(schema, tuple, assignment);
-        };
-        for value in values {
-            assignment.insert(*column, value.clone());
-            if self.any_world_satisfies(schema, tuple, rest, assignment)? {
-                assignment.remove(column);
-                return Ok(true);
-            }
-        }
-        assignment.remove(column);
-        Ok(false)
-    }
-
-    /// Evaluates the expression with probabilistic cells pinned to the values
-    /// chosen in `assignment` (one possible world).
-    fn eval_assigned(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        assignment: &HashMap<usize, Value>,
-    ) -> Result<bool> {
-        match self {
-            BoolExpr::True => Ok(true),
-            BoolExpr::Not(e) => Ok(!e.eval_assigned(schema, tuple, assignment)?),
-            BoolExpr::And(a, b) => Ok(a.eval_assigned(schema, tuple, assignment)?
-                && b.eval_assigned(schema, tuple, assignment)?),
-            BoolExpr::Or(a, b) => Ok(a.eval_assigned(schema, tuple, assignment)?
-                || b.eval_assigned(schema, tuple, assignment)?),
-            BoolExpr::Compare { left, op, right } => {
-                let l = resolve_assigned(left, schema, tuple, assignment)?;
-                let r = resolve_assigned(right, schema, tuple, assignment)?;
-                Ok(op.eval(&l, &r))
-            }
-        }
-    }
-
-    /// The optimistic per-comparison evaluation: each comparison holds if
-    /// *some* candidate value of its referenced cell could satisfy it.
-    fn eval_possible_optimistic(&self, schema: &Schema, tuple: &Tuple) -> Result<bool> {
-        match self {
-            BoolExpr::True => Ok(true),
-            BoolExpr::Not(e) => Ok(!e.eval_possible_optimistic(schema, tuple)?),
-            BoolExpr::And(a, b) => Ok(a.eval_possible_optimistic(schema, tuple)?
-                && b.eval_possible_optimistic(schema, tuple)?),
-            BoolExpr::Or(a, b) => Ok(a.eval_possible_optimistic(schema, tuple)?
-                || b.eval_possible_optimistic(schema, tuple)?),
-            BoolExpr::Compare { left, op, right } => match (left, right) {
-                (ScalarExpr::Column(col), ScalarExpr::Literal(lit)) => {
-                    let idx = schema.index_of(col)?;
-                    let cell = tuple.cell(idx)?;
-                    Ok(cell_possibly_satisfies(cell, *op, lit))
-                }
-                (ScalarExpr::Literal(lit), ScalarExpr::Column(col)) => {
-                    let idx = schema.index_of(col)?;
-                    let cell = tuple.cell(idx)?;
-                    Ok(cell_possibly_satisfies(cell, op.flip(), lit))
-                }
-                _ => {
-                    // column-to-column or literal-to-literal comparisons fall
-                    // back to expected values.
-                    let l = resolve_expected(left, schema, tuple)?;
-                    let r = resolve_expected(right, schema, tuple)?;
-                    Ok(op.eval(&l, &r))
-                }
-            },
-        }
+        RowPredicate::resolve(self, schema)?.eval_possible(tuple)
     }
 
     /// Extracts, when the expression is a simple range over `column`
@@ -358,80 +235,90 @@ fn merge_bound(a: Option<Value>, b: Option<Value>, is_lower: bool) -> Option<Val
     }
 }
 
-fn resolve_assigned(
-    expr: &ScalarExpr,
-    schema: &Schema,
-    tuple: &Tuple,
-    assignment: &HashMap<usize, Value>,
-) -> Result<Value> {
-    match expr {
-        ScalarExpr::Literal(v) => Ok(v.clone()),
-        ScalarExpr::Column(name) => {
-            let idx = schema.index_of(name)?;
-            if let Some(v) = assignment.get(&idx) {
-                return Ok(v.clone());
-            }
-            tuple
-                .cell(idx)
-                .map(|c| c.expected_value())
-                .map_err(|_| DaisyError::Execution(format!("missing cell for column `{name}`")))
+/// A [`BoolExpr`] resolved against a schema for evaluation over many
+/// tuples: column names are looked up once, each evaluation reads cells by
+/// ordinal and compares `&Value`s in place — nothing is allocated per
+/// tuple.  The per-tuple counterpart of
+/// [`CodedScalarPredicate`](crate::columnar::CodedScalarPredicate); the two
+/// share the possible-world core of `daisy-expr/src/possible.rs`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowPredicate<'e> {
+    resolved: Resolved<&'e Value>,
+}
+
+/// One tuple as the possible-world core reads it.
+struct TupleRow<'a>(&'a Tuple);
+
+impl<'a> Row for TupleRow<'a> {
+    type Literal = &'a Value;
+    type Scalar = &'a Value;
+    type Candidates = &'a [Candidate];
+
+    fn literal(&self, literal: &&'a Value) -> &'a Value {
+        literal
+    }
+
+    fn expected(&self, column: usize) -> &'a Value {
+        self.0.cells[column].expected_ref()
+    }
+
+    fn candidates(&self, column: usize) -> Option<&'a [Candidate]> {
+        match &self.0.cells[column] {
+            Cell::Determinate(_) => None,
+            Cell::Probabilistic(candidates) => Some(candidates),
         }
     }
 }
 
-fn resolve_expected(expr: &ScalarExpr, schema: &Schema, tuple: &Tuple) -> Result<Value> {
-    match expr {
-        ScalarExpr::Literal(v) => Ok(v.clone()),
-        ScalarExpr::Column(name) => {
-            let idx = schema.index_of(name)?;
-            tuple
-                .cell(idx)
-                .map(|c| c.expected_value())
-                .map_err(|_| DaisyError::Execution(format!("missing cell for column `{name}`")))
+impl<'a> CandidateList for &'a [Candidate] {
+    type Scalar = &'a Value;
+
+    fn len(self) -> usize {
+        <[Candidate]>::len(self)
+    }
+
+    fn all_exact(self) -> bool {
+        self.iter()
+            .all(|c| matches!(c.value, CandidateValue::Exact(_)))
+    }
+
+    fn get(self, index: usize) -> Domain<&'a Value> {
+        match &self[index].value {
+            CandidateValue::Exact(v) => Domain::Exact(v),
+            CandidateValue::LessThan(b) => Domain::LessThan(b),
+            CandidateValue::GreaterThan(b) => Domain::GreaterThan(b),
+            CandidateValue::Between(lo, hi) => Domain::Between(lo, hi),
         }
     }
 }
 
-/// `true` if some candidate value of `cell` could satisfy `op literal`.
-fn cell_possibly_satisfies(cell: &daisy_storage::Cell, op: ComparisonOp, lit: &Value) -> bool {
-    match cell {
-        daisy_storage::Cell::Determinate(v) => op.eval(v, lit),
-        daisy_storage::Cell::Probabilistic(cands) => cands
-            .iter()
-            .any(|c| candidate_possibly_satisfies(&c.value, op, lit)),
+impl<'e> RowPredicate<'e> {
+    /// Resolves the expression's column references against `schema`.  Fails
+    /// for unknown (or ambiguous) columns.
+    pub fn resolve(expr: &'e BoolExpr, schema: &Schema) -> Result<RowPredicate<'e>> {
+        let resolved = Resolved::resolve(expr, schema, |literal| literal)?;
+        Ok(RowPredicate { resolved })
     }
-}
 
-/// `true` if the candidate value domain contains some value satisfying
-/// `op literal`.  Range domains are treated as dense.
-fn candidate_possibly_satisfies(
-    domain: &daisy_storage::CandidateValue,
-    op: ComparisonOp,
-    lit: &Value,
-) -> bool {
-    use daisy_storage::CandidateValue as Cv;
-    match domain {
-        Cv::Exact(v) => op.eval(v, lit),
-        Cv::LessThan(bound) => match op {
-            ComparisonOp::Eq => lit < bound,
-            ComparisonOp::Neq => true,
-            ComparisonOp::Lt | ComparisonOp::Le => true,
-            ComparisonOp::Gt | ComparisonOp::Ge => lit < bound,
-        },
-        Cv::GreaterThan(bound) => match op {
-            ComparisonOp::Eq => lit > bound,
-            ComparisonOp::Neq => true,
-            ComparisonOp::Gt | ComparisonOp::Ge => true,
-            ComparisonOp::Lt | ComparisonOp::Le => lit > bound,
-        },
-        Cv::Between(lo, hi) => match op {
-            ComparisonOp::Eq => lit >= lo && lit <= hi,
-            ComparisonOp::Neq => true,
-            ComparisonOp::Lt => lo < lit,
-            ComparisonOp::Le => lo <= lit,
-            ComparisonOp::Gt => hi > lit,
-            ComparisonOp::Ge => hi >= lit,
-        },
+    /// The tuple as a [`Row`]; fails when it is shorter than the schema the
+    /// predicate was resolved against.
+    fn row<'a>(&self, tuple: &'a Tuple) -> Result<TupleRow<'a>> {
+        match self.resolved.columns().last() {
+            Some(&column) if column >= tuple.arity() => Err(DaisyError::Execution(format!(
+                "cell index {column} out of bounds"
+            ))),
+            _ => Ok(TupleRow(tuple)),
+        }
+    }
+
+    /// See [`BoolExpr::eval_expected`].
+    pub fn eval_expected(&self, tuple: &Tuple) -> Result<bool> {
+        Ok(self.resolved.eval_expected(&self.row(tuple)?))
+    }
+
+    /// See [`BoolExpr::eval_possible`].
+    pub fn eval_possible(&self, tuple: &Tuple) -> Result<bool> {
+        Ok(self.resolved.eval_possible(&self.row(tuple)?))
     }
 }
 

@@ -192,7 +192,6 @@ fn execute_vectorized(
                     let selection = filter_selection(
                         ctx,
                         &schema,
-                        table.tuples(),
                         &snapshot,
                         Some(&selection),
                         predicate,

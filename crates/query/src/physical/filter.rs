@@ -3,7 +3,7 @@
 
 use daisy_common::{DaisyError, Result, Schema};
 use daisy_exec::{chunk_ranges, par_map_chunks, run_stealing, ExecContext};
-use daisy_expr::{BoolExpr, CodedScalarPredicate};
+use daisy_expr::{BoolExpr, CodedScalarPredicate, RowPredicate};
 use daisy_storage::{ColumnSnapshot, Tuple};
 
 /// How predicates treat probabilistic cells.
@@ -19,8 +19,9 @@ pub enum PredicateMode {
 
 /// Filters tuples by the predicate, preserving order and identity.
 ///
-/// Errors from predicate evaluation (e.g. unknown columns) are surfaced
-/// rather than silently dropping tuples.
+/// The predicate's column references are resolved against `schema` once,
+/// up front: an unknown column is an error here rather than a silently
+/// dropped tuple, and evaluation reads cells by ordinal.
 pub fn filter_tuples(
     ctx: &ExecContext,
     schema: &Schema,
@@ -31,19 +32,16 @@ pub fn filter_tuples(
     if matches!(predicate, BoolExpr::True) {
         return Ok(tuples.to_vec());
     }
-    // Validate referenced columns once up front so per-tuple evaluation
-    // errors cannot differ between partitions.
-    for column in predicate.columns() {
-        schema.index_of(&column)?;
-    }
+    let resolved = RowPredicate::resolve(predicate, schema)?;
     let results: Vec<Tuple> = par_map_chunks(ctx, tuples, |chunk| {
         chunk
             .iter()
             .filter(|t| {
                 let verdict = match mode {
-                    PredicateMode::Expected => predicate.eval_expected(schema, t),
-                    PredicateMode::Possible => predicate.eval_possible(schema, t),
+                    PredicateMode::Expected => resolved.eval_expected(t),
+                    PredicateMode::Possible => resolved.eval_possible(t),
                 };
+                // A tuple shorter than the schema qualifies for nothing.
                 verdict.unwrap_or(false)
             })
             .cloned()
@@ -57,45 +55,43 @@ pub fn filter_tuples(
 /// instead of cloning tuples — the late-materialization protocol of the
 /// vectorized executor.
 ///
-/// `tuples[i]` must be the tuple snapshot row `i` was built from (the
-/// caller guarantees the snapshot is current); `selection` restricts
+/// Row `i` of the snapshot is position `i` of the table it was built from
+/// (the caller guarantees the snapshot is current); `selection` restricts
 /// evaluation to a sorted subset of positions (`None` = all rows).  Work is
 /// split morsel-wise and dispatched through the work-stealing scheduler;
 /// per-morsel outputs are concatenated in morsel order, so the result is
 /// sorted and independent of worker count.
 ///
-/// Byte-identical to [`filter_tuples`] over the same rows by construction:
-/// clean rows run the coded comparisons (which mirror `Value::total_cmp`
-/// exactly), and under [`PredicateMode::Possible`] rows with a
-/// probabilistic referenced cell fall back to the exact per-tuple
-/// [`BoolExpr::eval_possible`].  Under [`PredicateMode::Expected`] no
-/// fallback is needed — the snapshot stores exactly the expected value of
-/// every cell, relaxed or not.
+/// The kernel never leaves the snapshot.  Under
+/// [`PredicateMode::Expected`] it compares the stored expected values;
+/// under [`PredicateMode::Possible`] it enumerates worlds over the relaxed
+/// cells' coded candidates ([`CodedScalarPredicate::eval_possible`]).
+/// Either way it is byte-identical to [`filter_tuples`] over the same rows
+/// by construction: codes mirror `Value::total_cmp` exactly, and both
+/// kernels run the one possible-world core of `daisy-expr`.
 pub fn filter_selection(
     ctx: &ExecContext,
     schema: &Schema,
-    tuples: &[Tuple],
     snapshot: &ColumnSnapshot,
     selection: Option<&[usize]>,
     predicate: &BoolExpr,
     mode: PredicateMode,
 ) -> Result<Vec<usize>> {
-    if snapshot.len() != tuples.len() {
-        return Err(DaisyError::Execution(format!(
-            "vectorized filter requires a snapshot aligned with its input \
-             ({} snapshot rows vs {} tuples)",
-            snapshot.len(),
-            tuples.len()
-        )));
-    }
     let all: Vec<usize>;
     let selection: &[usize] = match selection {
         Some(positions) => positions,
         None => {
-            all = (0..tuples.len()).collect();
+            all = (0..snapshot.len()).collect();
             &all
         }
     };
+    if selection.last().is_some_and(|&last| last >= snapshot.len()) {
+        return Err(DaisyError::Execution(format!(
+            "selection reaches position {} of a {}-row snapshot",
+            selection[selection.len() - 1],
+            snapshot.len()
+        )));
+    }
     if matches!(predicate, BoolExpr::True) {
         return Ok(selection.to_vec());
     }
@@ -105,22 +101,13 @@ pub fn filter_selection(
     let ranges = chunk_ranges(selection.len(), ctx.morsel_count(selection.len()));
     let chunks: Vec<Vec<usize>> = run_stealing(ctx, ranges.len(), |m| {
         let (start, end) = ranges[m];
-        let mut out = Vec::new();
-        for &row in &selection[start..end] {
-            let keep = if mode == PredicateMode::Possible
-                && coded.references_probabilistic(&tuples[row])
-            {
-                predicate
-                    .eval_possible(schema, &tuples[row])
-                    .unwrap_or(false)
-            } else {
-                coded.eval(snapshot, row)
-            };
-            if keep {
-                out.push(row);
-            }
+        let rows = selection[start..end].iter().copied();
+        match mode {
+            PredicateMode::Expected => rows.filter(|&row| coded.eval(snapshot, row)).collect(),
+            PredicateMode::Possible => rows
+                .filter(|&row| coded.eval_possible(snapshot, row))
+                .collect(),
         }
-        out
     });
     Ok(chunks.into_iter().flatten().collect())
 }
@@ -249,16 +236,9 @@ mod tests {
                 let row_ids: Vec<TupleId> = row.iter().map(|t| t.id).collect();
                 for workers in [1usize, 2, 4, 7] {
                     let ctx = ExecContext::new(workers);
-                    let selection = filter_selection(
-                        &ctx,
-                        table.schema(),
-                        table.tuples(),
-                        &snapshot,
-                        None,
-                        predicate,
-                        mode,
-                    )
-                    .unwrap();
+                    let selection =
+                        filter_selection(&ctx, table.schema(), &snapshot, None, predicate, mode)
+                            .unwrap();
                     let sel_ids: Vec<TupleId> = selection
                         .iter()
                         .map(|&pos| table.tuples()[pos].id)
@@ -282,7 +262,6 @@ mod tests {
         let out = filter_selection(
             &ctx,
             table.schema(),
-            table.tuples(),
             &snapshot,
             Some(&[1, 2]),
             &BoolExpr::eq("zip", 9001),
@@ -294,7 +273,6 @@ mod tests {
         let all = filter_selection(
             &ctx,
             table.schema(),
-            table.tuples(),
             &snapshot,
             Some(&[0, 2]),
             &BoolExpr::True,
@@ -305,17 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn selection_rejects_misaligned_snapshot_and_unknown_columns() {
+    fn selection_rejects_out_of_range_positions_and_unknown_columns() {
         let table = table();
         let snapshot = ColumnSnapshot::build(&table).unwrap();
         let ctx = ExecContext::sequential();
-        let fewer = &table.tuples()[..2];
         assert!(filter_selection(
             &ctx,
             table.schema(),
-            fewer,
             &snapshot,
-            None,
+            Some(&[1, 3]),
             &BoolExpr::eq("zip", 9001),
             PredicateMode::Expected,
         )
@@ -323,7 +299,6 @@ mod tests {
         assert!(filter_selection(
             &ctx,
             table.schema(),
-            table.tuples(),
             &snapshot,
             None,
             &BoolExpr::eq("state", "CA"),

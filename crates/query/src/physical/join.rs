@@ -8,9 +8,10 @@
 //!
 //! Two implementations share those semantics: [`hash_join`] builds on owned
 //! [`Value`] keys, [`hash_join_coded`] builds on `Copy`
-//! [`ColumnCode`]s from the right table's [`ColumnSnapshot`] and probes
-//! through the snapshot dictionary — no `Value` clone ever happens on the
-//! build side.  Both validate their key columns up front with a typed
+//! [`ColumnCode`]s from the right table's [`ColumnSnapshot`] — expected
+//! values and relaxed keys' candidates alike — and probes through the
+//! snapshot dictionary; the build side never reads a cell.  Both validate
+//! their key columns up front with a typed
 //! [`DaisyError::UnknownJoinColumn`], so a bad plan fails at operator
 //! construction instead of mid-stream.
 
@@ -19,7 +20,7 @@ use std::sync::Arc;
 
 use daisy_common::{DaisyError, Result, Schema, TupleId, Value};
 use daisy_exec::{chunk_ranges, par_map_chunks, run_stealing, ExecContext};
-use daisy_storage::{ColumnCode, ColumnSnapshot, Tuple};
+use daisy_storage::{CodedCandidate, ColumnCode, ColumnSnapshot, Tuple};
 
 /// The output of a join: result schema, result tuples (with lineage), and
 /// the number of probe-side tuples that found at least one match.
@@ -142,11 +143,11 @@ pub fn validate_join_keys(
 /// selection vectors (`None` = all rows) — the late-materialization
 /// protocol of the vectorized executor.
 ///
-/// `right[i]` must be the tuple snapshot row `i` was built from.  The left
-/// side needs no snapshot: probe values are encoded through the right
-/// snapshot's dictionary on the fly.  Candidate strings the dictionary has
-/// never interned (only possible for relaxed cells) are collected in an
-/// exact side table, so they still match by value.
+/// `right[i]` must be the tuple snapshot row `i` was built from; the build
+/// side reads keys — determinate or relaxed — from the snapshot only and
+/// touches `right` just to materialize matches.  The left side needs no
+/// snapshot: probe values are encoded through the right snapshot's
+/// dictionary on the fly.
 ///
 /// Byte-identical to [`hash_join`] over the same rows by construction:
 /// [`ColumnCode`] shares `Value`'s equality and hash semantics (int/float
@@ -193,57 +194,38 @@ pub fn hash_join_coded(
         }
     };
 
-    // Build side on codes.  Determinate keys read straight from the
-    // snapshot column (`ColumnCode` is `Copy`); relaxed keys encode each
-    // exact candidate through the dictionary.  A string is either interned
-    // (all its occurrences land in `build`) or not (all land in `absent`),
-    // so the two maps never split one value's positions.
+    // Build side on codes, read from the snapshot alone: a determinate key
+    // is its column code, a relaxed key contributes every exact candidate
+    // code of its side-column entry.
     let mut build: HashMap<ColumnCode, Vec<usize>> = HashMap::new();
-    let mut absent: HashMap<&str, Vec<usize>> = HashMap::new();
     for &pos in right_selection {
-        let cell = right[pos].cell(right_idx)?;
-        if cell.is_probabilistic() {
-            for value in cell.possible_values() {
-                if value.is_null() {
-                    continue;
-                }
-                match right_snapshot.encode_ordering(value) {
-                    Some(code) => build.entry(code).or_default().push(pos),
-                    None => {
-                        if let Value::Str(s) = value {
-                            absent.entry(s.as_str()).or_default().push(pos);
-                        }
-                    }
-                }
-            }
-        } else {
-            let code = right_snapshot.ordering_code(pos, right_idx);
+        let mut add = |code: ColumnCode| {
             if !code.is_null() {
                 build.entry(code).or_default().push(pos);
             }
+        };
+        match right_snapshot.candidates(pos, right_idx) {
+            Some(candidates) => candidates
+                .iter()
+                .filter_map(CodedCandidate::as_exact)
+                .for_each(add),
+            None => add(right_snapshot.ordering_code(pos, right_idx)),
         }
     }
 
     // Probe side: morsel-parallel over the left selection, merged in morsel
     // order — the same deterministic (left outer, right build inner) order
-    // as the row path.
+    // as the row path.  The snapshot interns every candidate string, so a
+    // probe string its dictionary has never seen equals no build key.
     let probe_one = |value: &Value, matches: &mut Vec<usize>| {
         if value.is_null() {
             return;
         }
-        match right_snapshot.encode_ordering(value) {
-            Some(code) => {
-                if let Some(positions) = build.get(&code) {
-                    matches.extend(positions.iter().copied());
-                }
-            }
-            None => {
-                if let Value::Str(s) = value {
-                    if let Some(positions) = absent.get(s.as_str()) {
-                        matches.extend(positions.iter().copied());
-                    }
-                }
-            }
+        let positions = right_snapshot
+            .encode_ordering(value)
+            .and_then(|code| build.get(&code));
+        if let Some(positions) = positions {
+            matches.extend(positions.iter().copied());
         }
     };
     let ranges = chunk_ranges(left_selection.len(), ctx.morsel_count(left_selection.len()));
@@ -557,6 +539,66 @@ mod tests {
         .unwrap();
         assert_eq!(out.tuples.len(), 2);
         assert_eq!(out.matched_left, 1);
+    }
+
+    /// A relaxed build-side key joins through every exact candidate — also
+    /// a string that no cell has as its expected value, which the snapshot
+    /// interns like any other — while range candidates and probe strings
+    /// the dictionary has never seen join nothing.
+    #[test]
+    fn relaxed_string_keys_join_through_snapshot_candidates() {
+        use daisy_storage::CandidateValue;
+
+        let left_schema = Schema::from_pairs(&[("l.city", DataType::Str)]).unwrap();
+        let left: Vec<Tuple> = ["Ulm", "Bonn", "Kiel", "Jena"]
+            .iter()
+            .enumerate()
+            .map(|(i, city)| Tuple::from_values(TupleId::new(i as u64), vec![Value::from(*city)]))
+            .collect();
+        let mut right = daisy_storage::Table::new(
+            "r",
+            Schema::from_pairs(&[("r.city", DataType::Str)]).unwrap(),
+        );
+        right
+            .push_cells(vec![Cell::probabilistic(vec![
+                Candidate::exact(Value::from("Ulm"), 0.6),
+                Candidate::exact(Value::from("Bonn"), 0.3),
+                Candidate::range(CandidateValue::GreaterThan(Value::from("Jena")), 0.1),
+            ])])
+            .unwrap();
+        right.push_values(vec![Value::from("Ulm")]).unwrap();
+        let snapshot = ColumnSnapshot::build(&right).unwrap();
+        let ctx = ExecContext::sequential();
+        let row = hash_join(
+            &ctx,
+            &left_schema,
+            &left,
+            right.schema(),
+            right.tuples(),
+            "l.city",
+            "r.city",
+        )
+        .unwrap();
+        let coded = hash_join_coded(
+            &ctx,
+            &left_schema,
+            &left,
+            None,
+            right.schema(),
+            right.tuples(),
+            None,
+            &snapshot,
+            "l.city",
+            "r.city",
+        )
+        .unwrap();
+        assert_eq!(row_dump(&row), row_dump(&coded));
+        let lineage: Vec<Vec<TupleId>> = coded.tuples.iter().map(|t| t.lineage.clone()).collect();
+        let id = TupleId::new;
+        assert_eq!(
+            lineage,
+            vec![vec![id(0), id(0)], vec![id(0), id(1)], vec![id(1), id(0)]]
+        );
     }
 
     /// `1 == 1.0` must join on both paths (`Value` and `ColumnCode` share

@@ -75,10 +75,15 @@ impl CandidateValue {
     /// probable candidate).  For open ranges, the bound itself is returned
     /// as the closest representable point.
     pub fn representative(&self) -> Value {
+        self.representative_ref().clone()
+    }
+
+    /// [`CandidateValue::representative`] without the clone.
+    pub fn representative_ref(&self) -> &Value {
         match self {
-            CandidateValue::Exact(v) => v.clone(),
-            CandidateValue::LessThan(b) | CandidateValue::GreaterThan(b) => b.clone(),
-            CandidateValue::Between(lo, _) => lo.clone(),
+            CandidateValue::Exact(v) => v,
+            CandidateValue::LessThan(b) | CandidateValue::GreaterThan(b) => b,
+            CandidateValue::Between(lo, _) => lo,
         }
     }
 }
@@ -272,8 +277,14 @@ impl Cell {
     /// a determinate cell this is the value itself; range candidates fall
     /// back to their representative point.
     pub fn most_probable(&self) -> Value {
+        self.expected_ref().clone()
+    }
+
+    /// [`Cell::expected_value`] without the clone — what the per-row
+    /// predicate kernels and the snapshot encoder read.
+    pub fn expected_ref(&self) -> &Value {
         match self {
-            Cell::Determinate(v) => v.clone(),
+            Cell::Determinate(v) => v,
             // The first candidate wins ties so that repeated evaluations and
             // repeated queries stay deterministic (candidate order is itself
             // deterministic: insertion order, typically sorted by value).
@@ -286,8 +297,7 @@ impl Cell {
                         best
                     }
                 })
-                .map(|c| c.value.representative())
-                .unwrap_or(Value::Null),
+                .map_or(&Value::Null, |c| c.value.representative_ref()),
         }
     }
 

@@ -4,13 +4,22 @@
 //! The hot cleaning kernels (theta checks, the violation index, FD keying)
 //! are dominated by reads: extract a value, hash it, compare it.  Doing that
 //! through `Vec<Tuple>` means cloning a dynamically typed [`Value`] out of a
-//! [`Cell`](crate::cell::Cell) per read and resolving column names through
+//! [`Cell`] per read and resolving column names through
 //! the schema per predicate.  A [`ColumnSnapshot`] materialises the
 //! *expected* value of every cell into per-column typed arrays —
 //! `Vec<Option<i64>>`, `Vec<Option<f64>>`, `Vec<Option<bool>>`, and
 //! dictionary-encoded strings — so kernels read [`ColumnCode`]s: `Copy`
 //! scalars whose equality, hash and total order mirror [`Value`]'s exactly
 //! (NULL sorts first, NaN sorts last, ints and floats coerce numerically).
+//!
+//! **Candidate side-columns.**  The cells Daisy has relaxed keep their whole
+//! candidate set in the snapshot too: a column that holds at least one
+//! probabilistic cell carries a side-column mapping each row to a slice of
+//! [`CodedCandidate`]s (none for a determinate cell), so possible-world
+//! predicates and probabilistic join keys are evaluated on codes without
+//! ever going back to the tuples.  The side-column is allocated on the
+//! column's first probabilistic cell; candidate strings are interned in the
+//! shared dictionary like expected values are.
 //!
 //! **Dictionary ordering invariant.**  All string columns share one
 //! [`StringDictionary`].  Stored codes are assigned in insertion order and
@@ -23,10 +32,11 @@
 //! **Delta maintenance.**  A snapshot records the [`Table::revision`] it
 //! reflects.  After the engine applies a [`Delta`] to the base table it
 //! calls [`ColumnSnapshot::absorb_delta`], which re-reads just the touched
-//! cells and patches the affected columns (and dictionary) in place —
-//! `O(|delta|)`, not `O(table)`.  Any table mutation that bypasses this
-//! protocol leaves the revision behind and [`ColumnSnapshot::is_current`]
-//! reports the snapshot stale, forcing a rebuild on next use.
+//! cells and patches the affected columns, candidate side-columns and
+//! dictionary in place — `O(|delta|)`, not `O(table)`.  Any table mutation
+//! that bypasses this protocol leaves the revision behind and
+//! [`ColumnSnapshot::is_current`] reports the snapshot stale, forcing a
+//! rebuild on next use.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -34,9 +44,11 @@ use std::hash::{Hash, Hasher};
 
 use daisy_common::{DaisyError, Result, TupleId, Value};
 
+use crate::cell::{Candidate, CandidateValue, Cell};
 use crate::delta::Delta;
 use crate::statistics::KeyStatistics;
 use crate::table::Table;
+use crate::tuple::Tuple;
 
 /// A cell read from a [`ColumnSnapshot`]: a `Copy` scalar whose equality,
 /// hash and total order mirror [`Value`]'s exactly.  String cells carry
@@ -393,13 +405,18 @@ impl ColumnData {
             ColumnData::Str(v) => v[row].map_or(Value::Null, |code| {
                 Value::Str(dict.string(code).to_string())
             }),
-            ColumnData::Mixed(v) => match v[row] {
-                ColumnCode::Null => Value::Null,
-                ColumnCode::Bool(b) => Value::Bool(b),
-                ColumnCode::Int(i) => Value::Int(i),
-                ColumnCode::Float(f) => Value::Float(f),
-                ColumnCode::Str(code) => Value::Str(dict.string(code).to_string()),
-            },
+            ColumnData::Mixed(v) => Self::decode_stored(v[row], dict),
+        }
+    }
+
+    /// Decodes a *stored* code (string payload = dictionary code).
+    fn decode_stored(code: ColumnCode, dict: &StringDictionary) -> Value {
+        match code {
+            ColumnCode::Null => Value::Null,
+            ColumnCode::Bool(b) => Value::Bool(b),
+            ColumnCode::Int(i) => Value::Int(i),
+            ColumnCode::Float(f) => Value::Float(f),
+            ColumnCode::Str(code) => Value::Str(dict.string(code).to_string()),
         }
     }
 
@@ -416,7 +433,8 @@ impl ColumnData {
     }
 
     /// Overwrites one cell, promoting the column to `Mixed` when the new
-    /// value does not fit the typed representation.
+    /// value does not fit the typed representation.  A novel string is
+    /// interned unranked: the caller rebuilds the ranks afterwards.
     fn set(&mut self, row: usize, value: &Value, dict: &mut StringDictionary) {
         match (&mut *self, value) {
             (ColumnData::Int(v), Value::Int(i)) => v[row] = Some(*i),
@@ -425,17 +443,9 @@ impl ColumnData {
             (ColumnData::Float(v), Value::Null) => v[row] = None,
             (ColumnData::Bool(v), Value::Bool(b)) => v[row] = Some(*b),
             (ColumnData::Bool(v), Value::Null) => v[row] = None,
-            (ColumnData::Str(v), Value::Str(s)) => v[row] = Some(dict.intern(s)),
+            (ColumnData::Str(v), Value::Str(s)) => v[row] = Some(dict.intern_unranked(s)),
             (ColumnData::Str(v), Value::Null) => v[row] = None,
-            (ColumnData::Mixed(v), value) => {
-                v[row] = match value {
-                    Value::Str(s) => ColumnCode::Str(dict.intern(s)),
-                    Value::Null => ColumnCode::Null,
-                    Value::Bool(b) => ColumnCode::Bool(*b),
-                    Value::Int(i) => ColumnCode::Int(*i),
-                    Value::Float(f) => ColumnCode::Float(*f),
-                };
-            }
+            (ColumnData::Mixed(v), value) => v[row] = Self::encode_stored(value, dict),
             (typed, value) => {
                 // Type change: promote the whole column, then retry.
                 let mixed: Vec<ColumnCode> = match typed {
@@ -464,31 +474,235 @@ impl ColumnData {
     }
 }
 
-/// A columnar snapshot of one table's expected values, versioned by the
-/// table revision and maintained incrementally by [`Delta`]s (see the
-/// module docs for the protocol).
+/// One candidate value domain of a probabilistic cell in coded form: the
+/// columnar counterpart of [`CandidateValue`], with every value a
+/// [`ColumnCode`] of the snapshot it was read from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CodedCandidate {
+    /// A concrete replacement value.
+    Exact(ColumnCode),
+    /// Any value strictly less than the bound.
+    LessThan(ColumnCode),
+    /// Any value strictly greater than the bound.
+    GreaterThan(ColumnCode),
+    /// Any value in the closed interval `[low, high]`.
+    Between(ColumnCode, ColumnCode),
+}
+
+impl CodedCandidate {
+    /// The exact code when the candidate is a point.
+    pub fn as_exact(self) -> Option<ColumnCode> {
+        match self {
+            CodedCandidate::Exact(code) => Some(code),
+            _ => None,
+        }
+    }
+
+    fn map(self, f: impl Fn(ColumnCode) -> ColumnCode) -> CodedCandidate {
+        match self {
+            CodedCandidate::Exact(v) => CodedCandidate::Exact(f(v)),
+            CodedCandidate::LessThan(b) => CodedCandidate::LessThan(f(b)),
+            CodedCandidate::GreaterThan(b) => CodedCandidate::GreaterThan(f(b)),
+            CodedCandidate::Between(lo, hi) => CodedCandidate::Between(f(lo), f(hi)),
+        }
+    }
+
+    /// Encodes a candidate domain as *stored* codes (see
+    /// [`ColumnData::encode_stored`]).
+    fn encode_stored(value: &CandidateValue, dict: &mut StringDictionary) -> CodedCandidate {
+        let mut code = |v: &Value| ColumnData::encode_stored(v, dict);
+        match value {
+            CandidateValue::Exact(v) => CodedCandidate::Exact(code(v)),
+            CandidateValue::LessThan(b) => CodedCandidate::LessThan(code(b)),
+            CandidateValue::GreaterThan(b) => CodedCandidate::GreaterThan(code(b)),
+            CandidateValue::Between(lo, hi) => CodedCandidate::Between(code(lo), code(hi)),
+        }
+    }
+}
+
+/// The coded candidates of one probabilistic snapshot cell, in the cell's
+/// candidate order.  A `Copy` view: reading a candidate converts its string
+/// payload to the dictionary rank, nothing is allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct CodedCandidates<'a> {
+    stored: &'a [CodedCandidate],
+    dict: &'a StringDictionary,
+}
+
+impl<'a> CodedCandidates<'a> {
+    /// Number of candidates (0 for a probabilistic cell without any).
+    pub fn len(self) -> usize {
+        self.stored.len()
+    }
+
+    /// `true` when the cell carries no candidate.
+    pub fn is_empty(self) -> bool {
+        self.stored.is_empty()
+    }
+
+    /// `true` when every candidate is an exact value.
+    pub fn all_exact(self) -> bool {
+        self.stored
+            .iter()
+            .all(|c| matches!(c, CodedCandidate::Exact(_)))
+    }
+
+    /// The `index`-th candidate, as ordering codes.
+    pub fn get(self, index: usize) -> CodedCandidate {
+        let dict = self.dict;
+        self.stored[index].map(|code| match code {
+            ColumnCode::Str(c) => ColumnCode::Str(dict.rank(c)),
+            other => other,
+        })
+    }
+
+    /// The candidates in order, as ordering codes.
+    pub fn iter(self) -> impl Iterator<Item = CodedCandidate> + 'a {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+}
+
+/// Where one row's candidates sit in a [`CandidateColumn`]'s pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The span of a determinate cell.  (A probabilistic cell without
+    /// candidates has a real, empty span: the two filter differently.)
+    const DETERMINATE: Span = Span {
+        start: u32::MAX,
+        len: 0,
+    };
+}
+
+/// The candidate side-column of one snapshot column: row → slice of coded
+/// candidates, stored back to back in one pool so no row owns a heap
+/// allocation.  String payloads are dictionary *codes* (stable), like in
+/// [`ColumnData`].
+///
+/// Overwriting a row appends its new slice to the pool and abandons the old
+/// one; [`CandidateColumn::compact`] reclaims the abandoned slots once they
+/// outnumber what a rebuild would touch, which keeps every patch amortised
+/// `O(candidates written)`.
+#[derive(Debug, Clone)]
+struct CandidateColumn {
+    spans: Vec<Span>,
+    pool: Vec<CodedCandidate>,
+    /// Pool slots some span still points at.
+    live: usize,
+}
+
+impl CandidateColumn {
+    /// A side-column for `rows` determinate cells.
+    fn determinate(rows: usize) -> CandidateColumn {
+        CandidateColumn {
+            spans: vec![Span::DETERMINATE; rows],
+            pool: Vec::new(),
+            live: 0,
+        }
+    }
+
+    fn get(&self, row: usize) -> Option<&[CodedCandidate]> {
+        let span = self.spans[row];
+        (span != Span::DETERMINATE)
+            .then(|| &self.pool[span.start as usize..(span.start + span.len) as usize])
+    }
+
+    /// Marks `row` determinate.
+    fn clear(&mut self, row: usize) {
+        let old = std::mem::replace(&mut self.spans[row], Span::DETERMINATE);
+        self.live -= old.len as usize;
+    }
+
+    /// Stores the candidates of a probabilistic cell at `row`.
+    fn set(
+        &mut self,
+        row: usize,
+        candidates: &[Candidate],
+        dict: &mut StringDictionary,
+    ) -> Result<()> {
+        self.clear(row);
+        let start = self.pool.len();
+        // `u32::MAX` itself is the determinate marker, so the pool's end
+        // must stay below it.
+        if start + candidates.len() >= u32::MAX as usize {
+            return Err(DaisyError::Execution(
+                "snapshot candidate pool exceeds 2^32 slots".into(),
+            ));
+        }
+        self.pool.extend(
+            candidates
+                .iter()
+                .map(|c| CodedCandidate::encode_stored(&c.value, dict)),
+        );
+        self.spans[row] = Span {
+            start: start as u32,
+            len: candidates.len() as u32,
+        };
+        self.live += candidates.len();
+        Ok(())
+    }
+
+    /// Rewrites the pool in row order when abandoned slots outnumber the
+    /// slots and spans a rewrite visits.
+    fn compact(&mut self) {
+        if self.pool.len() - self.live <= self.live + self.spans.len() {
+            return;
+        }
+        let mut pool = Vec::with_capacity(self.live);
+        for span in &mut self.spans {
+            if *span != Span::DETERMINATE {
+                let start = pool.len() as u32;
+                pool.extend_from_slice(
+                    &self.pool[span.start as usize..(span.start + span.len) as usize],
+                );
+                span.start = start;
+            }
+        }
+        self.pool = pool;
+    }
+}
+
+/// A columnar snapshot of one table's expected values and candidate sets,
+/// versioned by the table revision and maintained incrementally by
+/// [`Delta`]s (see the module docs for the protocol).
 #[derive(Debug, Clone)]
 pub struct ColumnSnapshot {
     revision: u64,
     rows: usize,
     columns: Vec<ColumnData>,
+    /// Per column: its candidate side-column, once the column has held a
+    /// probabilistic cell.
+    candidates: Vec<Option<CandidateColumn>>,
     dict: StringDictionary,
     row_of: HashMap<TupleId, usize>,
 }
 
 impl ColumnSnapshot {
-    /// Materialises a snapshot from a table's current expected values.
+    /// Materialises a snapshot from a table's current expected values and
+    /// candidate sets.
     pub fn build(table: &Table) -> Result<ColumnSnapshot> {
         let rows = table.len();
         let width = table.schema().len();
         let mut dict = StringDictionary::default();
         let mut columns = Vec::with_capacity(width);
+        let mut candidates = Vec::with_capacity(width);
         for col in 0..width {
             let mut values = Vec::with_capacity(rows);
-            for tuple in table.tuples() {
-                values.push(tuple.value(col)?);
+            let mut side: Option<CandidateColumn> = None;
+            for (row, tuple) in table.tuples().iter().enumerate() {
+                let cell = tuple.cell(col)?;
+                values.push(cell.expected_value());
+                if let Cell::Probabilistic(list) = cell {
+                    side.get_or_insert_with(|| CandidateColumn::determinate(rows))
+                        .set(row, list, &mut dict)?;
+                }
             }
             columns.push(ColumnData::from_values(values, &mut dict));
+            candidates.push(side);
         }
         dict.rebuild_ranks();
         let row_of = table
@@ -501,6 +715,7 @@ impl ColumnSnapshot {
             revision: table.revision(),
             rows,
             columns,
+            candidates,
             dict,
             row_of,
         })
@@ -554,9 +769,44 @@ impl ColumnSnapshot {
         self.columns[column].value(row, &self.dict)
     }
 
+    /// The coded candidates of one cell, `None` when the cell is
+    /// determinate.  Candidate codes compare with [`ordering_code`]s and
+    /// [`ConstProbe`]s of the same snapshot exactly like the underlying
+    /// [`Value`]s do — every candidate string is interned, so unlike a
+    /// predicate constant a candidate always has an exact code.
+    ///
+    /// [`ordering_code`]: ColumnSnapshot::ordering_code
+    pub fn candidates(&self, row: usize, column: usize) -> Option<CodedCandidates<'_>> {
+        let stored = self.candidates[column].as_ref()?.get(row)?;
+        Some(CodedCandidates {
+            stored,
+            dict: &self.dict,
+        })
+    }
+
+    /// Decodes one cell's candidate domains back into [`CandidateValue`]s,
+    /// `None` when the cell is determinate.
+    pub fn candidate_values(&self, row: usize, column: usize) -> Option<Vec<CandidateValue>> {
+        let stored = self.candidates[column].as_ref()?.get(row)?;
+        let value = |code| ColumnData::decode_stored(code, &self.dict);
+        Some(
+            stored
+                .iter()
+                .map(|candidate| match *candidate {
+                    CodedCandidate::Exact(v) => CandidateValue::Exact(value(v)),
+                    CodedCandidate::LessThan(b) => CandidateValue::LessThan(value(b)),
+                    CodedCandidate::GreaterThan(b) => CandidateValue::GreaterThan(value(b)),
+                    CodedCandidate::Between(lo, hi) => {
+                        CandidateValue::Between(value(lo), value(hi))
+                    }
+                })
+                .collect(),
+        )
+    }
+
     /// Encodes a value into an ordering code, when one exists: strings must
     /// already be interned (a string absent from the dictionary equals no
-    /// snapshot cell, so `None` means "matches nothing").
+    /// snapshot cell and no candidate, so `None` means "matches nothing").
     pub fn encode_ordering(&self, value: &Value) -> Option<ColumnCode> {
         match value {
             Value::Null => Some(ColumnCode::Null),
@@ -617,9 +867,11 @@ impl ColumnSnapshot {
     }
 
     /// Patches the snapshot after `delta` was applied to `table`: appended
-    /// rows extend the columns, touched cells are re-read and overwritten
-    /// (and novel strings enter the dictionary, batched).  On success the
-    /// snapshot advances to the table's current revision.
+    /// rows extend the columns, touched cells are re-read and their expected
+    /// value and candidate set overwritten — a cell that turned determinate
+    /// again drops its candidates — and novel strings enter the dictionary,
+    /// batched.  On success the snapshot advances to the table's current
+    /// revision.
     ///
     /// The patch is refused — the snapshot simply stays stale, to be
     /// rebuilt by the next [`ColumnSnapshot::is_current`] check — unless
@@ -635,27 +887,24 @@ impl ColumnSnapshot {
             return Ok(()); // stale: the table moved past us out of band
         }
         let width = self.columns.len();
-        // Pass 1: validate every touched cell and collect its new expected
-        // value, *before* mutating anything — a stale delta leaves the
-        // snapshot untouched, and the collected values let the dictionary
-        // batch-intern the delta's novel strings in one go.
-        let mut appended: Vec<(TupleId, Vec<Value>)> = Vec::with_capacity(delta.appends().len());
+        // Pass 1: validate every touched cell and collect it, *before*
+        // mutating anything — a stale delta leaves the snapshot untouched.
+        let mut appended: Vec<&Tuple> = Vec::with_capacity(delta.appends().len());
         for append in delta.appends() {
             let Some(tuple) = table.tuple(append.id) else {
                 return Ok(()); // stale: membership changed under us
             };
-            let mut values = Vec::with_capacity(width);
-            for col in 0..width {
-                values.push(tuple.value(col)?);
+            if width > 0 {
+                tuple.cell(width - 1)?;
             }
-            appended.push((append.id, values));
+            appended.push(tuple);
         }
         let appended_row: HashMap<TupleId, usize> = appended
             .iter()
             .enumerate()
-            .map(|(i, (id, _))| (*id, self.rows + i))
+            .map(|(i, tuple)| (tuple.id, self.rows + i))
             .collect();
-        let mut patched: Vec<(usize, usize, Value)> = Vec::with_capacity(delta.len());
+        let mut patched: Vec<(usize, usize, &Cell)> = Vec::with_capacity(delta.len());
         for update in delta.updates() {
             let row = match self.row_of.get(&update.tuple) {
                 Some(&row) => row,
@@ -676,53 +925,67 @@ impl ColumnSnapshot {
                     update.tuple
                 ))
             })?;
-            patched.push((row, col, tuple.value(col)?));
-        }
-        // Batch-intern the delta's novel strings, then rebuild the rank
-        // table once.  Without this, every `set` below would `intern`
-        // incrementally — k novel strings would shift ranks k times,
-        // O(k · dictionary) instead of one O(dict log dict) rebuild.
-        let mut novel = false;
-        let new_values = appended
-            .iter()
-            .flat_map(|(_, values)| values.iter())
-            .chain(patched.iter().map(|(_, _, value)| value));
-        for value in new_values {
-            if let Value::Str(s) = value {
-                if self.dict.code_of(s).is_none() {
-                    self.dict.intern_unranked(s);
-                    novel = true;
-                }
-            }
-        }
-        if novel {
-            self.dict.rebuild_ranks();
+            patched.push((row, col, tuple.cell(col)?));
         }
         // Pass 2: apply.  Appended rows extend the columns first (updates
-        // may target them); every string is interned by now, so `set` hits
-        // the dictionary's lookup fast path.
-        for (id, values) in appended {
-            let row = self.rows;
-            for (col, value) in values.iter().enumerate() {
+        // may target them).  Novel strings — expected values and candidates
+        // alike — are interned unranked as they are met and the rank table
+        // is rebuilt once for the batch: interning them one by one would
+        // shift ranks k times, O(k · dictionary) instead of one
+        // O(dict log dict) rebuild.
+        let first_appended = self.rows;
+        for tuple in &appended {
+            for col in 0..width {
                 self.columns[col].push_null();
-                self.columns[col].set(row, value, &mut self.dict);
+                if let Some(side) = &mut self.candidates[col] {
+                    side.spans.push(Span::DETERMINATE);
+                }
             }
-            self.row_of.insert(id, row);
+            self.row_of.insert(tuple.id, self.rows);
             self.rows += 1;
         }
-        for (row, col, value) in patched {
-            self.columns[col].set(row, &value, &mut self.dict);
+        let interned = self.dict.len();
+        let applied = appended
+            .iter()
+            .enumerate()
+            .flat_map(|(i, tuple)| {
+                let cells = tuple.cells[..width].iter().enumerate();
+                cells.map(move |(col, cell)| (first_appended + i, col, cell))
+            })
+            .chain(patched)
+            .try_for_each(|(row, col, cell)| self.set_cell(row, col, cell));
+        if self.dict.len() > interned {
+            self.dict.rebuild_ranks();
+        }
+        applied?;
+        for side in self.candidates.iter_mut().flatten() {
+            side.compact();
         }
         self.revision = table.revision();
-        self.rows = table.len();
         Ok(())
+    }
+
+    /// Overwrites one cell: its expected value and, for a probabilistic
+    /// cell, its candidates.  Novel strings are interned unranked.
+    fn set_cell(&mut self, row: usize, col: usize, cell: &Cell) -> Result<()> {
+        self.columns[col].set(row, cell.expected_ref(), &mut self.dict);
+        match cell {
+            Cell::Probabilistic(list) => self.candidates[col]
+                .get_or_insert_with(|| CandidateColumn::determinate(self.rows))
+                .set(row, list, &mut self.dict),
+            Cell::Determinate(_) => {
+                if let Some(side) = &mut self.candidates[col] {
+                    side.clear(row);
+                }
+                Ok(())
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{Candidate, Cell};
     use crate::delta::CellUpdate;
     use daisy_common::{ColumnId, DataType, Schema};
 
@@ -1018,6 +1281,62 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Rewriting the same cells over and over must not grow the candidate
+    /// pool without bound: abandoned slices are reclaimed, and the snapshot
+    /// still reads back exactly the table.
+    #[test]
+    fn rewritten_candidates_are_reclaimed() {
+        let schema = Schema::from_pairs(&[("zip", DataType::Int)]).unwrap();
+        let rows = (0..4).map(|i| vec![Value::Int(i)]).collect();
+        let mut table = Table::from_rows("t", schema, rows).unwrap();
+        let mut snap = ColumnSnapshot::build(&table).unwrap();
+        assert!(snap.candidates[0].is_none(), "allocated lazily");
+        for round in 0..200i64 {
+            let mut delta = Delta::new();
+            for id in 0..4u64 {
+                // Back to determinate first: merging into the relaxed cell
+                // would keep every earlier candidate alive.
+                for cell in [
+                    Cell::Determinate(Value::Int(round)),
+                    Cell::probabilistic(vec![
+                        Candidate::exact(Value::Int(round), 0.5),
+                        Candidate::exact(Value::Int(round + 1), 0.5),
+                    ]),
+                ] {
+                    delta.push_update(TupleId::new(id), ColumnId::new(0), cell);
+                }
+            }
+            table.apply_delta(&delta).unwrap();
+            snap.absorb_delta(&table, &delta).unwrap();
+        }
+        assert!(snap.is_current(&table));
+        for row in 0..4 {
+            let exact = |v| CandidateValue::Exact(Value::Int(v));
+            assert_eq!(
+                snap.candidate_values(row, 0),
+                Some(vec![exact(199), exact(200)])
+            );
+        }
+        let side = snap.candidates[0].as_ref().unwrap();
+        assert_eq!(side.live, 8);
+        assert!(
+            side.pool.len() <= 8 + 8 + 4 + 16,
+            "{} slots",
+            side.pool.len()
+        );
+        // A cell that turns determinate drops its candidates.
+        let mut delta = Delta::new();
+        delta.push_update(
+            TupleId::new(2),
+            ColumnId::new(0),
+            Cell::Determinate(Value::Int(7)),
+        );
+        table.apply_delta(&delta).unwrap();
+        snap.absorb_delta(&table, &delta).unwrap();
+        assert!(snap.candidates(2, 0).is_none());
+        assert_eq!(snap.candidates(1, 0).map(|c| c.len()), Some(2));
     }
 
     #[test]

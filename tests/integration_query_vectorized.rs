@@ -17,15 +17,16 @@ use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::query::physical::PredicateMode;
 use daisy::query::{execute_with, parse_query, Catalog, LogicalPlan, QueryResult};
-use daisy::storage::{Candidate, Cell, Footprint, Table};
+use daisy::storage::{Candidate, CandidateValue, Cell, Footprint, Table};
 
 const NAMES: [&str; 5] = ["ann", "bob", "cat", "dan", "eve"];
 
 /// Builds a relaxed three-column table: `k` is a low-cardinality join/filter
 /// key, `v` a float with NULLs, `s` a dictionary string.  The `relax` tag
-/// sprinkles probabilistic cells — including NULL candidates and a string
-/// candidate that never appears as an expected value, so it is absent from
-/// the snapshot dictionary.
+/// sprinkles probabilistic cells — NULL candidates, a string candidate that
+/// never appears as an expected value, and the range candidates
+/// (`LessThan` / `GreaterThan` / `Between`) general DCs leave behind, which
+/// switch a row to the optimistic rule and never join.
 fn table_from_rows(name: &str, rows: &[(i64, i64, i64, u8)]) -> Table {
     let schema = Schema::from_pairs(&[
         ("k", DataType::Int),
@@ -41,6 +42,17 @@ fn table_from_rows(name: &str, rows: &[(i64, i64, i64, u8)]) -> Table {
                 Candidate::exact(Value::Int((k + 1) % 6), 0.4),
             ]),
             1 => Cell::Determinate(Value::Null),
+            2 => Cell::probabilistic(vec![
+                Candidate::exact(Value::Int(k % 6), 0.5),
+                Candidate::range(CandidateValue::LessThan(Value::Int((k + 2) % 6)), 0.5),
+            ]),
+            3 => Cell::probabilistic(vec![
+                Candidate::range(
+                    CandidateValue::Between(Value::Int(k % 4), Value::Int(k % 4 + 2)),
+                    0.6,
+                ),
+                Candidate::range(CandidateValue::GreaterThan(Value::Int(4)), 0.4),
+            ]),
             _ => Cell::Determinate(Value::Int(k % 6)),
         };
         let v_cell = match relax % 7 {
@@ -48,6 +60,13 @@ fn table_from_rows(name: &str, rows: &[(i64, i64, i64, u8)]) -> Table {
             1 => Cell::probabilistic(vec![
                 Candidate::exact(Value::Float(*v as f64 / 2.0), 0.5),
                 Candidate::exact(Value::Null, 0.5),
+            ]),
+            2 => Cell::probabilistic(vec![
+                Candidate::range(
+                    CandidateValue::GreaterThan(Value::Float(*v as f64 / 2.0)),
+                    0.5,
+                ),
+                Candidate::exact(Value::Float(*v as f64 / 4.0), 0.5),
             ]),
             _ => Cell::Determinate(Value::Float(*v as f64 / 2.0)),
         };
@@ -74,6 +93,10 @@ fn right_table_from_rows(rows: &[(i64, i64, u8)]) -> Table {
                 Candidate::exact(Value::Null, 0.45),
             ]),
             1 => Cell::Determinate(Value::Null),
+            2 => Cell::probabilistic(vec![
+                Candidate::range(CandidateValue::LessThan(Value::Int(k % 6)), 0.5),
+                Candidate::exact(Value::Int((k + 3) % 6), 0.5),
+            ]),
             _ => Cell::Determinate(Value::Int(k % 6)),
         };
         table
@@ -208,8 +231,10 @@ proptest! {
     /// End-to-end engine runs: the same cleaning workload under
     /// `query_exec ∈ {row, auto, vectorized}` × worker counts must produce
     /// byte-identical query results, repaired base tables and provenance
-    /// dumps — cleaning relaxes cells mid-run, so the second query reads
-    /// engine-made probabilistic data through the coded kernels.
+    /// dumps — cleaning relaxes cells mid-run (the inequality DC leaves
+    /// range candidates on `b` and `c`), so the later queries read
+    /// engine-made probabilistic data through the coded kernels, the third
+    /// one filtering on exactly those range candidates.
     #[test]
     fn engine_agrees_across_query_exec_modes(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 8..40),
@@ -237,6 +262,7 @@ proptest! {
         )
         .unwrap();
         let sql_first = format!("SELECT a, b, c FROM t WHERE a <= {split}");
+        let sql_third = format!("SELECT a, b FROM t WHERE b >= {} AND c <= {}.5", split * 5, split + 3);
         let run = |exec: QueryExecMode, workers: usize| {
             let mut engine = DaisyEngine::new(
                 DaisyConfig::default()
@@ -251,9 +277,11 @@ proptest! {
                 .unwrap();
             let first = engine.execute_sql(&sql_first).unwrap();
             let second = engine.execute_sql("SELECT a, b, c FROM t").unwrap();
+            let third = engine.execute_sql(&sql_third).unwrap();
             (
                 dump(&first.result),
                 dump(&second.result),
+                dump(&third.result),
                 first.report.errors_repaired + second.report.errors_repaired,
                 engine.table("t").unwrap().tuples().to_vec(),
                 engine.provenance("t").unwrap().dump(),
