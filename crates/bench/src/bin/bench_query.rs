@@ -18,7 +18,7 @@
 //! cells) and compared against the sequential row-path reference for the
 //! same query and row count — the vectorized path may only move wall-clock,
 //! never output.  At 32k determinate rows, the vectorized SP filter and
-//! SPJ join are additionally asserted to be ≥ 1.5× faster than the row path.
+//! SPJ join are additionally asserted not to fall behind the row path.
 //!
 //! Snapshots are built **outside** the timed region: they are the engine's
 //! maintained artifact (kept current by `O(|delta|)` patching on the write
@@ -264,7 +264,10 @@ fn main() {
     // keep the SP filter and the SPJ join clearly ahead of the row path
     // (results already asserted byte-identical above).  The bound was 3×
     // while the row kernel re-resolved column names per tuple; it resolves
-    // them once per call now, which took most of that ratio with it.
+    // them once per call now, which took most of that ratio with it — then
+    // 1.5×, until row clones became pointer bumps (shared cells) and the
+    // row path's own materialization stopped costing a copy per answer row:
+    // what is left of the lead is 1.2–1.5×, so the gate is "not behind".
     for query in ["sp_filter", "spj_join"] {
         for &workers in &workers_grid {
             let row_path = time_of(query, 32_000, 0, QueryExecMode::Row, workers);
@@ -272,8 +275,8 @@ fn main() {
             let speedup = row_path / vectorized.max(1e-9);
             eprintln!("{query}@32k workers={workers}: {speedup:.2}x");
             assert!(
-                speedup >= 1.5,
-                "{query} at 32k rows with {workers} workers must be >= 1.5x faster \
+                speedup >= 1.0,
+                "{query} at 32k rows with {workers} workers must not be slower \
                  vectorized, got {speedup:.2}x ({row_path:.4}s row vs {vectorized:.4}s vectorized)"
             );
         }

@@ -16,6 +16,15 @@
 //!   contention concentrates on the hot stripe while satellite commits
 //!   stay conflict-free.
 //!
+//! A second axis, **request cost against table size**, replays the skewed
+//! shape as a stream of small requests — per round every session ingests
+//! one row (even sessions into `hot`, odd ones into their satellite) and
+//! reads two keys of `hot` — with `hot` at 300, 3 000 and 30 000 rows, and
+//! reports microseconds per request serially and at 2 workers, plus the
+//! cost of opening a session.  Versions of the world share their rows,
+//! provenance entries, snapshot columns and index partitions, so a request
+//! should cost its delta, not its table: the curve is what shows it.
+//!
 //! Per measurement:
 //!
 //! * **commits/sec** and **speedup over serial** — wall-clock of the same
@@ -42,7 +51,7 @@
 
 use std::time::Instant;
 
-use daisy_common::{CommitValidation, DaisyConfig, ServiceFairness};
+use daisy_common::{CommitValidation, DaisyConfig, ServiceFairness, Value};
 use daisy_core::DaisyEngine;
 use daisy_data::errors::inject_fd_errors;
 use daisy_data::ssb::{generate_lineorder, SsbConfig};
@@ -217,6 +226,130 @@ fn committed_tables(service: &CleaningService) -> Vec<(String, Vec<daisy_storage
         .collect()
 }
 
+/// One point of the request-cost-against-table-size curve.
+struct CostPoint {
+    hot_rows: usize,
+    requests: usize,
+    serial_us_per_request: f64,
+    two_worker_us_per_request: f64,
+    /// Mean engine time of the ingest requests and of the `SELECT`s in the
+    /// serial replay ([`CleaningReport::elapsed`](daisy_core::CleaningReport)):
+    /// the write path against the cleaning read, whose relaxation scans the
+    /// table.
+    serial_ingest_us: f64,
+    serial_select_us: f64,
+    session_open_us: f64,
+}
+
+/// The skewed shape as a stream of small requests over a `hot` table of
+/// `hot_rows` rows: `ROUNDS` rounds in which each of 4 sessions ingests one
+/// row and reads two keys of `hot`.  One untimed round warms the service
+/// (snapshots, FD indexes, maintained violation indexes) first.
+fn request_cost(hot_rows: usize) -> CostPoint {
+    const SESSIONS: usize = 4;
+    const ROUNDS: usize = 24;
+    const SATELLITE_ROWS: usize = 150;
+    let mut tables = vec![dirty_lineorder("hot", hot_rows, 11)];
+    tables.extend(
+        (0..SESSIONS)
+            .map(|s| dirty_lineorder(&format!("satellite_{s}"), SATELLITE_ROWS, 31 + s as u64)),
+    );
+    let keys = (hot_rows / 10).max(2) as i64;
+    // Rows to ingest: the values of a dirty table generated like `hot`.
+    let feed = dirty_lineorder("feed", (ROUNDS + 1) * SESSIONS, 77);
+    let feed_row = |i: usize| -> Vec<Value> {
+        feed.tuples()[i]
+            .cells
+            .iter()
+            .map(|c| c.expected_value())
+            .collect()
+    };
+    let round = |r: usize| -> Vec<ServiceRequest> {
+        let mut requests = Vec::with_capacity(2 * SESSIONS);
+        for s in 0..SESSIONS {
+            let target = if s % 2 == 0 {
+                "hot".to_string()
+            } else {
+                format!("satellite_{s}")
+            };
+            requests.push(ServiceRequest::ingest(
+                format!("s{s}"),
+                target,
+                vec![feed_row(r * SESSIONS + s)],
+            ));
+            let low = ((r * SESSIONS + s) as i64 * 7) % (keys - 1);
+            requests.push(ServiceRequest::new(
+                format!("s{s}"),
+                format!(
+                    "SELECT orderkey, suppkey FROM hot WHERE orderkey >= {low} AND orderkey <= {}",
+                    low + 1
+                ),
+            ));
+        }
+        requests
+    };
+    let workload = Workload {
+        name: "request-cost",
+        tables,
+        requests: Vec::new(),
+        expect_zero_replays: false,
+    };
+    // (wall seconds, engine seconds of [ingests, selects], committed tables)
+    // of the fastest of `runs()` replays.
+    let timed = |workers: usize| {
+        let mut best = (f64::INFINITY, [0.0; 2]);
+        let mut tables = None;
+        for _ in 0..runs() {
+            let service = build_service(&workload, workers, CommitValidation::Footprint);
+            service.run_with_workers(&round(0), workers);
+            let mut engine = [0.0; 2];
+            let start = Instant::now();
+            for r in 1..=ROUNDS {
+                let report = service.run_with_workers(&round(r), workers);
+                for o in &report.outcomes {
+                    let outcome = o.outcome.as_ref().expect("request failed");
+                    engine[usize::from(!o.sql.starts_with("INGEST"))] +=
+                        outcome.report.elapsed.as_secs_f64();
+                }
+            }
+            let wall = start.elapsed().as_secs_f64();
+            if wall < best.0 {
+                best = (wall, engine);
+            }
+            tables = Some(committed_tables(&service));
+        }
+        (best.0, best.1, tables.unwrap())
+    };
+    let requests = ROUNDS * 2 * SESSIONS;
+    let (serial, [ingest, select], serial_tables) = timed(1);
+    let (two_workers, _, concurrent_tables) = timed(2);
+    assert_eq!(
+        concurrent_tables, serial_tables,
+        "request stream diverged from serial at hot_rows={hot_rows}"
+    );
+
+    // Opening (and dropping) a session over the warmed world.
+    let service = build_service(&workload, 1, CommitValidation::Footprint);
+    service.run_serial(&round(0));
+    let shared = service.shared();
+    const OPENS: usize = 2_000;
+    let start = Instant::now();
+    for _ in 0..OPENS {
+        std::hint::black_box(shared.session());
+    }
+    let session_open_us = start.elapsed().as_secs_f64() * 1e6 / OPENS as f64;
+
+    CostPoint {
+        hot_rows,
+        requests,
+        serial_us_per_request: serial * 1e6 / requests as f64,
+        two_worker_us_per_request: two_workers * 1e6 / requests as f64,
+        serial_ingest_us: ingest * 2e6 / requests as f64,
+        serial_select_us: select * 2e6 / requests as f64,
+        session_open_us,
+    }
+}
+
 fn main() {
     let row_counts = [2_000usize, 8_000];
     let session_counts = [4usize, 8];
@@ -320,7 +453,25 @@ fn main() {
         }
     }
 
-    let json = render_json(&measurements);
+    let cost_curve: Vec<CostPoint> = [300usize, 3_000, 30_000]
+        .into_iter()
+        .map(|hot_rows| {
+            let point = request_cost(hot_rows);
+            println!(
+                "request-cost hot_rows={hot_rows:>6} serial {:>9.1} us/request \
+                 (ingest {:.1}, select {:.1})  2 workers {:>9.1} us/request  \
+                 session open {:.2} us",
+                point.serial_us_per_request,
+                point.serial_ingest_us,
+                point.serial_select_us,
+                point.two_worker_us_per_request,
+                point.session_open_us,
+            );
+            point
+        })
+        .collect();
+
+    let json = render_json(&measurements, &cost_curve);
     let out = out_path();
     std::fs::write(&out, json).unwrap();
     println!("wrote {}", out.display());
@@ -333,8 +484,32 @@ fn out_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_service.json")
 }
 
-fn render_json(measurements: &[Measurement]) -> String {
-    let mut json = String::from("{\n  \"bench\": \"service\",\n  \"results\": [\n");
+fn render_json(measurements: &[Measurement], cost_curve: &[CostPoint]) -> String {
+    let host_nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"bench\": \"service\",\n  \"host_nproc\": {host_nproc},\n  \
+         \"request_cost_by_hot_rows\": [\n"
+    );
+    let points: Vec<String> = cost_curve
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"hot_rows\": {}, \"sessions\": 4, \"requests\": {}, \
+                 \"serial_us_per_request\": {:.1}, \"two_worker_us_per_request\": {:.1}, \
+                 \"serial_ingest_us\": {:.1}, \"serial_select_us\": {:.1}, \
+                 \"session_open_us\": {:.2}}}",
+                p.hot_rows,
+                p.requests,
+                p.serial_us_per_request,
+                p.two_worker_us_per_request,
+                p.serial_ingest_us,
+                p.serial_select_us,
+                p.session_open_us,
+            )
+        })
+        .collect();
+    json.push_str(&points.join(",\n"));
+    json.push_str("\n  ],\n  \"results\": [\n");
     let lines: Vec<String> = measurements
         .iter()
         .map(|m| {

@@ -38,7 +38,8 @@ pub struct FdCleanOutcome {
     pub answer_len: usize,
     /// The isolated cell changes to apply to the base table.
     pub delta: Delta,
-    /// Relaxation statistics (iterations, scanned tuples).
+    /// Relaxation statistics (iterations, scanned tuples).  Its `extra` list
+    /// is empty: the extra tuples are `cleaned[answer_len..]`.
     pub relaxation: RelaxationOutcome,
     /// Number of cells that received candidate fixes.
     pub errors_detected: usize,
@@ -104,11 +105,14 @@ pub fn clean_select_fd_with(
     provenance: &mut ProvenanceStore,
     snapshot: Option<&ColumnSnapshot>,
 ) -> Result<FdCleanOutcome> {
-    let relaxation = relax_fd(index, answer, unvisited_pool, filter_on, max_iterations)?;
+    let mut relaxation = relax_fd(index, answer, unvisited_pool, filter_on, max_iterations)?;
 
+    // The extras move into the relaxed set rather than being cloned: a second
+    // holder would keep every extra row shared with the base table, and the
+    // write-back of its repairs would have to copy the row again.
     let mut relaxed: Vec<Tuple> = Vec::with_capacity(answer.len() + relaxation.extra.len());
     relaxed.extend(answer.iter().cloned());
-    relaxed.extend(relaxation.extra.iter().cloned());
+    relaxed.append(&mut relaxation.extra);
 
     // Representative conflicting tuples per lhs group (for provenance and
     // violation reporting), computed over the relaxed set only — the paper's

@@ -13,7 +13,6 @@
 //! claiming currency against them would be silently wrong.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use daisy_storage::{Delta, Footprint, ProvenanceStore, Table};
 use daisy_wal::{LoggedCommit, PersistedWorld, ProvenanceDiff};
@@ -31,7 +30,7 @@ pub(crate) fn persisted_world(version: u64, world: &WorldState) -> PersistedWorl
     let mut provenance: Vec<(String, ProvenanceStore)> = world
         .provenance
         .iter()
-        .map(|(name, store)| (name.clone(), store.as_ref().clone()))
+        .map(|(name, store)| (name.clone(), store.clone()))
         .collect();
     provenance.sort_by(|a, b| a.0.cmp(&b.0));
     PersistedWorld {
@@ -43,9 +42,12 @@ pub(crate) fn persisted_world(version: u64, world: &WorldState) -> PersistedWorl
 
 /// Builds the log record for a commit that moves `old` to `new`.
 ///
-/// The provenance diff leans on the copy-on-write worlds: a table whose
-/// store is the *same `Arc`* in both worlds cannot have changed and is
-/// skipped without a walk.  Every commit path only ever adds or replaces
+/// The provenance diff leans on the copy-on-write worlds
+/// ([`ProvenanceDiff::between`]): a table whose store is pointer-equal in
+/// both worlds (nothing was recorded — a store detaches only inside a
+/// recording call) yields an empty diff without a walk, and within a store
+/// that did change only the entries that are not pointer-equal are
+/// compared and copied.  Every commit path only ever adds or replaces
 /// provenance entries (relative to the world it installs over), so the
 /// diff plus the staged deltas reproduce the post-commit world exactly.
 pub(crate) fn logged_commit(
@@ -61,15 +63,8 @@ pub(crate) fn logged_commit(
     let mut names: Vec<&String> = new.provenance.keys().collect();
     names.sort();
     for name in names {
-        let new_store = &new.provenance[name];
-        let old_store = old.provenance.get(name);
-        if let Some(old_store) = old_store {
-            if Arc::ptr_eq(old_store, new_store) {
-                continue;
-            }
-        }
-        let diff =
-            ProvenanceDiff::between(old_store.map(|s| s.as_ref()).unwrap_or(&empty), new_store);
+        let old_store = old.provenance.get(name).unwrap_or(&empty);
+        let diff = ProvenanceDiff::between(old_store, &new.provenance[name]);
         if !diff.is_empty() {
             provenance.push((name.clone(), diff));
         }
@@ -96,7 +91,7 @@ pub(crate) fn restore_world(bootstrap: &WorldState, persisted: &PersistedWorld) 
     world.provenance = persisted
         .provenance
         .iter()
-        .map(|(name, store)| (name.clone(), Arc::new(store.clone())))
+        .map(|(name, store)| (name.clone(), store.clone()))
         .collect();
     // Recovered tables restart at revision zero; every derived structure is
     // keyed to revisions and must be rebuilt lazily rather than trusted.
@@ -145,5 +140,40 @@ impl WorldSnapshot {
             .iter()
             .find(|(name, _)| name == table)
             .map(|(_, store)| store)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use daisy_common::{ColumnId, DataType, Schema, TupleId, Value};
+
+    #[test]
+    fn a_checkpoint_image_shares_rows_and_provenance_with_the_live_world() {
+        let mut world = WorldState::default();
+        let table = Table::from_rows(
+            "t",
+            Schema::from_pairs(&[("x", DataType::Int)]).unwrap(),
+            (0..8).map(|i| vec![Value::Int(i)]).collect(),
+        )
+        .unwrap();
+        world.catalog.add(table);
+        let store = world.provenance.entry("t".to_string()).or_default();
+        store.record_original(TupleId::new(3), ColumnId::new(0), Value::Int(3));
+
+        // Built under the commit mutex when a checkpoint is due: it must
+        // copy pointers, not rows or entries.
+        let image = persisted_world(7, &world);
+        assert_eq!(image.version, 7);
+        let live = world.catalog.table("t").unwrap();
+        assert_eq!(image.tables[0].tuples(), live.tuples());
+        assert!(image.tables[0]
+            .tuples()
+            .iter()
+            .zip(live.tuples())
+            .all(|(copy, row)| copy.cells.shares_storage_with(&row.cells)));
+        assert!(image.provenance[0]
+            .1
+            .shares_storage_with(&world.provenance["t"]));
     }
 }

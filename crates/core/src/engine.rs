@@ -138,19 +138,23 @@ impl DaisyEngine {
 
     /// Replaces the engine's world and resets per-session accumulations
     /// (report and staged deltas) — used when a session rebases onto a newer
-    /// shared world.
-    pub(crate) fn reset_world(&mut self, world: WorldState) {
-        self.world = world;
+    /// shared world.  Returns the world it replaces: the commit path calls
+    /// this under the shared mutex and must not free a world there.
+    #[must_use = "drop the superseded world outside the commit mutex"]
+    pub(crate) fn reset_world(&mut self, world: WorldState) -> WorldState {
         self.session = SessionReport::default();
         self.delta_log.clear();
         self.clear_footprints();
+        std::mem::replace(&mut self.world, world)
     }
 
     /// Installs a merged world after a footprint-validated commit *without*
     /// clearing the already-drained staged log or the session report (the
-    /// caller resets those explicitly once the receipt is built).
-    pub(crate) fn install_world(&mut self, world: WorldState) {
-        self.world = world;
+    /// caller resets those explicitly once the receipt is built).  Returns
+    /// the world it replaces, like [`reset_world`](DaisyEngine::reset_world).
+    #[must_use = "drop the superseded world outside the commit mutex"]
+    pub(crate) fn install_world(&mut self, world: WorldState) -> WorldState {
+        std::mem::replace(&mut self.world, world)
     }
 
     /// Turns on staged-delta recording (sessions stage their repairs as
@@ -240,20 +244,17 @@ impl DaisyEngine {
 
     /// Registers a denial constraint, returning its rule id.
     pub fn add_constraint(&mut self, dc: DenialConstraint) -> RuleId {
-        self.world.constraints.add(dc)
+        Arc::make_mut(&mut self.world.constraints).add(dc)
     }
 
     /// Registers a constraint given its compact textual form.
     pub fn add_constraint_text(&mut self, name: &str, text: &str) -> Result<RuleId> {
-        Ok(self
-            .world
-            .constraints
-            .add(DenialConstraint::parse(name, text)?))
+        Ok(Arc::make_mut(&mut self.world.constraints).add(DenialConstraint::parse(name, text)?))
     }
 
     /// Registers a functional dependency.
     pub fn add_fd(&mut self, fd: &FunctionalDependency, name: &str) -> RuleId {
-        self.world.constraints.add_fd(fd, name)
+        Arc::make_mut(&mut self.world.constraints).add_fd(fd, name)
     }
 
     /// Access to a registered table (possibly already partially cleaned).
@@ -268,7 +269,7 @@ impl DaisyEngine {
 
     /// The per-table provenance store.
     pub fn provenance(&self, table: &str) -> Option<&ProvenanceStore> {
-        self.world.provenance.get(table).map(Arc::as_ref)
+        self.world.provenance.get(table)
     }
 
     /// The session report accumulated so far.
@@ -678,14 +679,13 @@ impl DaisyEngine {
         // rule added after other rules already repaired cells still sees the
         // dirty groups of the original data (§4.3).
         if !self.world.fd_indexes.contains_key(&key) {
-            let provenance = Arc::clone(
-                self.world
-                    .provenance
-                    .entry(table_name.to_string())
-                    .or_default(),
-            );
+            let provenance = self
+                .world
+                .provenance
+                .entry(table_name.to_string())
+                .or_default();
             let table = self.world.catalog.table(table_name)?;
-            let index = FdIndex::build_with_provenance(table, fd, &provenance)?;
+            let index = FdIndex::build_with_provenance(table, fd, provenance)?;
             let params = CostParameters {
                 n: table.len(),
                 epsilon: index.dirty_tuple_count(),
@@ -699,12 +699,13 @@ impl DaisyEngine {
         }
         let index = Arc::clone(self.world.fd_indexes.get(&key).expect("just inserted"));
         let outcome = {
-            let provenance = Arc::make_mut(
-                self.world
-                    .provenance
-                    .entry(table_name.to_string())
-                    .or_default(),
-            );
+            // The store is a shared handle that detaches inside a recording
+            // call: a pass that repairs nothing leaves it pointer-equal.
+            let provenance = self
+                .world
+                .provenance
+                .entry(table_name.to_string())
+                .or_default();
             let table = self.world.catalog.table(table_name)?;
             clean_select_fd_with(
                 &self.ctx,
@@ -871,14 +872,7 @@ impl DaisyEngine {
             // of the violation-index subsystem before computing candidate
             // ranges.
             let by_id: HashMap<TupleId, &Tuple> = crate::index::id_index(&self.ctx, table.tuples());
-            repair_dc_violations(
-                &self.ctx,
-                schema,
-                rule,
-                &violations,
-                &by_id,
-                Arc::make_mut(provenance),
-            )?
+            repair_dc_violations(&self.ctx, schema, rule, &violations, &by_id, provenance)?
         };
 
         let cells_updated = outcome.delta.len();
@@ -923,33 +917,30 @@ impl DaisyEngine {
         }
         self.refresh_snapshot(table_name)?;
         if !self.world.fd_indexes.contains_key(&key) {
-            let provenance = Arc::clone(
-                self.world
-                    .provenance
-                    .entry(table_name.to_string())
-                    .or_default(),
-            );
+            let provenance = self
+                .world
+                .provenance
+                .entry(table_name.to_string())
+                .or_default();
             let table = self.world.catalog.table(table_name)?;
             self.world.fd_indexes.insert(
                 key.clone(),
-                Arc::new(FdIndex::build_with_provenance(table, fd, &provenance)?),
+                Arc::new(FdIndex::build_with_provenance(table, fd, provenance)?),
             );
         }
         let index = Arc::clone(self.world.fd_indexes.get(&key).expect("present"));
         let outcome = {
-            let provenance = Arc::make_mut(
-                self.world
-                    .provenance
-                    .entry(table_name.to_string())
-                    .or_default(),
-            );
+            let provenance = self
+                .world
+                .provenance
+                .entry(table_name.to_string())
+                .or_default();
             let table = self.world.catalog.table(table_name)?;
-            let all = table.tuples().to_vec();
             clean_select_fd_with(
                 &self.ctx,
                 rule,
                 &index,
-                &all,
+                table.tuples(),
                 table.tuples(),
                 FilterTarget::Other,
                 self.config.max_relaxation_iterations,
@@ -974,7 +965,7 @@ impl DaisyEngine {
         table_name: &str,
         dc: DenialConstraint,
     ) -> Result<usize> {
-        let rule = self.world.constraints.add(dc);
+        let rule = Arc::make_mut(&mut self.world.constraints).add(dc);
         let constraint = self
             .world
             .constraints
@@ -997,27 +988,27 @@ impl DaisyEngine {
                         .qualify(table_name),
                 );
                 self.refresh_snapshot(table_name)?;
-                let table_tuples: Vec<Tuple> =
-                    self.world.catalog.table(table_name)?.tuples().to_vec();
+                // Detection and repair read the table through its shared
+                // handle, released before the write path detaches it.
+                let table = self.world.catalog.shared(table_name)?;
                 let snapshot = self.world.snapshots.get(table_name).map(Arc::as_ref);
                 let mut matrix = ThetaMatrix::build_with_strategy_snap(
                     &schema,
-                    &table_tuples,
+                    table.tuples(),
                     &constraint,
                     self.config.theta_blocks_per_side(),
                     self.config.detection_strategy,
                     snapshot,
                 )?;
                 let (violations, _) =
-                    matrix.check_all_with(&self.ctx, &schema, &table_tuples, snapshot)?;
+                    matrix.check_all_with(&self.ctx, &schema, table.tuples(), snapshot)?;
                 let by_id: HashMap<TupleId, &Tuple> =
-                    crate::index::id_index(&self.ctx, &table_tuples);
-                let provenance = Arc::make_mut(
-                    self.world
-                        .provenance
-                        .entry(table_name.to_string())
-                        .or_default(),
-                );
+                    crate::index::id_index(&self.ctx, table.tuples());
+                let provenance = self
+                    .world
+                    .provenance
+                    .entry(table_name.to_string())
+                    .or_default();
                 let outcome = repair_dc_violations(
                     &self.ctx,
                     &schema,
@@ -1027,6 +1018,7 @@ impl DaisyEngine {
                     provenance,
                 )?;
                 drop(by_id);
+                drop(table);
                 let repaired = outcome.errors_detected;
                 if !outcome.delta.is_empty() {
                     self.apply_delta_patching(table_name, &outcome.delta)?;
@@ -1138,22 +1130,25 @@ impl DaisyEngine {
             self.record_rule_columns(table_name, &rule.attributes());
         }
         let positions: Vec<usize> = delta_positions.iter().copied().collect();
-        let table_tuples: Vec<Tuple> = self.world.catalog.table(table_name)?.tuples().to_vec();
+        // Detection, the id index and the repair read the table through its
+        // shared handle; it is released before `apply_delta_patching`, so
+        // the write path finds the table as (un)shared as it was.
+        let table = self.world.catalog.shared(table_name)?;
         let (violations, _pairs) =
-            self.ingest_detect(table_name, schema, rule, &positions, &table_tuples)?;
+            self.ingest_detect(table_name, schema, rule, &positions, table.tuples())?;
         if violations.is_empty() {
             return Ok(());
         }
-        let by_id: HashMap<TupleId, &Tuple> = crate::index::id_index(&self.ctx, &table_tuples);
-        let provenance = Arc::make_mut(
-            self.world
-                .provenance
-                .entry(table_name.to_string())
-                .or_default(),
-        );
+        let by_id: HashMap<TupleId, &Tuple> = crate::index::id_index(&self.ctx, table.tuples());
+        let provenance = self
+            .world
+            .provenance
+            .entry(table_name.to_string())
+            .or_default();
         let outcome =
             repair_dc_violations(&self.ctx, schema, rule, &violations, &by_id, provenance)?;
         drop(by_id);
+        drop(table);
         let cells_updated = outcome.delta.len();
         if !outcome.delta.is_empty() {
             self.apply_delta_patching(table_name, &outcome.delta)?;

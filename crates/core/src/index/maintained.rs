@@ -27,6 +27,12 @@
 //!   dictionary rank and corrupt code-sorted entries, while values order
 //!   identically forever.
 //!
+//! **What a clone shares.**  Every partition and every row's cached
+//! contribution sits behind its own pointer, and the plan-derived shape
+//! (columns, operator, residual predicates) behind one more, so cloning an
+//! index copies two pointer tables and no entry; `absorb_delta` on the clone
+//! then detaches only the partitions a delta row leaves or enters.
+//!
 //! Delta-restricted detection enumerates, per delta row `d`, the same
 //! directed candidate bindings the full sweep admits with the filter
 //! `i ∈ Δ ∨ j ∈ Δ`: once with `d` in the right-hand probe role (owning all
@@ -37,7 +43,8 @@
 //! the rebuild-everything baseline byte for byte — the differential tests
 //! in this module and `tests/integration_streaming_ingest.rs` pin that.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use daisy_common::{Result, RuleId, Schema, Value};
 use daisy_exec::ExecContext;
@@ -59,20 +66,18 @@ struct MaintainedPartition {
 /// What one table position contributes to the index — cached so a later
 /// delta can *remove* the old entries without re-reading pre-update values
 /// (absorption runs after the table has already been mutated).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Contribution {
-    left_key: Vec<Value>,
+    left_key: Arc<[Value]>,
     left_sweep: Value,
-    right_key: Vec<Value>,
+    right_key: Arc<[Value]>,
     right_sweep: Value,
 }
 
-/// The persistent violation index of one two-tuple denial constraint over
-/// one table: hash partitions on the equality key in a sorted map, each
-/// partition sorted for the inequality sweep, maintained across deltas
-/// (see the module docs for the protocol).
-#[derive(Debug, Clone)]
-pub struct MaintainedIndex {
+/// What the constraint's plan fixes at build time; immutable afterwards and
+/// shared by every version of the index.
+#[derive(Debug)]
+struct IndexShape {
     rule: RuleId,
     sweep_op: Option<ComparisonOp>,
     left_cols: Vec<usize>,
@@ -85,8 +90,17 @@ pub struct MaintainedIndex {
     /// partition maintenance entirely.
     maintenance_cols: HashSet<usize>,
     residual: Vec<DcPredicate>,
-    partitions: BTreeMap<Vec<Value>, MaintainedPartition>,
-    contributions: Vec<Contribution>,
+}
+
+/// The persistent violation index of one two-tuple denial constraint over
+/// one table: hash partitions on the equality key, each partition sorted
+/// for the inequality sweep, maintained across deltas (see the module docs
+/// for the protocol and for what clones share).
+#[derive(Debug, Clone)]
+pub struct MaintainedIndex {
+    shape: Arc<IndexShape>,
+    partitions: HashMap<Arc<[Value]>, Arc<MaintainedPartition>>,
+    contributions: Vec<Arc<Contribution>>,
     revision: u64,
     rows: usize,
 }
@@ -127,22 +141,24 @@ impl MaintainedIndex {
             .map(|name| schema.index_of(name))
             .collect::<Result<_>>()?;
         let mut index = MaintainedIndex {
-            rule: constraint.id,
-            sweep_op,
-            left_cols,
-            right_cols,
-            sweep_left,
-            sweep_right,
-            symmetric,
-            maintenance_cols,
-            residual: plan.residual.clone(),
-            partitions: BTreeMap::new(),
+            shape: Arc::new(IndexShape {
+                rule: constraint.id,
+                sweep_op,
+                left_cols,
+                right_cols,
+                sweep_left,
+                sweep_right,
+                symmetric,
+                maintenance_cols,
+                residual: plan.residual.clone(),
+            }),
+            partitions: HashMap::new(),
             contributions: Vec::with_capacity(table.len()),
             revision: table.revision(),
             rows: table.len(),
         };
         for (pos, tuple) in table.tuples().iter().enumerate() {
-            let c = index.contribution_of(tuple)?;
+            let c = Arc::new(index.contribution_of(tuple)?);
             index.insert_position(pos, &c);
             index.contributions.push(c);
         }
@@ -151,7 +167,7 @@ impl MaintainedIndex {
 
     /// The constraint this index serves.
     pub fn rule(&self) -> RuleId {
-        self.rule
+        self.shape.rule
     }
 
     /// The table revision the index reflects.
@@ -189,6 +205,22 @@ impl MaintainedIndex {
             .unwrap_or(0)
     }
 
+    /// How many of this index's partitions are the same allocation in
+    /// `other` — `partition_count()` right after a clone, less the
+    /// partitions a delta wrote since.
+    #[doc(hidden)]
+    pub fn partitions_shared_with(&self, other: &MaintainedIndex) -> usize {
+        self.partitions
+            .iter()
+            .filter(|(key, part)| {
+                other
+                    .partitions
+                    .get(*key)
+                    .is_some_and(|theirs| Arc::ptr_eq(part, theirs))
+            })
+            .count()
+    }
+
     /// `true` when the index reflects exactly the table's current revision
     /// and row count.  A stale index must be rebuilt, never patched.
     pub fn is_current(&self, table: &Table) -> bool {
@@ -215,7 +247,7 @@ impl MaintainedIndex {
         for (offset, append) in delta.appends().iter().enumerate() {
             let pos = self.rows + offset;
             debug_assert_eq!(table.tuples()[pos].id, append.id);
-            let c = self.contribution_of(&table.tuples()[pos])?;
+            let c = Arc::new(self.contribution_of(&table.tuples()[pos])?);
             self.insert_position(pos, &c);
             self.contributions.push(c);
         }
@@ -224,15 +256,15 @@ impl MaintainedIndex {
         let mut touched: Vec<usize> = delta
             .updates()
             .iter()
-            .filter(|u| self.maintenance_cols.contains(&u.column.index()))
+            .filter(|u| self.shape.maintenance_cols.contains(&u.column.index()))
             .filter_map(|u| table.position_of(u.tuple))
             .collect();
         touched.sort_unstable();
         touched.dedup();
         for pos in touched {
-            let old = self.contributions[pos].clone();
+            let old = Arc::clone(&self.contributions[pos]);
             self.remove_position(pos, &old);
-            let c = self.contribution_of(&table.tuples()[pos])?;
+            let c = Arc::new(self.contribution_of(&table.tuples()[pos])?);
             self.insert_position(pos, &c);
             self.contributions[pos] = c;
         }
@@ -275,10 +307,10 @@ impl MaintainedIndex {
                 let c = &self.contributions[d];
                 let right_fanout = self
                     .partitions
-                    .get(&c.right_key)
+                    .get(&*c.right_key)
                     .map_or(0, |p| p.left.len());
-                let left_fanout = self.partitions.get(&c.left_key).map_or(0, |p| {
-                    if self.symmetric {
+                let left_fanout = self.partitions.get(&*c.left_key).map_or(0, |p| {
+                    if self.shape.symmetric {
                         p.left.len()
                     } else {
                         p.right.len()
@@ -322,10 +354,10 @@ impl MaintainedIndex {
             // Pass (a): `d` in the right-hand probe role.  Owns every pair
             // whose right member is `d` — including Δ×Δ pairs, so pass (b)
             // can skip Δ probes without losing any binding.
-            if self.sweep_op.is_none() || !c.right_sweep.is_null() {
-                if let Some(part) = self.partitions.get(&c.right_key) {
+            if self.shape.sweep_op.is_none() || !c.right_sweep.is_null() {
+                if let Some(part) = self.partitions.get(&*c.right_key) {
                     let left = &part.left;
-                    let candidates = match self.sweep_op {
+                    let candidates = match self.shape.sweep_op {
                         Some(op) => sweep_candidates(left, op, &c.right_sweep),
                         None => left.as_slice(),
                     };
@@ -336,14 +368,14 @@ impl MaintainedIndex {
             }
             // Pass (b): `d` as the left member against non-Δ right probes
             // (the inverse order-statistics range of pass (a)).
-            if self.sweep_op.is_none() || !c.left_sweep.is_null() {
-                if let Some(part) = self.partitions.get(&c.left_key) {
-                    let right = if self.symmetric {
+            if self.shape.sweep_op.is_none() || !c.left_sweep.is_null() {
+                if let Some(part) = self.partitions.get(&*c.left_key) {
+                    let right = if self.shape.symmetric {
                         &part.left
                     } else {
                         &part.right
                     };
-                    let candidates = match self.sweep_op {
+                    let candidates = match self.shape.sweep_op {
                         Some(op) => right_probes(right, op, &c.left_sweep),
                         None => right.as_slice(),
                     };
@@ -376,18 +408,18 @@ impl MaintainedIndex {
         }
         *pairs += 1;
         let binding = [&tuples[i], &tuples[j]];
-        for pred in &self.residual {
+        for pred in &self.shape.residual {
             if !pred.eval(schema, &binding)? {
                 return Ok(());
             }
         }
-        out.push(Violation::pair(self.rule, tuples[i].id, tuples[j].id));
+        out.push(Violation::pair(self.shape.rule, tuples[i].id, tuples[j].id));
         Ok(())
     }
 
     /// Reads what `tuple` contributes to each binding role.
     fn contribution_of(&self, tuple: &Tuple) -> Result<Contribution> {
-        let key = |cols: &[usize]| -> Result<Vec<Value>> {
+        let key = |cols: &[usize]| -> Result<Arc<[Value]>> {
             cols.iter().map(|&c| tuple.value(c)).collect()
         };
         let sweep = |col: Option<usize>| -> Result<Value> {
@@ -396,11 +428,17 @@ impl MaintainedIndex {
                 None => Ok(Value::Null),
             }
         };
+        let left_key = key(&self.shape.left_cols)?;
+        let right_key = if self.shape.left_cols == self.shape.right_cols {
+            Arc::clone(&left_key)
+        } else {
+            key(&self.shape.right_cols)?
+        };
         Ok(Contribution {
-            left_key: key(&self.left_cols)?,
-            left_sweep: sweep(self.sweep_left)?,
-            right_key: key(&self.right_cols)?,
-            right_sweep: sweep(self.sweep_right)?,
+            left_key,
+            left_sweep: sweep(self.shape.sweep_left)?,
+            right_key,
+            right_sweep: sweep(self.shape.sweep_right)?,
         })
     }
 
@@ -408,20 +446,20 @@ impl MaintainedIndex {
     /// order predicate and are excluded from sweep-bearing lists, exactly
     /// like the build-time exclusion of [`ViolationIndex`](super::ViolationIndex).
     fn insert_position(&mut self, pos: usize, c: &Contribution) {
-        if self.sweep_op.is_none() || !c.left_sweep.is_null() {
-            let part = self.partitions.entry(c.left_key.clone()).or_default();
+        if self.shape.sweep_op.is_none() || !c.left_sweep.is_null() {
+            let part = self.partitions.entry(Arc::clone(&c.left_key)).or_default();
             insert_sorted(
-                &mut part.left,
+                &mut Arc::make_mut(part).left,
                 SweepEntry {
                     pos,
                     value: c.left_sweep.clone(),
                 },
             );
         }
-        if !self.symmetric && (self.sweep_op.is_none() || !c.right_sweep.is_null()) {
-            let part = self.partitions.entry(c.right_key.clone()).or_default();
+        if !self.shape.symmetric && (self.shape.sweep_op.is_none() || !c.right_sweep.is_null()) {
+            let part = self.partitions.entry(Arc::clone(&c.right_key)).or_default();
             insert_sorted(
-                &mut part.right,
+                &mut Arc::make_mut(part).right,
                 SweepEntry {
                     pos,
                     value: c.right_sweep.clone(),
@@ -434,19 +472,21 @@ impl MaintainedIndex {
     /// [`MaintainedIndex::insert_position`]), pruning partitions that
     /// become empty so [`MaintainedIndex::partition_count`] stays honest.
     fn remove_position(&mut self, pos: usize, c: &Contribution) {
-        if self.sweep_op.is_none() || !c.left_sweep.is_null() {
-            if let Some(part) = self.partitions.get_mut(&c.left_key) {
+        if self.shape.sweep_op.is_none() || !c.left_sweep.is_null() {
+            if let Some(part) = self.partitions.get_mut(&*c.left_key) {
+                let part = Arc::make_mut(part);
                 remove_sorted(&mut part.left, &c.left_sweep, pos);
                 if part.left.is_empty() && part.right.is_empty() {
-                    self.partitions.remove(&c.left_key);
+                    self.partitions.remove(&*c.left_key);
                 }
             }
         }
-        if !self.symmetric && (self.sweep_op.is_none() || !c.right_sweep.is_null()) {
-            if let Some(part) = self.partitions.get_mut(&c.right_key) {
+        if !self.shape.symmetric && (self.shape.sweep_op.is_none() || !c.right_sweep.is_null()) {
+            if let Some(part) = self.partitions.get_mut(&*c.right_key) {
+                let part = Arc::make_mut(part);
                 remove_sorted(&mut part.right, &c.right_sweep, pos);
                 if part.left.is_empty() && part.right.is_empty() {
-                    self.partitions.remove(&c.right_key);
+                    self.partitions.remove(&*c.right_key);
                 }
             }
         }
@@ -494,6 +534,7 @@ mod tests {
     use daisy_common::{DataType, Schema, TupleId};
     use daisy_exec::ExecContext;
     use daisy_storage::Cell;
+    use std::collections::BTreeSet;
 
     fn ctx() -> ExecContext {
         ExecContext::new(4)
@@ -841,8 +882,8 @@ mod tests {
         // same sorted member lists.
         let fresh = MaintainedIndex::build(table.schema(), &constraint, &plan, &table).unwrap();
         assert_eq!(
-            index.partitions.keys().collect::<Vec<_>>(),
-            fresh.partitions.keys().collect::<Vec<_>>()
+            index.partitions.keys().collect::<BTreeSet<_>>(),
+            fresh.partitions.keys().collect::<BTreeSet<_>>()
         );
         for (key, part) in &index.partitions {
             let fresh_part = &fresh.partitions[key];

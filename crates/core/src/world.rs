@@ -8,15 +8,39 @@
 //! matrices with their incremental checked-block bookkeeping, provenance
 //! stores, cost trackers and columnar snapshots.
 //!
-//! Every heavy member sits behind an [`Arc`], so `WorldState::clone` is a
-//! handful of map clones plus reference-count bumps — `O(#tables + #rules)`
-//! regardless of data size.  Mutation goes through [`Arc::make_mut`]
-//! (copy-on-write): the first write a clone makes to a table, snapshot,
-//! matrix, index or provenance store detaches a private copy, leaving all
-//! other clones untouched.  That is what makes a clone a **consistent
-//! snapshot**: concurrent sessions each clone the shared world, clean
-//! against their copy, and publish the mutated world back through the
-//! serialized commit path of [`EngineShared`](crate::session::EngineShared).
+//! A world is **a set of root pointers over immutable, shared pieces**.
+//! `WorldState::clone` copies the maps below and bumps reference counts —
+//! `O(#tables + #rules)` regardless of data size — and what makes that a
+//! **consistent snapshot** is that a write never changes a shared piece: it
+//! detaches the piece it is about to write, and nothing else.  Per component:
+//!
+//! | component | a clone shares | a write detaches |
+//! |---|---|---|
+//! | table (`Arc<Table>` in the catalog) | the table | the row *table* — one `(id, cells pointer, lineage)` record per row, no cell — then the cells of each row it updates ([`Cells`](daisy_storage::Cells)), once per row; the id index only for appends |
+//! | provenance ([`ProvenanceStore`] handle) | the key map and every entry | the key map (pointers) and the entry recorded — *inside the recording call*; a pass that records nothing leaves the handle pointer-equal |
+//! | snapshot (`Arc<ColumnSnapshot>`) | every column, side-column, the dictionary, the row map | the columns a delta's updates touch; the dictionary only for a novel string; the row map and every column for appends |
+//! | violation index (`Arc<MaintainedIndex>`) | every partition, every row's contribution, the plan shape | the two pointer tables, then only the partitions a delta row leaves or enters |
+//! | FD index, θ-matrix (`Arc`) | the whole structure | FD indexes are immutable once built; a θ-matrix is copied by the first check that marks blocks |
+//! | constraints (`Arc<ConstraintSet>`) | the set | the set, when a rule is registered |
+//!
+//! Two rules keep it that way:
+//!
+//! 1. **Detach inside the first write, never in order to read.**  Code that
+//!    might record or patch takes the handle (`&mut ProvenanceStore`, the
+//!    `Arc` of a snapshot or index) and lets the write itself detach; it
+//!    does not call [`Arc::make_mut`] up front "to have a `&mut`".  A
+//!    request that changes nothing leaves every piece pointer-equal, which
+//!    is what lets the durable commit path skip unchanged stores without a
+//!    walk.
+//! 2. **Nothing is freed under the commit mutex.**  Superseded versions are
+//!    handed out of the critical section and dropped by whoever holds the
+//!    last reference (see [`session`](crate::session)).
+//!
+//! Concurrent sessions each clone the shared world, clean against their
+//! copy, and publish the mutated world back through the serialized commit
+//! path of [`EngineShared`](crate::session::EngineShared).  What is *not*
+//! sub-linear yet: the first write to a table copies one pointer-sized
+//! record per row (a chunked row spine is future work).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -39,20 +63,22 @@ pub(crate) type RuleKey = (String, u64);
 /// See the [module docs](self) for the copy-on-write contract.  The fields
 /// are crate-private: the engine and the session/commit layer are the only
 /// components that may mutate a world, and they do so exclusively through
-/// [`Arc::make_mut`] so sharing is never observable.
+/// writes that detach the piece written, so sharing is never observable.
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
     /// Named base tables (`Arc<Table>` inside the catalog).
     pub(crate) catalog: Catalog,
-    /// The registered denial constraints and FDs.
-    pub(crate) constraints: ConstraintSet,
+    /// The registered denial constraints and FDs; shared between versions
+    /// until one registers a rule.
+    pub(crate) constraints: Arc<ConstraintSet>,
     /// FD group indexes per (table, rule), built over original values.
     pub(crate) fd_indexes: HashMap<RuleKey, Arc<FdIndex>>,
     /// Incremental theta matrices per (table, rule); mutated by every
     /// partial check (blocks get marked), hence copy-on-write.
     pub(crate) theta_matrices: HashMap<RuleKey, Arc<ThetaMatrix>>,
-    /// Per-table provenance stores (Table 7).
-    pub(crate) provenance: HashMap<String, Arc<ProvenanceStore>>,
+    /// Per-table provenance stores (Table 7) — cheap handles that detach
+    /// inside a recording call, so no `Arc` around them.
+    pub(crate) provenance: HashMap<String, ProvenanceStore>,
     /// Per-(table, rule) cost-model trackers; small, cloned by value.
     pub(crate) trackers: HashMap<RuleKey, CostTracker>,
     /// (table, rule) pairs already cleaned in full.

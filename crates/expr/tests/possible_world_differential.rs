@@ -272,6 +272,6 @@ fn both_kernels_switch_to_the_optimistic_rule_past_4096_worlds() {
         assert_eq!(coded.eval_possible(&snapshot, row), optimistic);
     }
     // A tuple the snapshot has never seen evaluates the same way.
-    let loose = Tuple::from_cells(TupleId::new(99), table.tuples()[1].cells.clone());
+    let loose = Tuple::from_cells(TupleId::new(99), table.tuples()[1].cells.to_vec());
     assert!(expr.eval_possible(&schema, &loose).unwrap());
 }

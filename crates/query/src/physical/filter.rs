@@ -201,7 +201,7 @@ mod tests {
     fn table() -> Table {
         let mut table = Table::new("t", schema());
         for tuple in tuples() {
-            table.push_cells(tuple.cells).unwrap();
+            table.push_cells(tuple.cells.to_vec()).unwrap();
         }
         table
     }

@@ -449,7 +449,7 @@ mod tests {
     fn right_table() -> daisy_storage::Table {
         let mut table = daisy_storage::Table::new("e", employees_schema());
         for tuple in employees() {
-            table.push_cells(tuple.cells).unwrap();
+            table.push_cells(tuple.cells.to_vec()).unwrap();
         }
         table
     }

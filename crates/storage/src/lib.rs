@@ -8,6 +8,8 @@
 //!   set of [`cell::Candidate`] fixes, each carrying a frequency-based
 //!   probability and the possible-world identifier it belongs to,
 //! * [`tuple::Tuple`] — a row with a stable [`TupleId`] and join lineage,
+//!   its cells behind one shared copy-on-write slice ([`tuple::Cells`]) so a
+//!   row clone is a pointer bump,
 //! * [`table::Table`] — a named relation supporting in-place probabilistic
 //!   updates via [`delta::Delta`]s,
 //! * [`provenance::ProvenanceStore`] — per-cell provenance (original value,
@@ -55,7 +57,7 @@ pub use statistics::{
     key_statistics, ColumnStatistics, FdGroupStatistics, KeyStatistics, TableStatistics,
 };
 pub use table::Table;
-pub use tuple::Tuple;
+pub use tuple::{Cells, Tuple};
 pub use worlds::{
     enumerate_worlds, marginal_probability, most_probable_world, world_count, TupleWorld,
     WorldEnumeration,

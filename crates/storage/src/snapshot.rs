@@ -14,8 +14,8 @@
 //!
 //! **Candidate side-columns.**  The cells Daisy has relaxed keep their whole
 //! candidate set in the snapshot too: a column that holds at least one
-//! probabilistic cell carries a side-column mapping each row to a slice of
-//! [`CodedCandidate`]s (none for a determinate cell), so possible-world
+//! probabilistic cell carries a side-column mapping each row to a
+//! slice of [`CodedCandidate`]s (none for a determinate cell), so possible-world
 //! predicates and probabilistic join keys are evaluated on codes without
 //! ever going back to the tuples.  The side-column is allocated on the
 //! column's first probabilistic cell; candidate strings are interned in the
@@ -37,10 +37,22 @@
 //! that bypasses this protocol leaves the revision behind and
 //! [`ColumnSnapshot::is_current`] reports the snapshot stale, forcing a
 //! rebuild on next use.
+//!
+//! **What a clone shares.**  Every piece of a snapshot sits behind its own
+//! pointer — each column's code array (a shared slice held directly in the
+//! column, so reads pay no extra hop), each candidate side-column and
+//! within it each row's candidate slice, the dictionary, the tuple-id → row
+//! map — so `ColumnSnapshot::clone` is a handful of reference-count bumps,
+//! and `absorb_delta` on a clone detaches only what the delta writes: the
+//! code arrays (and side-column pointer tables, never the candidates of
+//! other rows) of the columns its updates touch, the dictionary only when a
+//! novel string is interned, the row map (and every column, which grows by
+//! a row) only for appends.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use daisy_common::{DaisyError, Result, TupleId, Value};
 
@@ -269,13 +281,10 @@ impl StringDictionary {
         code
     }
 
-    /// Interns without maintaining ranks — the bulk-build fast path.  The
-    /// caller must invoke [`StringDictionary::rebuild_ranks`] before any
-    /// rank is read.
-    fn intern_unranked(&mut self, s: &str) -> u32 {
-        if let Some(code) = self.code_of(s) {
-            return code;
-        }
+    /// Appends a string known to be absent, without maintaining ranks — the
+    /// bulk-build fast path.  The caller must invoke
+    /// [`StringDictionary::rebuild_ranks`] before any rank is read.
+    fn push_unranked(&mut self, s: &str) -> u32 {
         let code = self.strings.len() as u32;
         self.strings.push(s.to_string());
         self.lookup.insert(s.to_string(), code);
@@ -297,21 +306,46 @@ impl StringDictionary {
     }
 }
 
+/// Interns `s` unranked into a shared dictionary: only a *novel* string
+/// detaches it.
+fn intern_shared(dict: &mut Arc<StringDictionary>, s: &str) -> u32 {
+    match dict.code_of(s) {
+        Some(code) => code,
+        None => Arc::make_mut(dict).push_unranked(s),
+    }
+}
+
 /// One column of a snapshot: a typed array when the column is homogeneous,
 /// a generic code array otherwise.  String payloads are dictionary *codes*
 /// (stable), converted to ranks on read.
+///
+/// The array is a shared slice — cloning a column is a reference-count
+/// bump, a write detaches it ([`Arc::make_mut`]) — held directly in the
+/// variant, so a read costs exactly what it cost on a `Vec`.  A slice
+/// cannot grow in place, so it carries spare NULL rows past the snapshot's
+/// logical length ([`ColumnData::reserve_row`]): appends to an unshared
+/// column stay amortised `O(1)`.
 #[derive(Debug, Clone)]
 enum ColumnData {
-    Int(Vec<Option<i64>>),
-    Float(Vec<Option<f64>>),
-    Bool(Vec<Option<bool>>),
-    Str(Vec<Option<u32>>),
+    Int(Arc<[Option<i64>]>),
+    Float(Arc<[Option<f64>]>),
+    Bool(Arc<[Option<bool>]>),
+    Str(Arc<[Option<u32>]>),
     /// Heterogeneous fallback; `Str` payloads are dictionary codes here too.
-    Mixed(Vec<ColumnCode>),
+    Mixed(Arc<[ColumnCode]>),
+}
+
+/// Regrows `slice` with NULL padding so that `row` exists, unless it does.
+fn reserve_in<T: Copy>(slice: &mut Arc<[T]>, row: usize, null: T) {
+    if row >= slice.len() {
+        let padded = row + 1 + slice.len() / 2 + 4;
+        let spare = std::iter::repeat_n(null, padded - slice.len());
+        *slice = slice.iter().copied().chain(spare).collect();
+    }
 }
 
 impl ColumnData {
-    fn from_values(values: Vec<Value>, dict: &mut StringDictionary) -> ColumnData {
+    fn from_values(values: Vec<Value>, dict: &mut Arc<StringDictionary>) -> ColumnData {
         let mut kinds = [false; 4]; // bool, int, float, str
         for v in &values {
             match v {
@@ -354,7 +388,7 @@ impl ColumnData {
                 values
                     .into_iter()
                     .map(|v| match v {
-                        Value::Str(s) => Some(dict.intern_unranked(&s)),
+                        Value::Str(s) => Some(intern_shared(dict, &s)),
                         _ => None,
                     })
                     .collect(),
@@ -370,13 +404,13 @@ impl ColumnData {
 
     /// Encodes a value as a *stored* code (string payload = dictionary
     /// code, not rank), interning new strings.
-    fn encode_stored(v: &Value, dict: &mut StringDictionary) -> ColumnCode {
+    fn encode_stored(v: &Value, dict: &mut Arc<StringDictionary>) -> ColumnCode {
         match v {
             Value::Null => ColumnCode::Null,
             Value::Bool(b) => ColumnCode::Bool(*b),
             Value::Int(i) => ColumnCode::Int(*i),
             Value::Float(f) => ColumnCode::Float(*f),
-            Value::Str(s) => ColumnCode::Str(dict.intern_unranked(s)),
+            Value::Str(s) => ColumnCode::Str(intern_shared(dict, s)),
         }
     }
 
@@ -420,35 +454,54 @@ impl ColumnData {
         }
     }
 
-    /// Appends one NULL cell; callers [`set`](ColumnData::set) the real
-    /// value right after, so type promotion is handled in a single place.
-    fn push_null(&mut self) {
+    /// Makes sure row `row` exists, as a NULL cell; callers
+    /// [`set`](ColumnData::set) the real value right after, so type
+    /// promotion is handled in a single place.  Rows past the snapshot's
+    /// logical length are NULL padding, so a column with a spare row is not
+    /// touched here — and stays shared until `set` writes it.
+    fn reserve_row(&mut self, row: usize) {
         match self {
-            ColumnData::Int(v) => v.push(None),
-            ColumnData::Float(v) => v.push(None),
-            ColumnData::Bool(v) => v.push(None),
-            ColumnData::Str(v) => v.push(None),
-            ColumnData::Mixed(v) => v.push(ColumnCode::Null),
+            ColumnData::Int(v) => reserve_in(v, row, None),
+            ColumnData::Float(v) => reserve_in(v, row, None),
+            ColumnData::Bool(v) => reserve_in(v, row, None),
+            ColumnData::Str(v) => reserve_in(v, row, None),
+            ColumnData::Mixed(v) => reserve_in(v, row, ColumnCode::Null),
+        }
+    }
+
+    /// `true` when both columns hold the same array allocation.
+    fn shares_storage_with(&self, other: &ColumnData) -> bool {
+        match (self, other) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Float(a), ColumnData::Float(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => Arc::ptr_eq(a, b),
+            (ColumnData::Mixed(a), ColumnData::Mixed(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 
     /// Overwrites one cell, promoting the column to `Mixed` when the new
     /// value does not fit the typed representation.  A novel string is
     /// interned unranked: the caller rebuilds the ranks afterwards.
-    fn set(&mut self, row: usize, value: &Value, dict: &mut StringDictionary) {
+    fn set(&mut self, row: usize, value: &Value, dict: &mut Arc<StringDictionary>) {
         match (&mut *self, value) {
-            (ColumnData::Int(v), Value::Int(i)) => v[row] = Some(*i),
-            (ColumnData::Int(v), Value::Null) => v[row] = None,
-            (ColumnData::Float(v), Value::Float(f)) => v[row] = Some(*f),
-            (ColumnData::Float(v), Value::Null) => v[row] = None,
-            (ColumnData::Bool(v), Value::Bool(b)) => v[row] = Some(*b),
-            (ColumnData::Bool(v), Value::Null) => v[row] = None,
-            (ColumnData::Str(v), Value::Str(s)) => v[row] = Some(dict.intern_unranked(s)),
-            (ColumnData::Str(v), Value::Null) => v[row] = None,
-            (ColumnData::Mixed(v), value) => v[row] = Self::encode_stored(value, dict),
+            (ColumnData::Int(v), Value::Int(i)) => Arc::make_mut(v)[row] = Some(*i),
+            (ColumnData::Int(v), Value::Null) => Arc::make_mut(v)[row] = None,
+            (ColumnData::Float(v), Value::Float(f)) => Arc::make_mut(v)[row] = Some(*f),
+            (ColumnData::Float(v), Value::Null) => Arc::make_mut(v)[row] = None,
+            (ColumnData::Bool(v), Value::Bool(b)) => Arc::make_mut(v)[row] = Some(*b),
+            (ColumnData::Bool(v), Value::Null) => Arc::make_mut(v)[row] = None,
+            (ColumnData::Str(v), Value::Str(s)) => {
+                Arc::make_mut(v)[row] = Some(intern_shared(dict, s))
+            }
+            (ColumnData::Str(v), Value::Null) => Arc::make_mut(v)[row] = None,
+            (ColumnData::Mixed(v), value) => {
+                Arc::make_mut(v)[row] = Self::encode_stored(value, dict)
+            }
             (typed, value) => {
                 // Type change: promote the whole column, then retry.
-                let mixed: Vec<ColumnCode> = match typed {
+                let mixed: Arc<[ColumnCode]> = match typed {
                     ColumnData::Int(v) => v
                         .iter()
                         .map(|c| c.map_or(ColumnCode::Null, ColumnCode::Int))
@@ -509,7 +562,7 @@ impl CodedCandidate {
 
     /// Encodes a candidate domain as *stored* codes (see
     /// [`ColumnData::encode_stored`]).
-    fn encode_stored(value: &CandidateValue, dict: &mut StringDictionary) -> CodedCandidate {
+    fn encode_stored(value: &CandidateValue, dict: &mut Arc<StringDictionary>) -> CodedCandidate {
         let mut code = |v: &Value| ColumnData::encode_stored(v, dict);
         match value {
             CandidateValue::Exact(v) => CodedCandidate::Exact(code(v)),
@@ -562,107 +615,78 @@ impl<'a> CodedCandidates<'a> {
     }
 }
 
-/// Where one row's candidates sit in a [`CandidateColumn`]'s pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    start: u32,
-    len: u32,
+/// One probabilistic cell's coded candidates: a range of a shared store.
+/// A store is never written once built, so any number of rows — and of
+/// snapshot versions — may point into it.
+#[derive(Debug, Clone)]
+struct CandidateSlice {
+    store: Arc<[CodedCandidate]>,
+    start: usize,
+    len: usize,
 }
 
-impl Span {
-    /// The span of a determinate cell.  (A probabilistic cell without
-    /// candidates has a real, empty span: the two filter differently.)
-    const DETERMINATE: Span = Span {
-        start: u32::MAX,
-        len: 0,
-    };
-}
-
-/// The candidate side-column of one snapshot column: row → slice of coded
-/// candidates, stored back to back in one pool so no row owns a heap
-/// allocation.  String payloads are dictionary *codes* (stable), like in
-/// [`ColumnData`].
+/// The candidate side-column of one snapshot column: row → the coded
+/// candidates of a probabilistic cell, `None` for a determinate one.  (A
+/// probabilistic cell without candidates holds an empty slice: the two
+/// filter differently.)  String payloads are dictionary *codes* (stable),
+/// like in [`ColumnData`].
 ///
-/// Overwriting a row appends its new slice to the pool and abandons the old
-/// one; [`CandidateColumn::compact`] reclaims the abandoned slots once they
-/// outnumber what a rebuild would touch, which keeps every patch amortised
-/// `O(candidates written)`.
+/// [`ColumnSnapshot::build`] lays a column's candidates back to back in one
+/// store all its rows point into (one allocation per column, not per
+/// cell); overwriting a row's candidates gives that row a store of its own
+/// and touches no other row.  A snapshot version that copies the column
+/// copies one pointer per row, never a candidate.  Ranges of a build-time
+/// store that rewrites abandoned stay allocated until its last row goes —
+/// bounded by what the build laid down.
 #[derive(Debug, Clone)]
 struct CandidateColumn {
-    spans: Vec<Span>,
-    pool: Vec<CodedCandidate>,
-    /// Pool slots some span still points at.
-    live: usize,
+    rows: Vec<Option<CandidateSlice>>,
 }
 
 impl CandidateColumn {
     /// A side-column for `rows` determinate cells.
     fn determinate(rows: usize) -> CandidateColumn {
         CandidateColumn {
-            spans: vec![Span::DETERMINATE; rows],
-            pool: Vec::new(),
-            live: 0,
+            rows: vec![None; rows],
         }
+    }
+
+    /// A side-column over one store: `spans` lists `(row, start, len)` of
+    /// the probabilistic rows.
+    fn over_store(
+        rows: usize,
+        store: Vec<CodedCandidate>,
+        spans: &[(usize, usize, usize)],
+    ) -> CandidateColumn {
+        let store: Arc<[CodedCandidate]> = store.into();
+        let mut column = CandidateColumn::determinate(rows);
+        for &(row, start, len) in spans {
+            column.rows[row] = Some(CandidateSlice {
+                store: Arc::clone(&store),
+                start,
+                len,
+            });
+        }
+        column
     }
 
     fn get(&self, row: usize) -> Option<&[CodedCandidate]> {
-        let span = self.spans[row];
-        (span != Span::DETERMINATE)
-            .then(|| &self.pool[span.start as usize..(span.start + span.len) as usize])
-    }
-
-    /// Marks `row` determinate.
-    fn clear(&mut self, row: usize) {
-        let old = std::mem::replace(&mut self.spans[row], Span::DETERMINATE);
-        self.live -= old.len as usize;
+        self.rows[row]
+            .as_ref()
+            .map(|slice| &slice.store[slice.start..slice.start + slice.len])
     }
 
     /// Stores the candidates of a probabilistic cell at `row`.
-    fn set(
-        &mut self,
-        row: usize,
-        candidates: &[Candidate],
-        dict: &mut StringDictionary,
-    ) -> Result<()> {
-        self.clear(row);
-        let start = self.pool.len();
-        // `u32::MAX` itself is the determinate marker, so the pool's end
-        // must stay below it.
-        if start + candidates.len() >= u32::MAX as usize {
-            return Err(DaisyError::Execution(
-                "snapshot candidate pool exceeds 2^32 slots".into(),
-            ));
-        }
-        self.pool.extend(
-            candidates
-                .iter()
-                .map(|c| CodedCandidate::encode_stored(&c.value, dict)),
-        );
-        self.spans[row] = Span {
-            start: start as u32,
-            len: candidates.len() as u32,
-        };
-        self.live += candidates.len();
-        Ok(())
-    }
-
-    /// Rewrites the pool in row order when abandoned slots outnumber the
-    /// slots and spans a rewrite visits.
-    fn compact(&mut self) {
-        if self.pool.len() - self.live <= self.live + self.spans.len() {
-            return;
-        }
-        let mut pool = Vec::with_capacity(self.live);
-        for span in &mut self.spans {
-            if *span != Span::DETERMINATE {
-                let start = pool.len() as u32;
-                pool.extend_from_slice(
-                    &self.pool[span.start as usize..(span.start + span.len) as usize],
-                );
-                span.start = start;
-            }
-        }
-        self.pool = pool;
+    fn set(&mut self, row: usize, candidates: &[Candidate], dict: &mut Arc<StringDictionary>) {
+        let store: Arc<[CodedCandidate]> = candidates
+            .iter()
+            .map(|c| CodedCandidate::encode_stored(&c.value, dict))
+            .collect();
+        self.rows[row] = Some(CandidateSlice {
+            start: 0,
+            len: store.len(),
+            store,
+        });
     }
 }
 
@@ -676,9 +700,9 @@ pub struct ColumnSnapshot {
     columns: Vec<ColumnData>,
     /// Per column: its candidate side-column, once the column has held a
     /// probabilistic cell.
-    candidates: Vec<Option<CandidateColumn>>,
-    dict: StringDictionary,
-    row_of: HashMap<TupleId, usize>,
+    candidates: Vec<Option<Arc<CandidateColumn>>>,
+    dict: Arc<StringDictionary>,
+    row_of: Arc<HashMap<TupleId, usize>>,
 }
 
 impl ColumnSnapshot {
@@ -687,30 +711,39 @@ impl ColumnSnapshot {
     pub fn build(table: &Table) -> Result<ColumnSnapshot> {
         let rows = table.len();
         let width = table.schema().len();
-        let mut dict = StringDictionary::default();
+        let mut dict = Arc::new(StringDictionary::default());
         let mut columns = Vec::with_capacity(width);
         let mut candidates = Vec::with_capacity(width);
         for col in 0..width {
             let mut values = Vec::with_capacity(rows);
-            let mut side: Option<CandidateColumn> = None;
+            let mut store = Vec::new();
+            let mut spans = Vec::new();
             for (row, tuple) in table.tuples().iter().enumerate() {
                 let cell = tuple.cell(col)?;
                 values.push(cell.expected_value());
                 if let Cell::Probabilistic(list) = cell {
-                    side.get_or_insert_with(|| CandidateColumn::determinate(rows))
-                        .set(row, list, &mut dict)?;
+                    spans.push((row, store.len(), list.len()));
+                    store.extend(
+                        list.iter()
+                            .map(|c| CodedCandidate::encode_stored(&c.value, &mut dict)),
+                    );
                 }
             }
             columns.push(ColumnData::from_values(values, &mut dict));
-            candidates.push(side);
+            candidates.push(
+                (!spans.is_empty())
+                    .then(|| Arc::new(CandidateColumn::over_store(rows, store, &spans))),
+            );
         }
-        dict.rebuild_ranks();
-        let row_of = table
-            .tuples()
-            .iter()
-            .enumerate()
-            .map(|(pos, t)| (t.id, pos))
-            .collect();
+        Arc::make_mut(&mut dict).rebuild_ranks();
+        let row_of = Arc::new(
+            table
+                .tuples()
+                .iter()
+                .enumerate()
+                .map(|(pos, t)| (t.id, pos))
+                .collect(),
+        );
         Ok(ColumnSnapshot {
             revision: table.revision(),
             rows,
@@ -936,16 +969,16 @@ impl ColumnSnapshot {
         let first_appended = self.rows;
         for tuple in &appended {
             for col in 0..width {
-                self.columns[col].push_null();
+                self.columns[col].reserve_row(self.rows);
                 if let Some(side) = &mut self.candidates[col] {
-                    side.spans.push(Span::DETERMINATE);
+                    Arc::make_mut(side).rows.push(None);
                 }
             }
-            self.row_of.insert(tuple.id, self.rows);
+            Arc::make_mut(&mut self.row_of).insert(tuple.id, self.rows);
             self.rows += 1;
         }
         let interned = self.dict.len();
-        let applied = appended
+        appended
             .iter()
             .enumerate()
             .flat_map(|(i, tuple)| {
@@ -953,13 +986,10 @@ impl ColumnSnapshot {
                 cells.map(move |(col, cell)| (first_appended + i, col, cell))
             })
             .chain(patched)
-            .try_for_each(|(row, col, cell)| self.set_cell(row, col, cell));
+            .for_each(|(row, col, cell)| self.set_cell(row, col, cell));
         if self.dict.len() > interned {
-            self.dict.rebuild_ranks();
-        }
-        applied?;
-        for side in self.candidates.iter_mut().flatten() {
-            side.compact();
+            // A novel string already detached the dictionary.
+            Arc::make_mut(&mut self.dict).rebuild_ranks();
         }
         self.revision = table.revision();
         Ok(())
@@ -967,19 +997,48 @@ impl ColumnSnapshot {
 
     /// Overwrites one cell: its expected value and, for a probabilistic
     /// cell, its candidates.  Novel strings are interned unranked.
-    fn set_cell(&mut self, row: usize, col: usize, cell: &Cell) -> Result<()> {
+    fn set_cell(&mut self, row: usize, col: usize, cell: &Cell) {
         self.columns[col].set(row, cell.expected_ref(), &mut self.dict);
         match cell {
-            Cell::Probabilistic(list) => self.candidates[col]
-                .get_or_insert_with(|| CandidateColumn::determinate(self.rows))
-                .set(row, list, &mut self.dict),
+            Cell::Probabilistic(list) => {
+                let side = self.candidates[col]
+                    .get_or_insert_with(|| Arc::new(CandidateColumn::determinate(self.rows)));
+                Arc::make_mut(side).set(row, list, &mut self.dict);
+            }
             Cell::Determinate(_) => {
+                // A determinate cell over a determinate slot writes nothing
+                // to the side-column, so it stays shared.
                 if let Some(side) = &mut self.candidates[col] {
-                    side.clear(row);
+                    if side.get(row).is_some() {
+                        Arc::make_mut(side).rows[row] = None;
+                    }
                 }
-                Ok(())
             }
         }
+    }
+
+    /// `true` when the two snapshots hold the same allocation for column
+    /// `column`'s code array and candidate side-column.
+    #[doc(hidden)]
+    pub fn shares_column_with(&self, other: &ColumnSnapshot, column: usize) -> bool {
+        let side = match (&self.candidates[column], &other.candidates[column]) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        side && self.columns[column].shares_storage_with(&other.columns[column])
+    }
+
+    /// `true` when the two snapshots hold the same dictionary allocation.
+    #[doc(hidden)]
+    pub fn shares_dictionary_with(&self, other: &ColumnSnapshot) -> bool {
+        Arc::ptr_eq(&self.dict, &other.dict)
+    }
+
+    /// `true` when the two snapshots hold the same tuple-id → row map.
+    #[doc(hidden)]
+    pub fn shares_row_map_with(&self, other: &ColumnSnapshot) -> bool {
+        Arc::ptr_eq(&self.row_of, &other.row_of)
     }
 }
 
@@ -1208,6 +1267,67 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_detaches_only_the_pieces_a_delta_writes() {
+        let mut table = mixed_table();
+        let base = ColumnSnapshot::build(&table).unwrap();
+        let shares = |snap: &ColumnSnapshot| -> Vec<bool> {
+            (0..3).map(|c| snap.shares_column_with(&base, c)).collect()
+        };
+
+        // An update of one `zip` cell with a value already in the column's
+        // type: only that column detaches.
+        let mut snap = base.clone();
+        assert_eq!(shares(&snap), [true, true, true]);
+        let mut delta = Delta::new();
+        delta.push(CellUpdate {
+            tuple: TupleId::new(0),
+            column: ColumnId::new(0),
+            cell: Cell::Determinate(Value::Int(90210)),
+        });
+        table.apply_delta(&delta).unwrap();
+        snap.absorb_delta(&table, &delta).unwrap();
+        assert!(snap.is_current(&table));
+        assert_eq!(shares(&snap), [false, true, true]);
+        assert!(snap.shares_dictionary_with(&base));
+        assert!(snap.shares_row_map_with(&base));
+        assert_eq!(
+            base.value(0, 0),
+            Value::Int(9001),
+            "the source is untouched"
+        );
+
+        // A known string leaves the dictionary shared, a novel one detaches
+        // it; the row map only moves with an append, which grows every
+        // column.
+        let version = snap.clone();
+        let mut delta = Delta::new();
+        delta.push(CellUpdate {
+            tuple: TupleId::new(3),
+            column: ColumnId::new(1),
+            cell: Cell::Determinate(Value::from("Aachen")),
+        });
+        table.apply_delta(&delta).unwrap();
+        snap.absorb_delta(&table, &delta).unwrap();
+        assert!(snap.shares_dictionary_with(&version));
+        assert!(snap.shares_column_with(&version, 0));
+        assert!(!snap.shares_column_with(&version, 1));
+
+        let version = snap.clone();
+        let mut delta = Delta::new();
+        delta.push_append(
+            table.next_tuple_id(),
+            vec![Value::Int(1), Value::from("Zwolle"), Value::Float(1.0)],
+        );
+        table.apply_delta(&delta).unwrap();
+        snap.absorb_delta(&table, &delta).unwrap();
+        assert!(snap.is_current(&table));
+        assert!(!snap.shares_dictionary_with(&version));
+        assert!(!snap.shares_row_map_with(&version));
+        assert!((0..3).all(|c| !snap.shares_column_with(&version, c)));
+        assert_eq!(version.len() + 1, snap.len());
+    }
+
+    #[test]
     fn absorbing_novel_strings_rebuilds_ranks_once_per_delta() {
         let mut table = mixed_table();
         let mut snap = ColumnSnapshot::build(&table).unwrap();
@@ -1283,11 +1403,11 @@ mod tests {
         }
     }
 
-    /// Rewriting the same cells over and over must not grow the candidate
-    /// pool without bound: abandoned slices are reclaimed, and the snapshot
-    /// still reads back exactly the table.
+    /// Rewriting the same cells over and over replaces each row's slice
+    /// (nothing accumulates), the snapshot still reads back exactly the
+    /// table, and a version cloned before a rewrite keeps its own slices.
     #[test]
-    fn rewritten_candidates_are_reclaimed() {
+    fn rewritten_candidates_replace_the_rows_slice() {
         let schema = Schema::from_pairs(&[("zip", DataType::Int)]).unwrap();
         let rows = (0..4).map(|i| vec![Value::Int(i)]).collect();
         let mut table = Table::from_rows("t", schema, rows).unwrap();
@@ -1320,13 +1440,10 @@ mod tests {
             );
         }
         let side = snap.candidates[0].as_ref().unwrap();
-        assert_eq!(side.live, 8);
-        assert!(
-            side.pool.len() <= 8 + 8 + 4 + 16,
-            "{} slots",
-            side.pool.len()
-        );
-        // A cell that turns determinate drops its candidates.
+        assert_eq!(side.rows.iter().flatten().map(|c| c.len).sum::<usize>(), 8);
+        // A cell that turns determinate drops its candidates — in this
+        // version only; the untouched rows stay the same allocations.
+        let before = snap.clone();
         let mut delta = Delta::new();
         delta.push_update(
             TupleId::new(2),
@@ -1337,6 +1454,17 @@ mod tests {
         snap.absorb_delta(&table, &delta).unwrap();
         assert!(snap.candidates(2, 0).is_none());
         assert_eq!(snap.candidates(1, 0).map(|c| c.len()), Some(2));
+        assert_eq!(before.candidates(2, 0).map(|c| c.len()), Some(2));
+        let (old, new) = (
+            before.candidates[0].as_ref().unwrap(),
+            snap.candidates[0].as_ref().unwrap(),
+        );
+        for row in [0, 1, 3] {
+            assert!(Arc::ptr_eq(
+                &old.rows[row].as_ref().unwrap().store,
+                &new.rows[row].as_ref().unwrap().store
+            ));
+        }
     }
 
     #[test]

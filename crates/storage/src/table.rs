@@ -18,15 +18,22 @@ use crate::tuple::Tuple;
 /// operators isolate the changes made to erroneous tuples into a
 /// [`Delta`] and the engine applies it back to the base table, gradually
 /// turning the dataset probabilistic (§4, §6).
+///
+/// **What a clone shares.**  `Table::clone` copies one record per row — id,
+/// cells pointer, (empty) lineage — and bumps the reference count of each
+/// row's cells and of the id index; no cell is copied.  Afterwards a cell
+/// update detaches only the row it lands in ([`Cells`](crate::tuple::Cells)), and only an append
+/// detaches the id index.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(from = "TableParts")]
 pub struct Table {
     name: String,
     schema: Arc<Schema>,
     tuples: Vec<Tuple>,
-    /// Tuple id → position in `tuples`.
+    /// Tuple id → position in `tuples`; shared between clones until one
+    /// of them appends.
     #[serde(skip)]
-    index: HashMap<TupleId, usize>,
+    index: Arc<HashMap<TupleId, usize>>,
     next_id: u64,
     /// Monotone mutation counter.  Bumped by every operation that can change
     /// tuple contents or membership; derived read structures (the columnar
@@ -69,7 +76,7 @@ impl Table {
             name: name.into(),
             schema: Arc::new(schema),
             tuples: Vec::new(),
-            index: HashMap::new(),
+            index: Arc::default(),
             next_id: 0,
             revision: 0,
         }
@@ -92,7 +99,7 @@ impl Table {
             name: name.into(),
             schema,
             tuples,
-            index: HashMap::new(),
+            index: Arc::default(),
             next_id,
             revision: 0,
         };
@@ -164,7 +171,7 @@ impl Table {
         let id = TupleId::new(self.next_id);
         self.next_id += 1;
         self.revision += 1;
-        self.index.insert(id, self.tuples.len());
+        Arc::make_mut(&mut self.index).insert(id, self.tuples.len());
         self.tuples.push(Tuple::from_values(id, values));
         Ok(id)
     }
@@ -183,7 +190,7 @@ impl Table {
         let id = TupleId::new(self.next_id);
         self.next_id += 1;
         self.revision += 1;
-        self.index.insert(id, self.tuples.len());
+        Arc::make_mut(&mut self.index).insert(id, self.tuples.len());
         self.tuples.push(Tuple::from_cells(id, cells));
         Ok(id)
     }
@@ -215,12 +222,13 @@ impl Table {
 
     /// Rebuilds the id index (needed after deserialisation).
     pub fn rebuild_index(&mut self) {
-        self.index = self
-            .tuples
-            .iter()
-            .enumerate()
-            .map(|(pos, t)| (t.id, pos))
-            .collect();
+        self.index = Arc::new(
+            self.tuples
+                .iter()
+                .enumerate()
+                .map(|(pos, t)| (t.id, pos))
+                .collect(),
+        );
     }
 
     /// Resolves a column name to its ordinal position.
@@ -267,7 +275,7 @@ impl Table {
                 )));
             }
             self.next_id += 1;
-            self.index.insert(append.id, self.tuples.len());
+            Arc::make_mut(&mut self.index).insert(append.id, self.tuples.len());
             self.tuples
                 .push(Tuple::from_values(append.id, append.values.clone()));
             applied += append.values.len();

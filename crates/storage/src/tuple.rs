@@ -1,12 +1,91 @@
 //! Tuples: rows with stable identity and join lineage.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use daisy_common::{DaisyError, Result, TupleId, Value};
 
 use crate::cell::Cell;
+
+/// The cells of a [`Tuple`]: one shared, copy-on-write slice.
+///
+/// Cloning is a reference-count bump, so a world version, a query answer or
+/// a checkpoint that copies a row shares its cells with the original.
+/// Reading goes through `Deref<Target = [Cell]>` — indexing, `.iter()`,
+/// `for cell in &tuple.cells`, `.len()` all work as on a `Vec<Cell>`.
+/// Writing (`cells[i] = …`, `.iter_mut()`) detaches a private copy of the
+/// row first when — and only when — the slice is still shared, so a row is
+/// copied at most once however many of its cells a holder rewrites.
+#[derive(Clone, Default, Serialize, Deserialize)]
+#[serde(from = "Vec<Cell>", into = "Vec<Cell>")]
+pub struct Cells(Arc<[Cell]>);
+
+impl Cells {
+    /// `true` when both hold the same allocation (neither has been written
+    /// since one was cloned from the other) — the sharing invariant tests pin.
+    #[doc(hidden)]
+    pub fn shares_storage_with(&self, other: &Cells) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Cells {
+    type Target = [Cell];
+
+    fn deref(&self) -> &[Cell] {
+        &self.0
+    }
+}
+
+impl DerefMut for Cells {
+    fn deref_mut(&mut self) -> &mut [Cell] {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl From<Vec<Cell>> for Cells {
+    fn from(cells: Vec<Cell>) -> Cells {
+        Cells(cells.into())
+    }
+}
+
+impl From<Cells> for Vec<Cell> {
+    fn from(cells: Cells) -> Vec<Cell> {
+        cells.to_vec()
+    }
+}
+
+impl FromIterator<Cell> for Cells {
+    fn from_iter<I: IntoIterator<Item = Cell>>(iter: I) -> Cells {
+        Cells(iter.into_iter().collect())
+    }
+}
+
+impl<'a> IntoIterator for &'a Cells {
+    type Item = &'a Cell;
+    type IntoIter = std::slice::Iter<'a, Cell>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq for Cells {
+    fn eq(&self, other: &Cells) -> bool {
+        self.0[..] == other.0[..]
+    }
+}
+
+/// Prints as a plain list, exactly like the `Vec<Cell>` it replaces (world
+/// digests and test oracles hash the `Debug` text of tuples).
+impl fmt::Debug for Cells {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0[..], f)
+    }
+}
 
 /// A row of a relation (or of an intermediate query result).
 ///
@@ -16,6 +95,10 @@ use crate::cell::Cell;
 /// * `lineage`: the identifiers of the base tuples a joined tuple stems from
 ///   (the paper stores "the originating tuple IDs" for self-joins and joins,
 ///   §4), in join order.
+///
+/// Cloning a base tuple is `O(1)` and allocation-free: the cells are shared
+/// (see [`Cells`]) and the empty lineage owns no heap memory.  A joined
+/// tuple's clone copies its (short) lineage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tuple {
     /// Identity of this tuple in its base relation.  For joined tuples this
@@ -23,7 +106,7 @@ pub struct Tuple {
     /// `lineage`.
     pub id: TupleId,
     /// The cells, one per schema field.
-    pub cells: Vec<Cell>,
+    pub cells: Cells,
     /// Base-relation tuple ids this tuple derives from (empty for base
     /// tuples, one entry per joined relation otherwise).
     pub lineage: Vec<TupleId>,
@@ -43,7 +126,7 @@ impl Tuple {
     pub fn from_cells(id: TupleId, cells: Vec<Cell>) -> Self {
         Tuple {
             id,
-            cells,
+            cells: cells.into(),
             lineage: Vec::new(),
         }
     }
@@ -66,11 +149,16 @@ impl Tuple {
             .ok_or_else(|| DaisyError::Execution(format!("cell index {idx} out of bounds")))
     }
 
-    /// Returns the cell at `idx` mutably.
+    /// Returns the cell at `idx` mutably, detaching the row's cells from
+    /// any sharer first (see [`Cells`]).
     pub fn cell_mut(&mut self, idx: usize) -> Result<&mut Cell> {
-        self.cells
-            .get_mut(idx)
-            .ok_or_else(|| DaisyError::Execution(format!("cell index {idx} out of bounds")))
+        // Bounds first: a bad index must not cost a row copy.
+        if idx >= self.cells.len() {
+            return Err(DaisyError::Execution(format!(
+                "cell index {idx} out of bounds"
+            )));
+        }
+        Ok(&mut self.cells[idx])
     }
 
     /// The best-effort determinate value of cell `idx` (determinate value or
@@ -96,9 +184,7 @@ impl Tuple {
     /// already carries lineage (it is itself a join result), that lineage is
     /// propagated; otherwise the side's own id is used.
     pub fn join(left: &Tuple, right: &Tuple, id: TupleId) -> Tuple {
-        let mut cells = Vec::with_capacity(left.cells.len() + right.cells.len());
-        cells.extend(left.cells.iter().cloned());
-        cells.extend(right.cells.iter().cloned());
+        let cells = left.cells.iter().chain(&right.cells).cloned().collect();
         let mut lineage = Vec::new();
         if left.lineage.is_empty() {
             lineage.push(left.id);
@@ -115,10 +201,10 @@ impl Tuple {
 
     /// Projects the tuple onto the given column indices (in order).
     pub fn project(&self, indices: &[usize]) -> Result<Tuple> {
-        let mut cells = Vec::with_capacity(indices.len());
-        for &i in indices {
-            cells.push(self.cell(i)?.clone());
-        }
+        let cells = indices
+            .iter()
+            .map(|&i| self.cell(i).cloned())
+            .collect::<Result<Cells>>()?;
         Ok(Tuple {
             id: self.id,
             cells,
@@ -186,6 +272,34 @@ mod tests {
         assert_eq!(p.value(0).unwrap(), Value::Int(30));
         assert_eq!(p.value(1).unwrap(), Value::Int(10));
         assert!(tup.project(&[9]).is_err());
+    }
+
+    #[test]
+    fn clones_share_cells_until_one_side_writes() {
+        let original = t(1, &[10, 20, 30]);
+        let mut copy = original.clone();
+        assert!(copy.cells.shares_storage_with(&original.cells));
+        // Reads never detach.
+        let _ = copy.cells.iter().count();
+        let _ = &copy.cells[1];
+        assert!(copy.cells.shares_storage_with(&original.cells));
+        // An out-of-bounds write request is refused without copying the row.
+        assert!(copy.cell_mut(9).is_err());
+        assert!(copy.cells.shares_storage_with(&original.cells));
+        // The first write copies the row once; the original is untouched and
+        // further writes reuse the private copy.
+        *copy.cell_mut(0).unwrap() = Cell::Determinate(Value::Int(11));
+        assert!(!copy.cells.shares_storage_with(&original.cells));
+        let private = copy.cells.as_ptr();
+        copy.cells[2] = Cell::Determinate(Value::Int(31));
+        assert_eq!(copy.cells.as_ptr(), private);
+        assert_eq!(original.value(0).unwrap(), Value::Int(10));
+        assert_eq!(copy.value(0).unwrap(), Value::Int(11));
+        // `Debug` stays the plain list the `Vec<Cell>` printed.
+        assert_eq!(
+            format!("{:?}", original.cells),
+            format!("{:?}", original.cells.to_vec())
+        );
     }
 
     #[test]

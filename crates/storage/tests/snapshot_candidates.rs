@@ -6,7 +6,7 @@
 //! The stream mixes every transition a cell can make: appended rows,
 //! determinate → probabilistic (the first one allocates the side-column),
 //! probabilistic → probabilistic (candidates merge, so the stored slice
-//! grows and moves in the pool), probabilistic → determinate (what
+//! is replaced by a longer one), probabilistic → determinate (what
 //! `accept_candidate` / `restore_originals` stage) and plain determinate
 //! overwrites, with exact and range candidates, NULLs, NaN and strings no
 //! cell has as its expected value.

@@ -343,7 +343,11 @@ fn get_tuple(d: &mut Decoder<'_>) -> Result<Tuple> {
     for _ in 0..n {
         lineage.push(TupleId::new(d.u64()?));
     }
-    Ok(Tuple { id, cells, lineage })
+    Ok(Tuple {
+        id,
+        cells: cells.into(),
+        lineage,
+    })
 }
 
 /// Encodes a table: name, schema, tuples and the id counter.
@@ -606,23 +610,13 @@ pub struct ProvenanceDiff {
 
 impl ProvenanceDiff {
     /// The entries `new` has that `old` lacks (or holds differently).
+    /// Entries the two stores share by pointer are never visited beyond
+    /// the pointer comparison.
     pub fn between(old: &ProvenanceStore, new: &ProvenanceStore) -> ProvenanceDiff {
-        let cells: Vec<((TupleId, ColumnId), CellProvenance)> = new
-            .dump()
-            .into_iter()
-            .filter(|((tuple, column), prov)| old.cell(*tuple, *column) != Some(prov))
-            .collect();
-        let mut checked = Vec::new();
-        for (rule, tuples) in new.checked_dump() {
-            let fresh: Vec<TupleId> = tuples
-                .into_iter()
-                .filter(|t| !old.is_checked(rule, *t))
-                .collect();
-            if !fresh.is_empty() {
-                checked.push((rule, fresh));
-            }
+        ProvenanceDiff {
+            cells: new.cells_changed_since(old),
+            checked: new.checked_since(old),
         }
-        ProvenanceDiff { cells, checked }
     }
 
     /// Applies the diff, turning the pre-commit store into the post-commit

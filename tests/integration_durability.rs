@@ -120,6 +120,41 @@ fn durable_service_recovers_after_restart() {
     assert_eq!(report.final_version, 7);
 }
 
+/// A request that records no provenance leaves the table's store
+/// pointer-equal to the committed one — so the commit record is built
+/// without walking the store — and logs an empty provenance diff.
+#[test]
+fn a_request_that_records_no_provenance_logs_an_empty_provenance_diff() {
+    let dir = ScratchDir::new();
+    let shared = EngineShared::recover(engine(DurabilityMode::Commit, 100), dir.path()).unwrap();
+    let sql = "SELECT lhs, rhs FROM t WHERE lhs = 0";
+
+    let mut first = shared.session_named("repairs");
+    assert!(first.execute_sql(sql).unwrap().report.errors_repaired > 0);
+    first.commit().unwrap();
+    let committed = shared.provenance("t").unwrap();
+    assert!(!committed.is_empty());
+
+    // The same range again: already repaired, nothing to record.
+    let mut second = shared.session_named("reads");
+    assert_eq!(second.execute_sql(sql).unwrap().report.errors_repaired, 0);
+    assert!(second
+        .provenance("t")
+        .unwrap()
+        .shares_storage_with(&committed));
+    second.commit().unwrap();
+    assert!(shared
+        .provenance("t")
+        .unwrap()
+        .shares_storage_with(&committed));
+
+    let logged = shared.deltas_between(0..2).unwrap();
+    assert_eq!(logged.len(), 2);
+    assert!(!logged[0].provenance.is_empty());
+    assert!(logged[1].provenance.is_empty());
+    assert!(logged[1].staged.is_empty());
+}
+
 #[test]
 fn every_durability_mode_round_trips_a_clean_shutdown() {
     for mode in [

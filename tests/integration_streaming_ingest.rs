@@ -286,3 +286,125 @@ proptest! {
         }
     }
 }
+
+/// A copy of `table`'s rows that shares no cell storage with it — the
+/// reference an isolation check compares a session's view against.
+fn deep_copy(table: &Table) -> Vec<daisy::storage::Tuple> {
+    table
+        .tuples()
+        .iter()
+        .map(|t| {
+            daisy::storage::Tuple::from_cells(t.id, t.cells.to_vec())
+                .with_lineage(t.lineage.clone())
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Session layer: versions share storage, so isolation has to be shown
+    /// directly.  Every request runs in its own session — open, one write
+    /// (ingest) or cleaning read (SELECT), commit — and the three steps of
+    /// all sessions are interleaved at random.  Whatever the others commit
+    /// in between, a session reads exactly a deep copy of the world taken
+    /// when it opened (before its own request) and exactly a deep copy of
+    /// its own post-request state (until its commit); and the committed
+    /// tables and provenance equal `run_serial` over the requests in commit
+    /// order, at 1, 2 and 4 engine workers.
+    #[test]
+    fn open_sessions_are_isolated_from_commits_that_share_their_storage(
+        base in prop::collection::vec((0i64..5, 0i64..30, 0i64..25), 2..30),
+        plan in prop::collection::vec(
+            (
+                prop::collection::vec((0i64..5, 0i64..30, 0i64..25), 0..4),
+                0i64..5,
+                (0u32..1000, 0u32..1000, 0u32..1000),
+            ),
+            1..7,
+        ),
+    ) {
+        let dc = equality_dc(&[]);
+        // An empty batch stands for a cleaning SELECT.
+        let requests: Vec<ServiceRequest> = plan
+            .iter()
+            .enumerate()
+            .map(|(k, (batch, key, _))| {
+                if batch.is_empty() {
+                    ServiceRequest::new(format!("s{k}"), format!("SELECT b FROM t WHERE a = {key}"))
+                } else {
+                    ServiceRequest::ingest(format!("s{k}"), "t", batch.iter().map(row_values).collect())
+                }
+            })
+            .collect();
+        // Each request's three keys, sorted, time its open < execute < commit.
+        let mut events: Vec<(u32, usize, usize)> = plan
+            .iter()
+            .enumerate()
+            .flat_map(|(k, (_, _, (x, y, z)))| {
+                let mut at = [*x, *y, *z];
+                at.sort_unstable();
+                (0..3).map(move |step| (at[step], k, step))
+            })
+            .collect();
+        events.sort_unstable();
+
+        for workers in [1usize, 2, 4] {
+            let engine = |base: &[(i64, i64, i64)]| {
+                let mut engine =
+                    DaisyEngine::new(DaisyConfig::default().with_worker_threads(workers)).unwrap();
+                engine.register_table(table_from_rows(base));
+                engine.add_constraint(dc.clone());
+                engine
+            };
+            let shared = engine(&base).into_shared();
+            let mut sessions = Vec::new();
+            sessions.resize_with(plan.len(), || None);
+            let mut commit_order = Vec::new();
+            for &(_, k, step) in &events {
+                match step {
+                    0 => {
+                        let session = shared.session_named(&format!("s{k}"));
+                        let reference = deep_copy(session.table("t").unwrap());
+                        sessions[k] = Some((session, reference));
+                    }
+                    1 => {
+                        let (session, reference) = sessions[k].as_mut().unwrap();
+                        prop_assert_eq!(session.table("t").unwrap().tuples(), &reference[..]);
+                        let (batch, key, _) = &plan[k];
+                        if batch.is_empty() {
+                            session
+                                .execute_sql(&format!("SELECT b FROM t WHERE a = {key}"))
+                                .unwrap();
+                        } else {
+                            session
+                                .ingest_rows("t", batch.iter().map(row_values).collect())
+                                .unwrap();
+                        }
+                        *reference = deep_copy(session.table("t").unwrap());
+                    }
+                    _ => {
+                        let (mut session, reference) = sessions[k].take().unwrap();
+                        prop_assert_eq!(session.table("t").unwrap().tuples(), &reference[..]);
+                        session.commit().unwrap();
+                        commit_order.push(k);
+                    }
+                }
+            }
+
+            let ordered: Vec<ServiceRequest> =
+                commit_order.iter().map(|&k| requests[k].clone()).collect();
+            let serial = CleaningService::new(engine(&base));
+            serial.run_serial(&ordered);
+            let (committed, expected) = (
+                shared.table("t").unwrap(),
+                serial.shared().table("t").unwrap(),
+            );
+            prop_assert_eq!(committed.tuples(), expected.tuples());
+            prop_assert_eq!(
+                shared.provenance("t").map(|p| p.dump()),
+                serial.shared().provenance("t").map(|p| p.dump())
+            );
+        }
+    }
+}
