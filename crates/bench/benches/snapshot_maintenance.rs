@@ -94,7 +94,7 @@ fn bench_indexed_check_read_paths(c: &mut Criterion) {
                         table.tuples(),
                         &dc,
                         8,
-                        daisy_common::DetectionStrategy::Indexed,
+                        daisy_core::DetectionStrategy::Indexed,
                         snap_ref,
                     )
                     .unwrap();

@@ -22,13 +22,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use daisy_bench::skew::{generate_skewed_table, key_histogram};
-use daisy_common::{DetectionStrategy, RuleId, TupleId, Value};
+use daisy_common::{RuleId, TupleId, Value};
 use daisy_core::clean_dc::repair_dc_violations;
 use daisy_core::clean_select::clean_select_fd_with;
 use daisy_core::fd_index::FdIndex;
 use daisy_core::index::{canonicalize_violations, MaintainedIndex, ViolationIndex};
 use daisy_core::relaxation::FilterTarget;
 use daisy_core::theta::ThetaMatrix;
+use daisy_core::DetectionStrategy;
 use daisy_data::errors::{inject_fd_errors, inject_inequality_errors};
 use daisy_data::ssb::{generate_lineorder, SsbConfig};
 use daisy_exec::{chunk_ranges, ExecContext, MorselCounters};
@@ -178,8 +179,9 @@ fn main() {
                 violations.len()
             });
             eprintln!(
-                "theta_check rows={rows} strategy={strategy} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} violations)"
+                "theta_check rows={rows} strategy={} snapshot={snapshot}: \
+                 {seconds:.4}s ({work} violations)",
+                format!("{strategy:?}").to_lowercase(),
             );
             measurements.push(Measurement {
                 kernel: "theta_check",
@@ -230,8 +232,9 @@ fn main() {
                 .errors_detected
             });
             eprintln!(
-                "clean_select rows={rows} strategy={strategy} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} errors)"
+                "clean_select rows={rows} strategy={} snapshot={snapshot}: \
+                 {seconds:.4}s ({work} errors)",
+                format!("{strategy:?}").to_lowercase(),
             );
             measurements.push(Measurement {
                 kernel: "clean_select",
@@ -268,8 +271,9 @@ fn main() {
                     .errors_detected
             });
             eprintln!(
-                "dc_repair rows={rows} strategy={strategy} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} errors)"
+                "dc_repair rows={rows} strategy={} snapshot={snapshot}: \
+                 {seconds:.4}s ({work} errors)",
+                format!("{strategy:?}").to_lowercase(),
             );
             measurements.push(Measurement {
                 kernel: "dc_repair",
@@ -339,8 +343,9 @@ fn main() {
                 errors
             });
             eprintln!(
-                "repair_loop rows={rows} strategy={strategy} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} errors)"
+                "repair_loop rows={rows} strategy={} snapshot={snapshot}: \
+                 {seconds:.4}s ({work} errors)",
+                format!("{strategy:?}").to_lowercase(),
             );
             measurements.push(Measurement {
                 kernel: "repair_loop",
@@ -716,7 +721,7 @@ fn render_json(row_counts: &[usize], measurements: &[Measurement], skew: &SkewRe
             "    {{\"kernel\": \"{}\", \"rows\": {}, \"strategy\": \"{}\", \"snapshot\": \"{}\", \"seconds\": {:.6}, \"work\": {}}}{}\n",
             m.kernel,
             m.rows,
-            m.strategy,
+            format!("{:?}", m.strategy).to_lowercase(),
             if m.snapshot { "on" } else { "off" },
             m.seconds,
             m.work,

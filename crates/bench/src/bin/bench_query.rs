@@ -13,6 +13,10 @@
 //! probabilistic cells of 2–8 exact candidates around the original value,
 //! which stays the most probable one.
 //!
+//! The row path is a catalog without snapshots; the vectorized path is a
+//! second catalog over the same shared tables with current snapshots
+//! attached — the executor vectorizes exactly the scans that have one.
+//!
 //! Result equality is asserted **per grid cell**: before a configuration is
 //! timed, its result is dumped byte-for-byte (schema, tuple ids, lineage,
 //! cells) and compared against the sequential row-path reference for the
@@ -34,11 +38,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use daisy_common::{QueryExecMode, Value};
+use daisy_common::Value;
 use daisy_data::ssb::{generate_lineorder, generate_supplier, SsbConfig};
 use daisy_exec::ExecContext;
 use daisy_query::physical::PredicateMode;
-use daisy_query::{execute_with, parse_query, Catalog, LogicalPlan, QueryResult};
+use daisy_query::{execute, parse_query, Catalog, LogicalPlan, QueryResult};
 use daisy_storage::{Candidate, Cell, ColumnSnapshot, Table};
 
 /// One measurement row of the JSON report.
@@ -47,7 +51,9 @@ struct Measurement {
     rows: usize,
     /// Percentage of rows whose filter / join-key cells are probabilistic.
     relaxed_pct: usize,
-    exec: QueryExecMode,
+    /// `row` (a catalog without snapshots) or `vectorized` (current
+    /// snapshots attached: every scan is vectorized).
+    exec: &'static str,
     workers: usize,
     seconds: f64,
     result_rows: usize,
@@ -175,7 +181,7 @@ fn main() {
 
     for &rows in &row_counts {
         for relaxed_pct in RELAXED_PCT {
-            let mut catalog = catalog_for(rows, relaxed_pct);
+            let catalog = catalog_for(rows, relaxed_pct);
 
             // The maintained-artifact build, reported separately (un-timed
             // in the query measurements below).
@@ -188,50 +194,53 @@ fn main() {
                 query: "snapshot_build",
                 rows,
                 relaxed_pct,
-                exec: QueryExecMode::Vectorized,
+                exec: "vectorized",
                 workers: 1,
                 seconds: snap_seconds,
                 result_rows: rows,
             });
-            catalog.refresh_snapshot("lineorder").unwrap();
-            catalog.refresh_snapshot("supplier").unwrap();
+            let mut vectorized = Catalog::new();
+            for name in ["lineorder", "supplier"] {
+                vectorized.add_shared(catalog.shared(name).unwrap());
+                vectorized.refresh_snapshot(name).unwrap();
+            }
 
             for (name, sql) in QUERIES {
                 let query = parse_query(sql).unwrap();
                 let plan = LogicalPlan::from_query(&query).unwrap();
                 // The byte-identity reference: the sequential row path.
                 let reference = dump(
-                    &execute_with(
+                    &execute(
                         &ExecContext::sequential(),
                         &catalog,
                         &plan,
                         PredicateMode::Possible,
-                        QueryExecMode::Row,
                     )
                     .unwrap(),
                 );
 
                 for &workers in &workers_grid {
                     let ctx = ExecContext::new(workers);
-                    for exec in [QueryExecMode::Row, QueryExecMode::Vectorized] {
+                    for (exec, catalog) in [("row", &catalog), ("vectorized", &vectorized)] {
                         // Per-cell equality first, un-timed: this
                         // configuration must reproduce the reference byte
                         // for byte.
                         let result =
-                            execute_with(&ctx, &catalog, &plan, PredicateMode::Possible, exec)
-                                .unwrap();
+                            execute(&ctx, catalog, &plan, PredicateMode::Possible).unwrap();
                         assert_eq!(
                             dump(&result),
                             reference,
-                            "{name}@{rows} relaxed={relaxed_pct}% diverged from the row path                              under {exec} with {workers} workers"
+                            "{name}@{rows} relaxed={relaxed_pct}% diverged from the row path \
+                             under {exec} with {workers} workers"
                         );
                         let (seconds, result_rows) = time_min(|| {
-                            execute_with(&ctx, &catalog, &plan, PredicateMode::Possible, exec)
+                            execute(&ctx, catalog, &plan, PredicateMode::Possible)
                                 .unwrap()
                                 .len()
                         });
                         eprintln!(
-                            "{name} rows={rows} relaxed={relaxed_pct}% exec={exec}                              workers={workers}: {seconds:.4}s ({result_rows} result rows)"
+                            "{name} rows={rows} relaxed={relaxed_pct}% exec={exec} \
+                             workers={workers}: {seconds:.4}s ({result_rows} result rows)"
                         );
                         measurements.push(Measurement {
                             query: name,
@@ -248,17 +257,16 @@ fn main() {
         }
     }
 
-    let time_of =
-        |query: &str, rows: usize, relaxed_pct: usize, exec: QueryExecMode, workers: usize| {
-            measurements
-                .iter()
-                .find(|m| {
-                    (m.query, m.rows, m.relaxed_pct, m.exec, m.workers)
-                        == (query, rows, relaxed_pct, exec, workers)
-                })
-                .map(|m| m.seconds)
-                .unwrap()
-        };
+    let time_of = |query: &str, rows: usize, relaxed_pct: usize, exec: &str, workers: usize| {
+        measurements
+            .iter()
+            .find(|m| {
+                (m.query, m.rows, m.relaxed_pct, m.exec, m.workers)
+                    == (query, rows, relaxed_pct, exec, workers)
+            })
+            .map(|m| m.seconds)
+            .unwrap()
+    };
 
     // The sanity gate: at 32k determinate rows late materialization must
     // keep the SP filter and the SPJ join clearly ahead of the row path
@@ -270,8 +278,8 @@ fn main() {
     // what is left of the lead is 1.2–1.5×, so the gate is "not behind".
     for query in ["sp_filter", "spj_join"] {
         for &workers in &workers_grid {
-            let row_path = time_of(query, 32_000, 0, QueryExecMode::Row, workers);
-            let vectorized = time_of(query, 32_000, 0, QueryExecMode::Vectorized, workers);
+            let row_path = time_of(query, 32_000, 0, "row", workers);
+            let vectorized = time_of(query, 32_000, 0, "vectorized", workers);
             let speedup = row_path / vectorized.max(1e-9);
             eprintln!("{query}@32k workers={workers}: {speedup:.2}x");
             assert!(
@@ -300,7 +308,7 @@ fn render_json(
     row_counts: &[usize],
     workers_grid: &[usize],
     measurements: &[Measurement],
-    time_of: &dyn Fn(&str, usize, usize, QueryExecMode, usize) -> f64,
+    time_of: &dyn Fn(&str, usize, usize, &str, usize) -> f64,
 ) -> String {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut json =
@@ -332,9 +340,8 @@ fn render_json(
         for &rows in row_counts {
             for query in ["sp_filter", "spj_join", "aggregate"] {
                 for &workers in workers_grid {
-                    let speedup = time_of(query, rows, relaxed_pct, QueryExecMode::Row, workers)
-                        / time_of(query, rows, relaxed_pct, QueryExecMode::Vectorized, workers)
-                            .max(1e-9);
+                    let speedup = time_of(query, rows, relaxed_pct, "row", workers)
+                        / time_of(query, rows, relaxed_pct, "vectorized", workers).max(1e-9);
                     lines.push(format!(
                         "    \"{query}_{rows}_w{workers}{suffix}\": {speedup:.2}"
                     ));

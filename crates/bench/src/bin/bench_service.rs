@@ -1,14 +1,14 @@
 //! Machine-readable perf trajectory for the concurrent cleaning service.
 //!
 //! Runs cleaning workloads through the multi-session scheduler across a
-//! `workload shape × table size × scheduler workers × validation mode` grid
-//! and writes `BENCH_service.json` at the repository root.
+//! `workload shape × table size × scheduler workers` grid and writes
+//! `BENCH_service.json` at the repository root.
 //!
 //! Workload axes:
 //!
 //! * **shared** — every session stripes the same `lineorder` table, the
-//!   fully contended shape (shared table, shared rule: footprint
-//!   validation degrades to version validation);
+//!   fully contended shape (shared table, shared rule: every conflicted
+//!   commit replays);
 //! * **disjoint** — one table per session, same FD on each: rule keys and
 //!   footprints never overlap, so footprint validation installs every
 //!   conflicted commit in `O(|delta|)`;
@@ -38,8 +38,8 @@
 //!
 //! * determinism — every concurrent run's committed tables are compared
 //!   byte-for-byte against the serial baseline's;
-//! * the headline claim — on the disjoint workload under footprint
-//!   validation, **zero** commits replay (`full_rebase == 0`) and the
+//! * the headline claim — on the disjoint workload, **zero** commits
+//!   replay (`full_rebase == 0`) and the
 //!   clean-commit rate is ≥ 0.9.
 //!
 //! Note: on a single-core container the concurrent numbers show scheduling
@@ -51,7 +51,7 @@
 
 use std::time::Instant;
 
-use daisy_common::{CommitValidation, DaisyConfig, ServiceFairness, Value};
+use daisy_common::{DaisyConfig, ServiceFairness, Value};
 use daisy_core::DaisyEngine;
 use daisy_data::errors::inject_fd_errors;
 use daisy_data::ssb::{generate_lineorder, SsbConfig};
@@ -62,7 +62,6 @@ use daisy_storage::Table;
 /// One measurement row of the JSON report.
 struct Measurement {
     workload: &'static str,
-    validation: CommitValidation,
     rows: usize,
     sessions: usize,
     requests: usize,
@@ -196,18 +195,13 @@ fn skewed_workload(rows: usize, sessions: usize) -> Workload {
     }
 }
 
-fn build_service(
-    workload: &Workload,
-    workers: usize,
-    validation: CommitValidation,
-) -> CleaningService {
+fn build_service(workload: &Workload, workers: usize) -> CleaningService {
     let mut engine = DaisyEngine::new(
         DaisyConfig::default()
             .with_worker_threads(1)
             .with_cost_model(false)
             .with_service_workers(workers)
-            .with_service_fairness(ServiceFairness::RoundRobin)
-            .with_commit_validation(validation),
+            .with_service_fairness(ServiceFairness::RoundRobin),
     )
     .unwrap();
     for table in &workload.tables {
@@ -300,7 +294,7 @@ fn request_cost(hot_rows: usize) -> CostPoint {
         let mut best = (f64::INFINITY, [0.0; 2]);
         let mut tables = None;
         for _ in 0..runs() {
-            let service = build_service(&workload, workers, CommitValidation::Footprint);
+            let service = build_service(&workload, workers);
             service.run_with_workers(&round(0), workers);
             let mut engine = [0.0; 2];
             let start = Instant::now();
@@ -329,7 +323,7 @@ fn request_cost(hot_rows: usize) -> CostPoint {
     );
 
     // Opening (and dropping) a session over the warmed world.
-    let service = build_service(&workload, 1, CommitValidation::Footprint);
+    let service = build_service(&workload, 1);
     service.run_serial(&round(0));
     let shared = service.shared();
     const OPENS: usize = 2_000;
@@ -354,7 +348,6 @@ fn main() {
     let row_counts = [2_000usize, 8_000];
     let session_counts = [4usize, 8];
     let worker_counts = [1usize, 2, 4];
-    let validations = [CommitValidation::Version, CommitValidation::Footprint];
     let mut measurements = Vec::new();
 
     for &rows in &row_counts {
@@ -366,12 +359,11 @@ fn main() {
             ];
             for workload in &workloads {
                 // Serial baseline: wall clock + committed tables for the
-                // determinism assertion.  Validation mode is irrelevant to a
-                // serial replay, so one baseline serves both modes.
+                // determinism assertion.
                 let mut serial_best = f64::INFINITY;
                 let mut serial_tables = None;
                 for _ in 0..runs() {
-                    let service = build_service(workload, 1, CommitValidation::Version);
+                    let service = build_service(workload, 1);
                     let start = Instant::now();
                     let report = service.run_serial(&workload.requests);
                     serial_best = serial_best.min(start.elapsed().as_secs_f64());
@@ -380,74 +372,67 @@ fn main() {
                 }
                 let serial_tables = serial_tables.unwrap();
 
-                for &validation in &validations {
-                    for &workers in &worker_counts {
-                        let mut best = f64::INFINITY;
-                        let mut clean_rate = 1.0;
-                        let mut causes = CommitCauseCounts::default();
-                        for _ in 0..runs() {
-                            let service = build_service(workload, workers, validation);
-                            let start = Instant::now();
-                            let report = service.run(&workload.requests);
-                            let elapsed = start.elapsed().as_secs_f64();
-                            if elapsed < best {
-                                // Report the rate and causes of the run whose
-                                // time is reported: unlike the committed
-                                // outputs, they are scheduling-dependent.
-                                best = elapsed;
-                                clean_rate = report.clean_commit_rate();
-                                causes = report.causes;
-                            }
-                            assert_eq!(report.commits as usize, workload.requests.len());
-                            assert_eq!(
-                                committed_tables(&service),
-                                serial_tables,
-                                "{} workload diverged from serial at {workers} workers \
-                                 under {validation} validation",
-                                workload.name,
-                            );
-                            if workload.expect_zero_replays
-                                && validation == CommitValidation::Footprint
-                            {
-                                assert_eq!(
-                                    report.causes.full_rebase, 0,
-                                    "disjoint workload replayed a commit at {workers} workers"
-                                );
-                                assert!(
-                                    report.clean_commit_rate() >= 0.9,
-                                    "disjoint clean-commit rate fell below 0.9"
-                                );
-                            }
+                for &workers in &worker_counts {
+                    let mut best = f64::INFINITY;
+                    let mut clean_rate = 1.0;
+                    let mut causes = CommitCauseCounts::default();
+                    for _ in 0..runs() {
+                        let service = build_service(workload, workers);
+                        let start = Instant::now();
+                        let report = service.run(&workload.requests);
+                        let elapsed = start.elapsed().as_secs_f64();
+                        if elapsed < best {
+                            // Report the rate and causes of the run whose
+                            // time is reported: unlike the committed
+                            // outputs, they are scheduling-dependent.
+                            best = elapsed;
+                            clean_rate = report.clean_commit_rate();
+                            causes = report.causes;
                         }
-                        let measurement = Measurement {
-                            workload: workload.name,
-                            validation,
-                            rows,
-                            sessions,
-                            requests: workload.requests.len(),
-                            workers,
-                            seconds: best,
-                            commits_per_sec: workload.requests.len() as f64 / best,
-                            clean_commit_rate: clean_rate,
-                            speedup_over_serial: serial_best / best,
-                            causes,
-                        };
-                        println!(
-                            "{:>8} {:>9} rows={rows:>5} sessions={sessions} workers={workers} \
-                             {:>8.2} commits/s  clean-rate {:.2}  speedup {:.2}x  \
-                             causes clean={} fp={} recheck={} rebase={}",
-                            measurement.workload,
-                            measurement.validation.to_string(),
-                            measurement.commits_per_sec,
-                            measurement.clean_commit_rate,
-                            measurement.speedup_over_serial,
-                            measurement.causes.clean,
-                            measurement.causes.footprint_clean,
-                            measurement.causes.delta_recheck,
-                            measurement.causes.full_rebase,
+                        assert_eq!(report.commits as usize, workload.requests.len());
+                        assert_eq!(
+                            committed_tables(&service),
+                            serial_tables,
+                            "{} workload diverged from serial at {workers} workers",
+                            workload.name,
                         );
-                        measurements.push(measurement);
+                        if workload.expect_zero_replays {
+                            assert_eq!(
+                                report.causes.full_rebase, 0,
+                                "disjoint workload replayed a commit at {workers} workers"
+                            );
+                            assert!(
+                                report.clean_commit_rate() >= 0.9,
+                                "disjoint clean-commit rate fell below 0.9"
+                            );
+                        }
                     }
+                    let measurement = Measurement {
+                        workload: workload.name,
+                        rows,
+                        sessions,
+                        requests: workload.requests.len(),
+                        workers,
+                        seconds: best,
+                        commits_per_sec: workload.requests.len() as f64 / best,
+                        clean_commit_rate: clean_rate,
+                        speedup_over_serial: serial_best / best,
+                        causes,
+                    };
+                    println!(
+                        "{:>8} rows={rows:>5} sessions={sessions} workers={workers} \
+                         {:>8.2} commits/s  clean-rate {:.2}  speedup {:.2}x  \
+                         causes clean={} fp={} recheck={} rebase={}",
+                        measurement.workload,
+                        measurement.commits_per_sec,
+                        measurement.clean_commit_rate,
+                        measurement.speedup_over_serial,
+                        measurement.causes.clean,
+                        measurement.causes.footprint_clean,
+                        measurement.causes.delta_recheck,
+                        measurement.causes.full_rebase,
+                    );
+                    measurements.push(measurement);
                 }
             }
         }
@@ -514,14 +499,13 @@ fn render_json(measurements: &[Measurement], cost_curve: &[CostPoint]) -> String
         .iter()
         .map(|m| {
             format!(
-                "    {{\"workload\": \"{}\", \"validation\": \"{}\", \"rows\": {}, \
+                "    {{\"workload\": \"{}\", \"rows\": {}, \
                  \"sessions\": {}, \"requests\": {}, \"workers\": {}, \
                  \"seconds\": {:.6}, \"commits_per_sec\": {:.2}, \
                  \"clean_commit_rate\": {:.4}, \"speedup_over_serial\": {:.3}, \
                  \"causes\": {{\"clean\": {}, \"footprint_clean\": {}, \
                  \"delta_recheck\": {}, \"full_rebase\": {}}}}}",
                 m.workload,
-                m.validation,
                 m.rows,
                 m.sessions,
                 m.requests,

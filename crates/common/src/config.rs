@@ -6,141 +6,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{DaisyError, Result};
 
-/// How general-DC violation detection enumerates candidate tuple pairs.
-///
-/// * `Pairwise` — the classic partitioned theta-join: every tuple pair of a
-///   surviving block pair is compared (`O(n²)` worst case).
-/// * `Indexed` — hash-partition on the constraint's equality predicates and
-///   sweep each partition in sort order of its inequality predicate, so only
-///   near-violating pairs are ever materialised (near-linear for
-///   equality-bearing DCs).
-/// * `Auto` — pick per (table, rule) from equality-key selectivity
-///   statistics and the detection cost model; tiny inputs and equality-free
-///   constraints stay pairwise.
-///
-/// Either strategy produces byte-identical violations for any worker count;
-/// the knob only trades detection time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DetectionStrategy {
-    /// Choose per rule via the cost model (the default).
-    #[default]
-    Auto,
-    /// Always enumerate tuple pairs exhaustively.
-    Pairwise,
-    /// Always use the hash-equality / sort-sweep violation index when the
-    /// constraint has an index plan (two quantified tuples).
-    Indexed,
-}
-
-impl DetectionStrategy {
-    /// Parses the textual forms accepted by [`DETECTION_ENV`]
-    /// (case-insensitive, surrounding whitespace ignored).
-    pub fn parse(text: &str) -> Option<DetectionStrategy> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(DetectionStrategy::Auto),
-            "pairwise" => Some(DetectionStrategy::Pairwise),
-            "indexed" => Some(DetectionStrategy::Indexed),
-            _ => None,
-        }
-    }
-
-    /// The strategy forced through [`DETECTION_ENV`], if the variable is set
-    /// to a recognised value.  Invalid values are ignored (`Auto` applies).
-    pub fn from_env() -> Option<DetectionStrategy> {
-        DetectionStrategy::parse(&std::env::var(DETECTION_ENV).ok()?)
-    }
-}
-
-impl fmt::Display for DetectionStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DetectionStrategy::Auto => "auto",
-            DetectionStrategy::Pairwise => "pairwise",
-            DetectionStrategy::Indexed => "indexed",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Environment variable overriding the default detection strategy
-/// (`auto` / `pairwise` / `indexed`).
-///
-/// Both strategies emit canonically ordered, de-duplicated violations, so
-/// forcing one only changes wall-clock time, never results — which is what
-/// lets CI run the whole test suite under each forced strategy.
-pub const DETECTION_ENV: &str = "DAISY_DETECTION";
-
-/// Whether detection kernels read tuples through the columnar
-/// [`ColumnSnapshot`] of a table instead of the row store.
-///
-/// * `On` — always materialise and maintain a snapshot per registered table.
-/// * `Off` — never; every kernel stays on the row path.
-/// * `Auto` — snapshot only tables large enough for the build to amortise
-///   (at least [`SnapshotMode::AUTO_MIN_ROWS`] tuples).
-///
-/// Both read paths compare values with identical semantics (NULL handling,
-/// NaN-sorts-last, int/float coercion), so the knob only trades wall-clock
-/// time, never results — which is what lets CI run the whole test suite
-/// under each forced mode.
-///
-/// [`ColumnSnapshot`]: https://docs.rs/daisy-storage
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SnapshotMode {
-    /// Snapshot tables above the size threshold (the default).
-    #[default]
-    Auto,
-    /// Always maintain columnar snapshots.
-    On,
-    /// Never build snapshots; keep every kernel on the row path.
-    Off,
-}
-
-impl SnapshotMode {
-    /// Tables below this size never recoup the snapshot build under `Auto`.
-    pub const AUTO_MIN_ROWS: usize = 256;
-
-    /// Parses the textual forms accepted by [`SNAPSHOT_ENV`]
-    /// (case-insensitive, surrounding whitespace ignored).
-    pub fn parse(text: &str) -> Option<SnapshotMode> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(SnapshotMode::Auto),
-            "on" => Some(SnapshotMode::On),
-            "off" => Some(SnapshotMode::Off),
-            _ => None,
-        }
-    }
-
-    /// The mode forced through [`SNAPSHOT_ENV`], if the variable is set to a
-    /// recognised value.  Invalid values are ignored (`Auto` applies).
-    pub fn from_env() -> Option<SnapshotMode> {
-        SnapshotMode::parse(&std::env::var(SNAPSHOT_ENV).ok()?)
-    }
-
-    /// `true` when a table with `rows` tuples should be snapshotted.
-    pub fn enables(self, rows: usize) -> bool {
-        match self {
-            SnapshotMode::On => true,
-            SnapshotMode::Off => false,
-            SnapshotMode::Auto => rows >= SnapshotMode::AUTO_MIN_ROWS,
-        }
-    }
-}
-
-impl fmt::Display for SnapshotMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SnapshotMode::Auto => "auto",
-            SnapshotMode::On => "on",
-            SnapshotMode::Off => "off",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Environment variable overriding the default snapshot mode
-/// (`auto` / `on` / `off`).
-pub const SNAPSHOT_ENV: &str = "DAISY_SNAPSHOT";
-
 /// How the multi-session service orders concurrent cleaning requests for
 /// admission (and therefore for commit — the two orders are the same).
 ///
@@ -191,201 +56,6 @@ impl fmt::Display for ServiceFairness {
 /// Environment variable overriding the default admission-fairness policy of
 /// the multi-session service (`round-robin` / `fifo`).
 pub const SERVICE_FAIRNESS_ENV: &str = "DAISY_SERVICE_FAIRNESS";
-
-/// How a [`CleaningSession`] commit validates its optimistic execution when
-/// the shared world advanced underneath it.
-///
-/// * `Version` — whole-world version equality: any intervening commit, no
-///   matter how unrelated, forces a full replay of the session's request
-///   log (the conservative baseline).
-/// * `Footprint` — per-session read/write footprints are intersected
-///   against the log of intervening commits: disjoint commits install
-///   without any replay (`O(|delta|)`), value-stable overlaps pass a
-///   delta-restricted re-check, and only genuine conflicts replay.
-/// * `Auto` — currently resolves to `Footprint`; the footprint validator
-///   replays in exactly the cases version validation would have needed to,
-///   so there is no workload where `Version` wins on correctness, only on
-///   bookkeeping overhead.
-///
-/// Both validators install byte-identical worlds for any schedule — the
-/// knob trades validation work, never results — which is what lets CI run
-/// the whole test suite under each forced mode.
-///
-/// [`CleaningSession`]: https://docs.rs/daisy-core
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CommitValidation {
-    /// Pick the validator automatically (the default; currently footprint).
-    #[default]
-    Auto,
-    /// Whole-world version equality; replay on any intervening commit.
-    Version,
-    /// Footprint intersection with semi-naive delta re-check.
-    Footprint,
-}
-
-impl CommitValidation {
-    /// Parses the textual forms accepted by [`COMMIT_VALIDATION_ENV`]
-    /// (case-insensitive, surrounding whitespace ignored).
-    pub fn parse(text: &str) -> Option<CommitValidation> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(CommitValidation::Auto),
-            "version" => Some(CommitValidation::Version),
-            "footprint" => Some(CommitValidation::Footprint),
-            _ => None,
-        }
-    }
-
-    /// The mode forced through [`COMMIT_VALIDATION_ENV`], if the variable is
-    /// set to a recognised value.  Invalid values are ignored (`Auto`
-    /// applies).
-    pub fn from_env() -> Option<CommitValidation> {
-        CommitValidation::parse(&std::env::var(COMMIT_VALIDATION_ENV).ok()?)
-    }
-
-    /// `true` when sessions should record read footprints and commits
-    /// should validate by footprint intersection (`Auto` and `Footprint`).
-    pub fn uses_footprints(self) -> bool {
-        !matches!(self, CommitValidation::Version)
-    }
-}
-
-impl fmt::Display for CommitValidation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CommitValidation::Auto => "auto",
-            CommitValidation::Version => "version",
-            CommitValidation::Footprint => "footprint",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Environment variable overriding the default commit-validation mode of
-/// concurrent cleaning sessions (`auto` / `version` / `footprint`).
-pub const COMMIT_VALIDATION_ENV: &str = "DAISY_COMMIT_VALIDATION";
-
-/// Whether streaming ingest detects violations through the **maintained**
-/// per-rule violation index (absorbing each delta in `O(|Δ| · log group)`)
-/// or rebuilds the index from scratch for every batch.
-///
-/// * `On` — always maintain; every ingest batch runs delta-restricted
-///   detection (`Δ × (T ∪ Δ)` candidates) against the persistent index.
-/// * `Off` — never maintain; every batch rebuilds the index over the whole
-///   table and restricts detection to the batch (the baseline the
-///   `bench_detection` sustained-ingest axis compares against).
-/// * `Auto` — ask the detection cost model per batch
-///   (`DetectionEstimate::prefers_incremental` in `daisy-core`).
-///
-/// Both paths emit byte-identical violations and repairs for any worker
-/// count — the knob only trades maintenance work against rebuild work —
-/// which is what lets CI run the whole test suite under each forced mode.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum IncrementalMode {
-    /// Decide per batch via the detection cost model (the default).
-    #[default]
-    Auto,
-    /// Always detect through the maintained index.
-    On,
-    /// Always rebuild the index per batch.
-    Off,
-}
-
-impl IncrementalMode {
-    /// Parses the textual forms accepted by [`INCREMENTAL_ENV`]
-    /// (case-insensitive, surrounding whitespace ignored).
-    pub fn parse(text: &str) -> Option<IncrementalMode> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(IncrementalMode::Auto),
-            "on" => Some(IncrementalMode::On),
-            "off" => Some(IncrementalMode::Off),
-            _ => None,
-        }
-    }
-
-    /// The mode forced through [`INCREMENTAL_ENV`], if the variable is set
-    /// to a recognised value.  Invalid values are ignored (`Auto` applies).
-    pub fn from_env() -> Option<IncrementalMode> {
-        IncrementalMode::parse(&std::env::var(INCREMENTAL_ENV).ok()?)
-    }
-}
-
-impl fmt::Display for IncrementalMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            IncrementalMode::Auto => "auto",
-            IncrementalMode::On => "on",
-            IncrementalMode::Off => "off",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Environment variable overriding the default incremental-detection mode
-/// of streaming ingest (`auto` / `on` / `off`).
-pub const INCREMENTAL_ENV: &str = "DAISY_INCREMENTAL";
-
-/// Whether query execution runs batch-at-a-time over columnar snapshots
-/// (selection vectors + code-keyed joins) or tuple-at-a-time over the row
-/// store.
-///
-/// * `Auto` — vectorize whenever the table's maintained [`ColumnSnapshot`]
-///   is current; fall back to the row path otherwise (the default).
-/// * `Row` — always evaluate tuple-at-a-time over boxed `Value`s.
-/// * `Vectorized` — always vectorize, building an ad-hoc snapshot when no
-///   current one is attached (correctness legs; the build cost usually
-///   defeats the point for one-shot queries).
-///
-/// Both paths produce byte-identical results by construction: coded
-/// comparisons mirror `Value::total_cmp` exactly and relaxed cells fall
-/// back to exact per-tuple evaluation, so the knob only trades wall-clock
-/// time, never results — which is what lets CI run the whole test suite
-/// under each forced mode.
-///
-/// [`ColumnSnapshot`]: https://docs.rs/daisy-storage
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum QueryExecMode {
-    /// Vectorize when a current snapshot is available (the default).
-    #[default]
-    Auto,
-    /// Always run the tuple-at-a-time row path.
-    Row,
-    /// Always run the vectorized path, building snapshots on demand.
-    Vectorized,
-}
-
-impl QueryExecMode {
-    /// Parses the textual forms accepted by [`QUERY_EXEC_ENV`]
-    /// (case-insensitive, surrounding whitespace ignored).
-    pub fn parse(text: &str) -> Option<QueryExecMode> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(QueryExecMode::Auto),
-            "row" => Some(QueryExecMode::Row),
-            "vectorized" => Some(QueryExecMode::Vectorized),
-            _ => None,
-        }
-    }
-
-    /// The mode forced through [`QUERY_EXEC_ENV`], if the variable is set
-    /// to a recognised value.  Invalid values are ignored (`Auto` applies).
-    pub fn from_env() -> Option<QueryExecMode> {
-        QueryExecMode::parse(&std::env::var(QUERY_EXEC_ENV).ok()?)
-    }
-}
-
-impl fmt::Display for QueryExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            QueryExecMode::Auto => "auto",
-            QueryExecMode::Row => "row",
-            QueryExecMode::Vectorized => "vectorized",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Environment variable overriding the default query-execution path
-/// (`auto` / `row` / `vectorized`).
-pub const QUERY_EXEC_ENV: &str = "DAISY_QUERY_EXEC";
 
 /// When to `fsync` the write-ahead commit log of a durable engine
 /// (`daisy-wal`).
@@ -519,13 +189,6 @@ pub struct DaisyConfig {
     /// When `true`, cleaning operators are pushed below joins and group-bys
     /// (§5.1).  Disabling this is only useful for ablation benchmarks.
     pub push_down_cleaning: bool,
-    /// How general-DC violation detection enumerates candidate pairs; the
-    /// default honours [`DETECTION_ENV`] and otherwise picks per rule.
-    pub detection_strategy: DetectionStrategy,
-    /// Whether detection kernels read tuples through a maintained columnar
-    /// snapshot; the default honours [`SNAPSHOT_ENV`] and otherwise
-    /// snapshots per table size.
-    pub snapshot_mode: SnapshotMode,
     /// Number of scheduler workers the multi-session service uses to execute
     /// cleaning requests concurrently; the default honours
     /// [`SERVICE_WORKERS_ENV`] and otherwise matches the machine's available
@@ -536,22 +199,6 @@ pub struct DaisyConfig {
     /// admission and commit; the default honours [`SERVICE_FAIRNESS_ENV`]
     /// and otherwise interleaves sessions round-robin.
     pub service_fairness: ServiceFairness,
-    /// How concurrent session commits validate against intervening commits;
-    /// the default honours [`COMMIT_VALIDATION_ENV`] and otherwise picks
-    /// footprint intersection.  Either validator installs byte-identical
-    /// worlds; the knob only trades validation work.
-    pub commit_validation: CommitValidation,
-    /// Whether streaming ingest detects through the maintained violation
-    /// index or rebuilds per batch; the default honours [`INCREMENTAL_ENV`]
-    /// and otherwise asks the detection cost model per batch.  Both paths
-    /// emit byte-identical results; the knob only trades maintenance work.
-    pub incremental_detection: IncrementalMode,
-    /// Whether query execution runs vectorized over columnar snapshots or
-    /// tuple-at-a-time over the row store; the default honours
-    /// [`QUERY_EXEC_ENV`] and otherwise vectorizes whenever a current
-    /// snapshot is available.  Both paths produce byte-identical results;
-    /// the knob only trades execution time.
-    pub query_exec: QueryExecMode,
     /// How many recent commit records the shared session core retains for
     /// footprint validation; the default honours [`COMMIT_LOG_ENV`] and
     /// otherwise keeps 128.  Sessions branched further back than the ring
@@ -581,13 +228,8 @@ impl Default for DaisyConfig {
             data_partitions: default_data_partitions(),
             max_relaxation_iterations: 64,
             push_down_cleaning: true,
-            detection_strategy: DetectionStrategy::from_env().unwrap_or_default(),
-            snapshot_mode: SnapshotMode::from_env().unwrap_or_default(),
             service_workers: default_service_workers(),
             service_fairness: ServiceFairness::from_env().unwrap_or_default(),
-            commit_validation: CommitValidation::from_env().unwrap_or_default(),
-            incremental_detection: IncrementalMode::from_env().unwrap_or_default(),
-            query_exec: QueryExecMode::from_env().unwrap_or_default(),
             commit_log_capacity: DaisyConfig::env_commit_log_capacity()
                 .unwrap_or(DaisyConfig::DEFAULT_COMMIT_LOG_CAPACITY),
             durability: DurabilityMode::from_env().unwrap_or_default(),
@@ -770,18 +412,6 @@ impl DaisyConfig {
         self
     }
 
-    /// Builder-style setter for the detection strategy.
-    pub fn with_detection_strategy(mut self, strategy: DetectionStrategy) -> Self {
-        self.detection_strategy = strategy;
-        self
-    }
-
-    /// Builder-style setter for the columnar-snapshot mode.
-    pub fn with_snapshot_mode(mut self, mode: SnapshotMode) -> Self {
-        self.snapshot_mode = mode;
-        self
-    }
-
     /// Builder-style setter for the service scheduler-worker count.
     pub fn with_service_workers(mut self, n: usize) -> Self {
         self.service_workers = n;
@@ -791,24 +421,6 @@ impl DaisyConfig {
     /// Builder-style setter for the service admission-fairness policy.
     pub fn with_service_fairness(mut self, fairness: ServiceFairness) -> Self {
         self.service_fairness = fairness;
-        self
-    }
-
-    /// Builder-style setter for the commit-validation mode.
-    pub fn with_commit_validation(mut self, validation: CommitValidation) -> Self {
-        self.commit_validation = validation;
-        self
-    }
-
-    /// Builder-style setter for the incremental-detection mode.
-    pub fn with_incremental_detection(mut self, mode: IncrementalMode) -> Self {
-        self.incremental_detection = mode;
-        self
-    }
-
-    /// Builder-style setter for the query-execution path.
-    pub fn with_query_exec(mut self, mode: QueryExecMode) -> Self {
-        self.query_exec = mode;
         self
     }
 
@@ -916,37 +528,10 @@ mod tests {
         let cfg = DaisyConfig::default()
             .with_cost_model(false)
             .with_theta_partitions(16)
-            .with_worker_threads(2)
-            .with_detection_strategy(DetectionStrategy::Indexed);
+            .with_worker_threads(2);
         assert!(!cfg.use_cost_model);
         assert_eq!(cfg.theta_partitions, 16);
         assert_eq!(cfg.worker_threads, 2);
-        assert_eq!(cfg.detection_strategy, DetectionStrategy::Indexed);
-    }
-
-    #[test]
-    fn snapshot_mode_parses_and_gates_by_size() {
-        // Parsing rules via the pure helper (no `set_var` races).
-        assert_eq!(SnapshotMode::parse("on"), Some(SnapshotMode::On));
-        assert_eq!(SnapshotMode::parse(" OFF "), Some(SnapshotMode::Off));
-        assert_eq!(SnapshotMode::parse("auto"), Some(SnapshotMode::Auto));
-        assert_eq!(SnapshotMode::parse("columnar"), None);
-        assert_eq!(SnapshotMode::parse(""), None);
-        for m in [SnapshotMode::Auto, SnapshotMode::On, SnapshotMode::Off] {
-            assert_eq!(SnapshotMode::parse(&m.to_string()), Some(m));
-        }
-        // The size gate: On/Off are unconditional, Auto uses the threshold.
-        assert!(SnapshotMode::On.enables(0));
-        assert!(!SnapshotMode::Off.enables(1_000_000));
-        assert!(!SnapshotMode::Auto.enables(SnapshotMode::AUTO_MIN_ROWS - 1));
-        assert!(SnapshotMode::Auto.enables(SnapshotMode::AUTO_MIN_ROWS));
-        // Whatever the ambient environment says, the default stays valid.
-        assert!(DaisyConfig::default().validate().is_ok());
-        if let Some(forced) = SnapshotMode::from_env() {
-            assert_eq!(DaisyConfig::default().snapshot_mode, forced);
-        }
-        let cfg = DaisyConfig::default().with_snapshot_mode(SnapshotMode::On);
-        assert_eq!(cfg.snapshot_mode, SnapshotMode::On);
     }
 
     #[test]
@@ -986,94 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_validation_parses_and_resolves() {
-        // Parsing rules via the pure helper (no `set_var` races).
-        assert_eq!(
-            CommitValidation::parse("footprint"),
-            Some(CommitValidation::Footprint)
-        );
-        assert_eq!(
-            CommitValidation::parse(" Version "),
-            Some(CommitValidation::Version)
-        );
-        assert_eq!(
-            CommitValidation::parse("auto"),
-            Some(CommitValidation::Auto)
-        );
-        assert_eq!(CommitValidation::parse("optimistic"), None);
-        assert_eq!(CommitValidation::parse(""), None);
-        for v in [
-            CommitValidation::Auto,
-            CommitValidation::Version,
-            CommitValidation::Footprint,
-        ] {
-            assert_eq!(CommitValidation::parse(&v.to_string()), Some(v));
-        }
-        // Auto resolves to footprint validation; only `version` opts out.
-        assert!(CommitValidation::Auto.uses_footprints());
-        assert!(CommitValidation::Footprint.uses_footprints());
-        assert!(!CommitValidation::Version.uses_footprints());
-        let cfg = DaisyConfig::default().with_commit_validation(CommitValidation::Version);
-        assert_eq!(cfg.commit_validation, CommitValidation::Version);
-        // Whatever the ambient environment says, the default stays valid.
-        assert!(DaisyConfig::default().validate().is_ok());
-        if let Some(forced) = CommitValidation::from_env() {
-            assert_eq!(DaisyConfig::default().commit_validation, forced);
-        }
-    }
-
-    #[test]
-    fn incremental_mode_parses_and_round_trips() {
-        // Parsing rules via the pure helper (no `set_var` races).
-        assert_eq!(IncrementalMode::parse("on"), Some(IncrementalMode::On));
-        assert_eq!(IncrementalMode::parse(" OFF "), Some(IncrementalMode::Off));
-        assert_eq!(IncrementalMode::parse("auto"), Some(IncrementalMode::Auto));
-        assert_eq!(IncrementalMode::parse("incremental"), None);
-        assert_eq!(IncrementalMode::parse(""), None);
-        for m in [
-            IncrementalMode::Auto,
-            IncrementalMode::On,
-            IncrementalMode::Off,
-        ] {
-            assert_eq!(IncrementalMode::parse(&m.to_string()), Some(m));
-        }
-        let cfg = DaisyConfig::default().with_incremental_detection(IncrementalMode::On);
-        assert_eq!(cfg.incremental_detection, IncrementalMode::On);
-        // Whatever the ambient environment says, the default stays valid.
-        assert!(DaisyConfig::default().validate().is_ok());
-        if let Some(forced) = IncrementalMode::from_env() {
-            assert_eq!(DaisyConfig::default().incremental_detection, forced);
-        }
-    }
-
-    #[test]
-    fn query_exec_mode_parses_and_round_trips() {
-        // Parsing rules via the pure helper (no `set_var` races).
-        assert_eq!(QueryExecMode::parse("row"), Some(QueryExecMode::Row));
-        assert_eq!(
-            QueryExecMode::parse(" Vectorized "),
-            Some(QueryExecMode::Vectorized)
-        );
-        assert_eq!(QueryExecMode::parse("auto"), Some(QueryExecMode::Auto));
-        assert_eq!(QueryExecMode::parse("columnar"), None);
-        assert_eq!(QueryExecMode::parse(""), None);
-        for m in [
-            QueryExecMode::Auto,
-            QueryExecMode::Row,
-            QueryExecMode::Vectorized,
-        ] {
-            assert_eq!(QueryExecMode::parse(&m.to_string()), Some(m));
-        }
-        let cfg = DaisyConfig::default().with_query_exec(QueryExecMode::Vectorized);
-        assert_eq!(cfg.query_exec, QueryExecMode::Vectorized);
-        // Whatever the ambient environment says, the default stays valid.
-        assert!(DaisyConfig::default().validate().is_ok());
-        if let Some(forced) = QueryExecMode::from_env() {
-            assert_eq!(DaisyConfig::default().query_exec, forced);
-        }
-    }
-
-    #[test]
     fn commit_log_capacity_parses_and_validates() {
         // The capacity override shares the positive-integer parsing rules of
         // the worker-thread knob; both are tested via the pure helper.
@@ -1091,39 +588,6 @@ mod tests {
         assert!(DaisyConfig::default().validate().is_ok());
         if let Some(forced) = DaisyConfig::env_commit_log_capacity() {
             assert_eq!(DaisyConfig::default().commit_log_capacity, forced);
-        }
-    }
-
-    #[test]
-    fn detection_strategy_parses_known_forms_only() {
-        // Like the worker-thread override, the parsing rules are tested via
-        // the pure helper to avoid `set_var` races in parallel tests.
-        assert_eq!(
-            DetectionStrategy::parse("indexed"),
-            Some(DetectionStrategy::Indexed)
-        );
-        assert_eq!(
-            DetectionStrategy::parse(" PairWise "),
-            Some(DetectionStrategy::Pairwise)
-        );
-        assert_eq!(
-            DetectionStrategy::parse("auto"),
-            Some(DetectionStrategy::Auto)
-        );
-        assert_eq!(DetectionStrategy::parse("fastest"), None);
-        assert_eq!(DetectionStrategy::parse(""), None);
-        // Display round-trips through parse.
-        for s in [
-            DetectionStrategy::Auto,
-            DetectionStrategy::Pairwise,
-            DetectionStrategy::Indexed,
-        ] {
-            assert_eq!(DetectionStrategy::parse(&s.to_string()), Some(s));
-        }
-        // Whatever the ambient environment says, the default stays valid.
-        assert!(DaisyConfig::default().validate().is_ok());
-        if let Some(forced) = DetectionStrategy::from_env() {
-            assert_eq!(DaisyConfig::default().detection_strategy, forced);
         }
     }
 

@@ -26,10 +26,8 @@ pub mod schema;
 pub mod value;
 
 pub use config::{
-    CommitValidation, DaisyConfig, DetectionStrategy, DurabilityMode, IncrementalMode,
-    QueryExecMode, ServiceFairness, SnapshotMode, CHECKPOINT_INTERVAL_ENV, COMMIT_LOG_ENV,
-    COMMIT_VALIDATION_ENV, DETECTION_ENV, DURABILITY_ENV, INCREMENTAL_ENV, QUERY_EXEC_ENV,
-    SERVICE_FAIRNESS_ENV, SERVICE_WORKERS_ENV, SNAPSHOT_ENV, WORKER_THREADS_ENV,
+    DaisyConfig, DurabilityMode, ServiceFairness, CHECKPOINT_INTERVAL_ENV, COMMIT_LOG_ENV,
+    DURABILITY_ENV, SERVICE_FAIRNESS_ENV, SERVICE_WORKERS_ENV, WORKER_THREADS_ENV,
 };
 pub use datatype::DataType;
 pub use error::{DaisyError, Result};

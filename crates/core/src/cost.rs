@@ -13,14 +13,39 @@
 //! sort-sweep) candidate enumeration for general DCs (see
 //! [`DetectionEstimate`] and [`crate::index`]).
 
-use daisy_common::DetectionStrategy;
 use daisy_expr::DenialConstraint;
 use daisy_storage::KeyStatistics;
 use serde::{Deserialize, Serialize};
 
+/// How general-DC violation detection enumerates candidate tuple pairs.
+///
+/// * `Pairwise` — the classic partitioned theta-join: every tuple pair of a
+///   surviving block pair is compared (`O(n²)` worst case).
+/// * `Indexed` — hash-partition on the constraint's equality predicates and
+///   sweep each partition in sort order of its inequality predicate, so only
+///   near-violating pairs are ever materialised.
+/// * `Auto` — leave the choice to [`DetectionEstimate::recommend`] over the
+///   equality key's selectivity.
+///
+/// The engine resolves it per rule with [`planned_detection`]; the explicit
+/// forms exist for [`crate::theta::ThetaMatrix::build_with_strategy`], whose
+/// callers (kernel differentials, detection benchmarks) pin one kernel.
+/// Both kernels emit identical, canonically ordered violations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum DetectionStrategy {
+    /// Let the cost model decide from the data.
+    #[default]
+    Auto,
+    /// Enumerate tuple pairs exhaustively.
+    Pairwise,
+    /// Use the hash-equality / sort-sweep violation index when the
+    /// constraint has an index plan (two quantified tuples).
+    Indexed,
+}
+
 /// The concrete detection kernel a [`crate::theta::ThetaMatrix`] runs with,
-/// after the [`DetectionStrategy`] knob and the cost model have been
-/// resolved against a specific constraint and dataset.
+/// after a [`DetectionStrategy`] and the cost model have been resolved
+/// against a specific constraint and dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionMode {
     /// Enumerate every tuple pair of surviving block pairs.
@@ -129,8 +154,8 @@ impl DetectionEstimate {
 
     /// `true` when detecting a `delta_rows`-row batch through the
     /// maintained index is projected to beat rebuilding the index and
-    /// restricting detection to the batch — the `Auto` resolution of the
-    /// [`IncrementalMode`](daisy_common::IncrementalMode) knob.  Both
+    /// restricting detection to the batch — the choice streaming ingest
+    /// makes for every batch over a live index.  Both
     /// paths enumerate the same `Δ × (T ∪ Δ)` candidates, so the decision
     /// reduces to the maintenance term against the per-batch rebuild pass:
     /// maintenance wins for any batch meaningfully smaller than the table
@@ -147,19 +172,26 @@ impl DetectionEstimate {
     }
 }
 
-/// Refines the configured [`DetectionStrategy`] knob against a constraint's
-/// *shape* (data-independent): constraints without an index plan can only be
+/// The engine's detection choice for a constraint, from its *shape*
+/// (data-independent): constraints without an index plan can only be
 /// checked pairwise, and equality-free constraints gain nothing from the
-/// index under `Auto`.  The returned strategy is what the planner records on
-/// a [`crate::planner::CleaningStep`]; `Auto` survives only when the final,
+/// index.  The returned strategy is what the planner records on a
+/// [`crate::planner::CleaningStep`]; `Auto` survives only when the final,
 /// data-dependent decision belongs to [`DetectionEstimate::recommend`].
-pub fn planned_detection(
+pub fn planned_detection(constraint: &DenialConstraint) -> DetectionStrategy {
+    refine_detection(constraint, DetectionStrategy::Auto)
+}
+
+/// Refines a requested [`DetectionStrategy`] against a constraint's shape:
+/// `Pairwise` stays, `Indexed` holds whenever an index plan exists, and
+/// `Auto` resolves as in [`planned_detection`].
+pub(crate) fn refine_detection(
     constraint: &DenialConstraint,
-    knob: DetectionStrategy,
+    requested: DetectionStrategy,
 ) -> DetectionStrategy {
     match constraint.index_plan() {
         None => DetectionStrategy::Pairwise,
-        Some(plan) => match knob {
+        Some(plan) => match requested {
             DetectionStrategy::Pairwise => DetectionStrategy::Pairwise,
             DetectionStrategy::Indexed => DetectionStrategy::Indexed,
             DetectionStrategy::Auto if plan.has_equality_key() => DetectionStrategy::Auto,
@@ -538,7 +570,6 @@ mod tests {
 
     #[test]
     fn planned_detection_refines_by_constraint_shape() {
-        use daisy_common::DetectionStrategy;
         use daisy_expr::DenialConstraint;
 
         let with_eq =
@@ -546,27 +577,22 @@ mod tests {
         let no_eq = DenialConstraint::parse("b", "t1.y < t2.y & t1.z > t2.z").unwrap();
         let single = DenialConstraint::parse("c", "t1.y > 5").unwrap();
 
-        // Auto keeps its options open only when an equality key exists.
+        // The engine keeps its options open only when an equality key exists.
+        assert_eq!(planned_detection(&with_eq), DetectionStrategy::Auto);
+        assert_eq!(planned_detection(&no_eq), DetectionStrategy::Pairwise);
+        assert_eq!(planned_detection(&single), DetectionStrategy::Pairwise);
+        // An explicit indexed request is honoured whenever a plan exists at
+        // all; constraints without a plan are always pairwise.
         assert_eq!(
-            planned_detection(&with_eq, DetectionStrategy::Auto),
-            DetectionStrategy::Auto
-        );
-        assert_eq!(
-            planned_detection(&no_eq, DetectionStrategy::Auto),
-            DetectionStrategy::Pairwise
-        );
-        // Forcing indexed is honoured whenever a plan exists at all.
-        assert_eq!(
-            planned_detection(&no_eq, DetectionStrategy::Indexed),
+            refine_detection(&no_eq, DetectionStrategy::Indexed),
             DetectionStrategy::Indexed
         );
-        // Constraints without a plan are always pairwise.
         assert_eq!(
-            planned_detection(&single, DetectionStrategy::Indexed),
+            refine_detection(&single, DetectionStrategy::Indexed),
             DetectionStrategy::Pairwise
         );
         assert_eq!(
-            planned_detection(&with_eq, DetectionStrategy::Pairwise),
+            refine_detection(&with_eq, DetectionStrategy::Pairwise),
             DetectionStrategy::Pairwise
         );
     }

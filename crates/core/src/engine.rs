@@ -25,10 +25,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use daisy_common::{
-    ColumnId, DaisyConfig, DaisyError, IncrementalMode, QueryExecMode, Result, RuleId, Schema,
-    TupleId, Value,
-};
+use daisy_common::{ColumnId, DaisyConfig, DaisyError, Result, RuleId, Schema, TupleId, Value};
 use daisy_exec::ExecContext;
 use daisy_expr::{BoolExpr, DenialConstraint, FunctionalDependency, Violation};
 use daisy_query::physical::{
@@ -42,7 +39,9 @@ use daisy_storage::{
 use crate::accuracy::{estimate_accuracy, CleaningDecision};
 use crate::clean_dc::{repair_dc_violations, DcCleanOutcome};
 use crate::clean_select::clean_select_fd_with;
-use crate::cost::{CostParameters, CostTracker, DetectionEstimate};
+use crate::cost::{
+    planned_detection, CostParameters, CostTracker, DetectionEstimate, DetectionStrategy,
+};
 use crate::fd_index::FdIndex;
 use crate::index::{canonicalize_violations, MaintainedIndex, ViolationIndex};
 use crate::planner::CleaningPlan;
@@ -50,7 +49,7 @@ use crate::relaxation::FilterTarget;
 use crate::report::{CleaningReport, CleaningStrategy, SessionReport};
 use crate::session::EngineShared;
 use crate::theta::ThetaMatrix;
-use crate::world::{RuleKey, WorldState};
+use crate::world::{RuleKey, WorldState, SNAPSHOT_MIN_ROWS};
 
 /// The outcome of one query: its (cleaned) result plus the cleaning report.
 #[derive(Debug, Clone)]
@@ -78,16 +77,15 @@ pub struct DaisyEngine {
     ctx: ExecContext,
     world: WorldState,
     session: SessionReport,
-    /// When `true`, every delta applied through [`apply_delta_patching`] is
-    /// also appended to `delta_log` — the copy-on-write overlay a
+    /// When `true` (sessions), every delta applied through
+    /// [`apply_delta_patching`] is also appended to `delta_log` — the
+    /// copy-on-write overlay a
     /// [`CleaningSession`](crate::session::CleaningSession) stages for its
-    /// commit.
+    /// commit — and execution records which cells it consulted (`reads`)
+    /// and which `(table, rule)` cleaning states it advanced
+    /// (`touched_rules`), the inputs of footprint-based commit validation.
     record_deltas: bool,
     delta_log: Vec<(String, Delta)>,
-    /// When `true`, execution records which cells it consulted (`reads`) and
-    /// which `(table, rule)` cleaning states it advanced (`touched_rules`) —
-    /// the inputs of footprint-based commit validation.
-    record_footprints: bool,
     reads: Footprint,
     touched_rules: HashSet<RuleKey>,
 }
@@ -111,7 +109,6 @@ impl DaisyEngine {
             session: SessionReport::default(),
             record_deltas: false,
             delta_log: Vec::new(),
-            record_footprints: false,
             reads: Footprint::new(),
             touched_rules: HashSet::new(),
         })
@@ -157,16 +154,11 @@ impl DaisyEngine {
         std::mem::replace(&mut self.world, world)
     }
 
-    /// Turns on staged-delta recording (sessions stage their repairs as
-    /// copy-on-write overlays and publish them at commit).
+    /// Turns on staged-delta, read-footprint and touched-rule recording
+    /// (sessions stage their repairs as copy-on-write overlays, publish
+    /// them at commit and validate them by footprint).
     pub(crate) fn set_record_deltas(&mut self, record: bool) {
         self.record_deltas = record;
-    }
-
-    /// Turns on read-footprint and touched-rule recording (sessions under
-    /// footprint-based commit validation).
-    pub(crate) fn set_record_footprints(&mut self, record: bool) {
-        self.record_footprints = record;
     }
 
     /// The cells consulted since the footprints were last cleared.
@@ -287,13 +279,13 @@ impl DaisyEngine {
         self.world.snapshot_ref(table)
     }
 
-    /// Brings the table's columnar snapshot in line with the snapshot knob
-    /// and the table's current revision: builds it when enabled and absent
-    /// or stale (an out-of-band mutation bumped the revision), drops it
-    /// when the knob disables snapshots for this table.
+    /// Brings the table's columnar snapshot in line with the table's size
+    /// and current revision: builds it when the table has at least
+    /// [`SNAPSHOT_MIN_ROWS`] rows and the snapshot is absent or stale (an
+    /// out-of-band mutation bumped the revision), drops it below that size.
     fn refresh_snapshot(&mut self, table_name: &str) -> Result<()> {
         let table = self.world.catalog.table(table_name)?;
-        if !self.config.snapshot_mode.enables(table.len()) {
+        if table.len() < SNAPSHOT_MIN_ROWS {
             self.world.snapshots.remove(table_name);
             return Ok(());
         }
@@ -311,27 +303,17 @@ impl DaisyEngine {
         Ok(())
     }
 
-    /// The snapshot the vectorized query path should read a table through,
-    /// per the [`DaisyConfig::query_exec`] knob: `Row` never vectorizes,
-    /// `Auto` uses the maintained snapshot only while it is current, and
-    /// `Vectorized` builds an ad-hoc snapshot when no current one is
-    /// maintained — so a forced run always takes the coded kernels.
+    /// The snapshot the vectorized query path reads a table through: the
+    /// maintained one, while it is current.  Without one the query stays on
+    /// the row path.
     fn query_snapshot(&self, table_name: &str) -> Result<Option<Arc<ColumnSnapshot>>> {
         let table = self.world.catalog.table(table_name)?;
-        let maintained = self
+        Ok(self
             .world
             .snapshots
             .get(table_name)
             .filter(|snap| snap.is_current(table))
-            .cloned();
-        Ok(match self.config.query_exec {
-            QueryExecMode::Row => None,
-            QueryExecMode::Auto => maintained,
-            QueryExecMode::Vectorized => match maintained {
-                Some(snap) => Some(snap),
-                None => Some(Arc::new(ColumnSnapshot::build(table)?)),
-            },
-        })
+            .cloned())
     }
 
     /// Parses and executes a SQL query.
@@ -359,14 +341,11 @@ impl DaisyEngine {
 
         // ---- driving table: filter + clean ---------------------------------
         let driving = query.from.clone();
-        // Give the vectorized path current snapshots to read through (the
-        // refresh respects the snapshot-mode policy; `Auto` silently falls
-        // back to the row path for tables it leaves bare).
-        if self.config.query_exec != QueryExecMode::Row {
-            self.refresh_snapshot(&driving)?;
-            for join in &query.joins {
-                self.refresh_snapshot(&join.table)?;
-            }
+        // Give the vectorized path current snapshots to read through (tables
+        // below the size threshold stay bare and take the row path).
+        self.refresh_snapshot(&driving)?;
+        for join in &query.joins {
+            self.refresh_snapshot(&join.table)?;
         }
         let driving_schema = Arc::new(
             self.world
@@ -380,7 +359,7 @@ impl DaisyEngine {
         // filter columns across every row (plus the answer rows, recorded
         // below); joins consult whole relations (key columns drive
         // qualification, and joined output carries every column).
-        if self.record_footprints {
+        if self.record_deltas {
             if query.joins.is_empty() {
                 self.record_filter_columns(&driving, &driving_schema, &driving_filter);
             } else {
@@ -398,7 +377,7 @@ impl DaisyEngine {
             &mut report,
         )?;
         let mut current_schema = driving_schema;
-        if self.record_footprints && query.joins.is_empty() {
+        if self.record_deltas && query.joins.is_empty() {
             self.reads
                 .record_rows(&driving, current.iter().map(|t| t.id));
         }
@@ -669,7 +648,7 @@ impl DaisyEngine {
         report: &mut CleaningReport,
     ) -> Result<Vec<Tuple>> {
         let key = (table_name.to_string(), rule.raw());
-        if self.record_footprints {
+        if self.record_deltas {
             self.touched_rules.insert(key.clone());
             self.record_rule_columns(table_name, &fd.attributes());
         }
@@ -747,7 +726,7 @@ impl DaisyEngine {
                 self.world.fully_cleaned.insert(key.clone());
             }
         }
-        if self.record_footprints {
+        if self.record_deltas {
             self.reads
                 .record_rows(table_name, outcome.cleaned.iter().map(|t| t.id));
         }
@@ -760,12 +739,12 @@ impl DaisyEngine {
         table_name: &str,
         schema: &Arc<Schema>,
         rule: &DenialConstraint,
-        detection: daisy_common::DetectionStrategy,
+        detection: DetectionStrategy,
         answer: Vec<Tuple>,
         report: &mut CleaningReport,
     ) -> Result<Vec<Tuple>> {
         let key = (table_name.to_string(), rule.id.raw());
-        if self.record_footprints {
+        if self.record_deltas {
             self.touched_rules.insert(key.clone());
             self.record_rule_columns(table_name, &rule.attributes());
             self.reads
@@ -911,7 +890,7 @@ impl DaisyEngine {
         rule: RuleId,
     ) -> Result<usize> {
         let key = (table_name.to_string(), rule.raw());
-        if self.record_footprints {
+        if self.record_deltas {
             self.touched_rules.insert(key.clone());
             self.reads.record_table(table_name);
         }
@@ -975,7 +954,7 @@ impl DaisyEngine {
         match constraint.as_fd() {
             Some(fd) => self.clean_remaining_fd(table_name, &fd, rule),
             None => {
-                if self.record_footprints {
+                if self.record_deltas {
                     self.touched_rules
                         .insert((table_name.to_string(), rule.raw()));
                     self.reads.record_table(table_name);
@@ -997,7 +976,7 @@ impl DaisyEngine {
                     table.tuples(),
                     &constraint,
                     self.config.theta_blocks_per_side(),
-                    self.config.detection_strategy,
+                    planned_detection(&constraint),
                     snapshot,
                 )?;
                 let (violations, _) =
@@ -1036,9 +1015,8 @@ impl DaisyEngine {
     /// every registered two-tuple rule over the table — only the
     /// `Δ × (T ∪ Δ)` candidate pairs are enumerated, against the world's
     /// persistent [`MaintainedIndex`]es instead of a per-batch rebuild
-    /// (`DAISY_INCREMENTAL` / [`DaisyConfig::incremental_detection`] selects
-    /// the maintained, rebuild-everything, or cost-modelled path; all three
-    /// produce byte-identical violations, repairs and pair counts).
+    /// (the detection cost model picks maintenance or a rebuild per batch;
+    /// both produce byte-identical violations, repairs and pair counts).
     ///
     /// The repairs flow through the same `apply_delta_patching` write path
     /// as query-driven cleaning, so staged-delta recording and
@@ -1075,7 +1053,7 @@ impl DaisyEngine {
         // patch it instead of leaving it stale.
         self.refresh_snapshot(table_name)?;
         self.apply_delta_patching(table_name, &delta)?;
-        if self.record_footprints {
+        if self.record_deltas {
             self.reads
                 .record_rows(table_name, delta.appends().iter().map(|a| a.id));
         }
@@ -1125,7 +1103,7 @@ impl DaisyEngine {
         report: &mut CleaningReport,
     ) -> Result<()> {
         let key = (table_name.to_string(), rule.id.raw());
-        if self.record_footprints {
+        if self.record_deltas {
             self.touched_rules.insert(key.clone());
             self.record_rule_columns(table_name, &rule.attributes());
         }
@@ -1165,11 +1143,11 @@ impl DaisyEngine {
     }
 
     /// Delta-restricted detection for one rule: the `Δ × (T ∪ Δ)` candidate
-    /// pairs, via the world's [`MaintainedIndex`] (`On`), a fresh
-    /// [`ViolationIndex`] swept with the `i ∈ Δ ∨ j ∈ Δ` admit filter
-    /// (`Off` — the rebuild-everything baseline), or whichever the cost
-    /// model prices cheaper (`Auto`).  All paths return the same canonical
-    /// violations and the same candidate-pair count.
+    /// pairs, via the world's [`MaintainedIndex`] or a fresh
+    /// [`ViolationIndex`] swept with the `i ∈ Δ ∨ j ∈ Δ` admit filter,
+    /// whichever the detection cost model prices cheaper.  Both paths
+    /// return the same canonical violations and the same candidate-pair
+    /// count.
     fn ingest_detect(
         &mut self,
         table_name: &str,
@@ -1182,27 +1160,23 @@ impl DaisyEngine {
             .index_plan()
             .expect("ingest_rows only admits rules with an index plan");
         let key = (table_name.to_string(), rule.id.raw());
-        let use_maintained = match self.config.incremental_detection {
-            IncrementalMode::On => true,
-            IncrementalMode::Off => false,
-            IncrementalMode::Auto => {
-                let table = self.world.catalog.table(table_name)?;
-                match self.world.violation_indexes.get(&key) {
-                    // A live index prices maintenance against a rebuild.
-                    Some(index) if index.is_current(table) => {
-                        let stats = KeyStatistics {
-                            rows: index.rows(),
-                            distinct: index.partition_count(),
-                            max_group: index.max_partition_size(),
-                        };
-                        DetectionEstimate::new(index.rows(), stats)
-                            .with_columnar(self.world.snapshots.contains_key(table_name))
-                            .prefers_incremental(positions.len())
-                    }
-                    // No (current) index yet: building one costs the same
-                    // as the rebuild baseline and amortizes over the stream.
-                    _ => true,
+        let use_maintained = {
+            let table = self.world.catalog.table(table_name)?;
+            match self.world.violation_indexes.get(&key) {
+                // A live index prices maintenance against a rebuild.
+                Some(index) if index.is_current(table) => {
+                    let stats = KeyStatistics {
+                        rows: index.rows(),
+                        distinct: index.partition_count(),
+                        max_group: index.max_partition_size(),
+                    };
+                    DetectionEstimate::new(index.rows(), stats)
+                        .with_columnar(self.world.snapshots.contains_key(table_name))
+                        .prefers_incremental(positions.len())
                 }
+                // No (current) index yet: building one costs the same as
+                // the rebuild baseline and amortizes over the stream.
+                _ => true,
             }
         };
         if use_maintained {
@@ -1441,25 +1415,73 @@ mod tests {
         assert!(!prov.is_empty());
     }
 
+    /// Asserts that `snap` holds, cell for cell, what a fresh
+    /// [`ColumnSnapshot::build`] of `table` holds.
+    fn assert_matches_fresh_build(snap: &ColumnSnapshot, table: &Table) {
+        let fresh = ColumnSnapshot::build(table).unwrap();
+        assert!(snap.is_current(table));
+        assert_eq!(snap.len(), fresh.len());
+        for row in 0..fresh.len() {
+            for col in 0..fresh.column_count() {
+                assert_eq!(
+                    snap.value(row, col),
+                    fresh.value(row, col),
+                    "({row}, {col})"
+                );
+                assert_eq!(
+                    snap.candidate_values(row, col),
+                    fresh.candidate_values(row, col),
+                    "({row}, {col})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn snapshot_mode_is_transparent_and_patched_in_place() {
-        use daisy_common::SnapshotMode;
-        let run = |mode: SnapshotMode| {
+        // The same workload over the five cities rows alone (below the
+        // snapshot threshold: row path) and padded past the threshold with
+        // rows that share no zip and no city with them (snapshot path).
+        // The padding can neither violate a rule nor match a filter, so
+        // every output over the original rows must be the same.
+        let padded = {
+            let mut rows: Vec<Vec<Value>> = cities_table()
+                .tuples()
+                .iter()
+                .map(|t| (0..2).map(|c| t.value(c).unwrap()).collect())
+                .collect();
+            rows.extend(
+                (0..SNAPSHOT_MIN_ROWS as i64)
+                    .map(|i| vec![Value::Int(20_000 + i), Value::from(format!("town {i}"))]),
+            );
+            Table::from_rows("cities", cities_table().schema().as_ref().clone(), rows).unwrap()
+        };
+        let run = |table: Table| {
             let mut engine = DaisyEngine::new(
                 DaisyConfig::default()
                     .with_worker_threads(2)
-                    .with_cost_model(false)
-                    .with_snapshot_mode(mode),
+                    .with_cost_model(false),
             )
             .unwrap();
-            engine.register_table(cities_table());
+            engine.register_table(table);
             engine.add_fd(&FunctionalDependency::new(&["zip"], "city"), "phi");
+            // After every request the snapshot is absent below the
+            // threshold, and patched to a fresh build's contents above it.
+            let check = |engine: &DaisyEngine| {
+                let table = engine.table("cities").unwrap();
+                match engine.snapshot("cities") {
+                    Some(snap) => assert_matches_fresh_build(snap, table),
+                    None => assert!(table.len() < SNAPSHOT_MIN_ROWS),
+                }
+            };
             let first = engine
                 .execute_sql("SELECT zip FROM cities WHERE city = 'Los Angeles'")
                 .unwrap();
+            check(&engine);
             let second = engine
                 .execute_sql("SELECT city FROM cities WHERE zip = 9001")
                 .unwrap();
+            check(&engine);
             let repaired = engine
                 .add_rule_incrementally(
                     "cities",
@@ -1467,90 +1489,167 @@ mod tests {
                         .unwrap(),
                 )
                 .unwrap();
+            check(&engine);
+            let original = engine.table("cities").unwrap().tuples()[..5].to_vec();
             (
                 first.result.tuples,
                 second.result.tuples,
                 repaired,
-                engine.table("cities").unwrap().tuples().to_vec(),
+                original,
                 engine.provenance("cities").unwrap().dump(),
-                engine,
+                engine.snapshot("cities").is_some(),
             )
         };
-        let (on_1, on_2, on_repaired, on_table, on_prov, on_engine) = run(SnapshotMode::On);
-        let (off_1, off_2, off_repaired, off_table, off_prov, off_engine) = run(SnapshotMode::Off);
-        // The knob never changes a single observable output…
-        assert_eq!(on_1, off_1);
-        assert_eq!(on_2, off_2);
-        assert_eq!(on_repaired, off_repaired);
-        assert_eq!(on_table, off_table);
-        assert_eq!(on_prov, off_prov);
-        // …and under `On` the cached snapshot tracked every repair through
-        // the delta protocol (current, not rebuilt-on-demand), while `Off`
-        // never built one.
-        let table = on_engine.table("cities").unwrap();
-        let snap = on_engine.snapshot("cities").expect("snapshot maintained");
-        assert!(snap.is_current(table));
-        assert_eq!(snap.len(), table.len());
-        assert!(off_engine.snapshot("cities").is_none());
+        let (row_1, row_2, row_repaired, row_table, row_prov, row_snap) = run(cities_table());
+        let (col_1, col_2, col_repaired, col_table, col_prov, col_snap) = run(padded);
+        assert!(!row_snap && col_snap);
+        assert!(row_repaired > 0);
+        assert_eq!(row_1, col_1);
+        assert_eq!(row_2, col_2);
+        assert_eq!(row_repaired, col_repaired);
+        assert_eq!(row_table, col_table);
+        assert_eq!(row_prov, col_prov);
+    }
+
+    /// Ingests `rows` into `cities` and checks the engine against the
+    /// kernel reference: append the batch, rebuild the violation index over
+    /// the whole table, sweep only the pairs that touch the batch, and
+    /// repair what it finds.  Also checks that the maintained index tracked
+    /// the append and the repairs through the write path.  Returns the
+    /// errors the ingest repaired.
+    fn ingest_matches_the_kernel(engine: &mut DaisyEngine, rows: Vec<Vec<Value>>) -> usize {
+        let rule = engine.constraints().rules()[0].clone();
+        let plan = rule.index_plan().unwrap();
+        let ctx = ExecContext::new(2);
+        let mut expected = engine.table("cities").unwrap().clone();
+        let mut provenance = engine.provenance("cities").cloned().unwrap_or_default();
+        let mut append = Delta::new();
+        let base = expected.next_tuple_id().raw();
+        for (k, row) in rows.iter().enumerate() {
+            append.push_append(TupleId::new(base + k as u64), row.clone());
+        }
+        expected.apply_delta(&append).unwrap();
+        let schema = Arc::clone(expected.schema());
+        let batch: HashSet<usize> = (expected.len() - rows.len()..expected.len()).collect();
+        let index = ViolationIndex::build(&ctx, &schema, &rule, &plan, expected.tuples()).unwrap();
+        let (found, _) = index
+            .sweep_detect(&ctx, &schema, expected.tuples(), |i, j| {
+                batch.contains(&i) || batch.contains(&j)
+            })
+            .unwrap();
+        let violations = canonicalize_violations(found);
+        let by_id = crate::index::id_index(&ctx, expected.tuples());
+        let repair =
+            repair_dc_violations(&ctx, &schema, &rule, &violations, &by_id, &mut provenance)
+                .unwrap();
+        drop(by_id);
+        expected.apply_delta(&repair.delta).unwrap();
+
+        let outcome = engine.ingest_rows("cities", rows).unwrap();
+        assert_eq!(outcome.report.errors_repaired, repair.errors_detected);
+        let table = engine.table("cities").unwrap();
+        assert_eq!(table.tuples(), expected.tuples());
+        assert_eq!(
+            engine.provenance("cities").unwrap().dump(),
+            provenance.dump()
+        );
+        let key = ("cities".to_string(), rule.id.raw());
+        let maintained = engine.world.violation_indexes.get(&key).expect("cached");
+        assert!(maintained.is_current(table));
+        let fresh = MaintainedIndex::build(&schema, &rule, &plan, table).unwrap();
+        assert_eq!(maintained.partition_count(), fresh.partition_count());
+        let all: Vec<usize> = (0..table.len()).collect();
+        assert_eq!(
+            maintained
+                .detect_delta(&ctx, &schema, table.tuples(), &all)
+                .unwrap(),
+            fresh
+                .detect_delta(&ctx, &schema, table.tuples(), &all)
+                .unwrap()
+        );
+        outcome.report.errors_repaired
     }
 
     #[test]
     fn ingest_rows_cleans_incrementally_and_matches_rebuild_mode() {
-        let run = |mode: IncrementalMode| {
-            let mut engine = DaisyEngine::new(
-                DaisyConfig::default()
-                    .with_worker_threads(2)
-                    .with_cost_model(false)
-                    .with_incremental_detection(mode),
-            )
+        let mut engine = DaisyEngine::new(
+            DaisyConfig::default()
+                .with_worker_threads(2)
+                .with_cost_model(false),
+        )
+        .unwrap();
+        engine.register_table(cities_table());
+        engine
+            .add_constraint_text("phi", "t1.zip = t2.zip & t1.city != t2.city")
             .unwrap();
-            engine.register_table(cities_table());
-            engine
-                .add_constraint_text("phi", "t1.zip = t2.zip & t1.city != t2.city")
-                .unwrap();
-            let first = engine
-                .ingest_rows(
-                    "cities",
-                    vec![
-                        vec![Value::Int(10001), Value::from("Boston")],
-                        vec![Value::Int(777), Value::from("Quincy")],
-                    ],
-                )
-                .unwrap();
-            let second = engine
-                .ingest_rows("cities", vec![vec![Value::Int(777), Value::from("Milton")]])
-                .unwrap();
-            (first, second, engine)
-        };
-        let (on_1, on_2, on_engine) = run(IncrementalMode::On);
-        let (off_1, off_2, off_engine) = run(IncrementalMode::Off);
         // The new 10001 row conflicts with the existing cluster; the 777
         // rows conflict with each other only once the second batch lands.
-        assert!(on_1.report.errors_repaired > 0);
-        assert!(on_2.report.errors_repaired > 0);
-        // The knob changes the detection mechanism, never an output.
-        assert_eq!(on_1.report.errors_repaired, off_1.report.errors_repaired);
-        assert_eq!(on_2.report.errors_repaired, off_2.report.errors_repaired);
-        assert_eq!(
-            on_engine.table("cities").unwrap().tuples(),
-            off_engine.table("cities").unwrap().tuples()
+        let batches = [
+            vec![
+                vec![Value::Int(10001), Value::from("Boston")],
+                vec![Value::Int(777), Value::from("Quincy")],
+            ],
+            vec![vec![Value::Int(777), Value::from("Milton")]],
+        ];
+        for rows in batches {
+            assert!(ingest_matches_the_kernel(&mut engine, rows) > 0);
+        }
+        assert_eq!(engine.table("cities").unwrap().len(), 8);
+    }
+
+    #[test]
+    fn ingest_batch_larger_than_the_table_takes_the_rebuild_path() {
+        // A snapshot-backed table on a single key with a live index (built
+        // by a first, one-row ingest), then a batch larger than the table:
+        // the cost model prices rebuilding the index over the grown table
+        // below maintaining it, so detection takes the per-batch rebuild
+        // branch of `ingest_detect` — and must still match the kernel.
+        let on_key = |count: usize, city: &str| -> Vec<Vec<Value>> {
+            (0..count)
+                .map(|_| vec![Value::Int(1), Value::from(city)])
+                .collect()
+        };
+        let mut engine = DaisyEngine::new(
+            DaisyConfig::default()
+                .with_worker_threads(2)
+                .with_cost_model(false),
+        )
+        .unwrap();
+        engine.register_table(
+            Table::from_rows(
+                "cities",
+                cities_table().schema().as_ref().clone(),
+                on_key(SNAPSHOT_MIN_ROWS, "Springfield"),
+            )
+            .unwrap(),
         );
+        engine
+            .add_constraint_text("phi", "t1.zip = t2.zip & t1.city != t2.city")
+            .unwrap();
         assert_eq!(
-            on_engine.provenance("cities").unwrap().dump(),
-            off_engine.provenance("cities").unwrap().dump()
+            ingest_matches_the_kernel(&mut engine, on_key(1, "Springfield")),
+            0
         );
-        assert_eq!(on_engine.table("cities").unwrap().len(), 8);
-        // Under `On` the maintained index tracked every append and repair
-        // through the write path and is still current.
-        let table = on_engine.table("cities").unwrap();
-        let key = ("cities".to_string(), 0u64);
-        let index = on_engine
-            .world
-            .violation_indexes
-            .get(&key)
-            .expect("maintained index cached");
-        assert!(index.is_current(table));
-        assert!(off_engine.world.violation_indexes.is_empty());
+        assert!(engine.snapshot("cities").is_some());
+
+        let batch = SNAPSHOT_MIN_ROWS + 8;
+        let mut rows = on_key(batch - 3, "Springfield");
+        rows.extend(on_key(3, "Shelbyville"));
+        assert!(ingest_matches_the_kernel(&mut engine, rows) > 0);
+        // The decision `ingest_detect` made, from the same index statistics.
+        let key = (
+            "cities".to_string(),
+            engine.constraints().rules()[0].id.raw(),
+        );
+        let index = &engine.world.violation_indexes[&key];
+        let stats = KeyStatistics {
+            rows: index.rows(),
+            distinct: index.partition_count(),
+            max_group: index.max_partition_size(),
+        };
+        assert!(!DetectionEstimate::new(index.rows(), stats)
+            .with_columnar(true)
+            .prefers_incremental(batch));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod session;
 pub mod theta;
 pub mod world;
 
-pub use cost::{DetectionEstimate, DetectionMode};
+pub use cost::{DetectionEstimate, DetectionMode, DetectionStrategy};
 pub use durability::WorldSnapshot;
 pub use engine::{DaisyEngine, QueryOutcome};
 pub use fd_index::FdIndex;

@@ -14,12 +14,13 @@
 //! the physical operators of `daisy-query` and the cleaning operators of
 //! this crate.
 
-use daisy_common::{DaisyConfig, DetectionStrategy, Result, RuleId};
+use daisy_common::{DaisyConfig, Result, RuleId};
 use daisy_expr::{ConstraintSet, FunctionalDependency};
 use daisy_query::{Catalog, Query};
 
-use crate::cost::planned_detection;
+use crate::cost::{planned_detection, DetectionStrategy};
 use crate::relaxation::FilterTarget;
+use crate::world::SNAPSHOT_MIN_ROWS;
 
 /// Where a cleaning step is placed relative to the query operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,17 +46,17 @@ pub struct CleaningStep {
     pub filter_target: FilterTarget,
     /// Where the step sits in the plan.
     pub placement: CleaningPlacement,
-    /// The detection strategy for general-DC steps: the configured knob
-    /// refined by the rule's shape (constraints without an index plan, or
-    /// equality-free ones under `Auto`, are pinned to pairwise here; a
-    /// surviving `Auto` is resolved against key selectivity when the theta
-    /// matrix is built).  FD steps always detect via hash grouping, so the
-    /// field is informational for them.
+    /// The detection strategy for general-DC steps, from the rule's shape
+    /// ([`planned_detection`]: constraints without an index plan, or
+    /// equality-free ones, are pinned to pairwise here; a surviving `Auto`
+    /// is resolved against key selectivity when the theta matrix is
+    /// built).  FD steps always detect via hash grouping, so the field is
+    /// informational for them.
     pub detection: DetectionStrategy,
     /// `true` when the engine will run this step's detection over the
-    /// table's columnar snapshot (the [`SnapshotMode`](daisy_common::SnapshotMode)
-    /// knob resolved against the table size).  The theta build feeds this
-    /// into the detection cost model: the columnar index build is cheaper,
+    /// table's columnar snapshot, i.e. the table has at least
+    /// [`SNAPSHOT_MIN_ROWS`] rows.  The theta build feeds the snapshot into
+    /// the detection cost model: the columnar index build is cheaper,
     /// which can tip a borderline `Auto` towards the indexed kernel.
     pub snapshot: bool,
 }
@@ -111,8 +112,8 @@ impl CleaningPlan {
                     fd,
                     filter_target,
                     placement,
-                    detection: planned_detection(rule, config.detection_strategy),
-                    snapshot: config.snapshot_mode.enables(table.len()),
+                    detection: planned_detection(rule),
+                    snapshot: table.len() >= SNAPSHOT_MIN_ROWS,
                 });
             }
         }
@@ -150,7 +151,7 @@ fn classify_filter(query: &Query, fd: &FunctionalDependency) -> FilterTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_common::{DataType, Schema};
+    use daisy_common::{DataType, Schema, Value};
     use daisy_expr::DenialConstraint;
     use daisy_query::parse_query;
     use daisy_storage::Table;
@@ -240,47 +241,49 @@ mod tests {
     #[test]
     fn steps_carry_shape_refined_detection() {
         let (catalog, mut constraints) = setup();
-        // Equality-free inequality DC: pinned to pairwise even when the
-        // config asks for indexed-by-default behaviour via Auto.
+        // Equality-free inequality DC: pinned to pairwise.
         constraints.add(
             DenialConstraint::parse("dc", "t1.revenue < t2.revenue & t1.suppkey > t2.suppkey")
                 .unwrap(),
         );
-        let config = DaisyConfig::default().with_detection_strategy(DetectionStrategy::Auto);
+        let config = DaisyConfig::default();
         let q = parse_query("SELECT suppkey FROM lineorder WHERE revenue > 5").unwrap();
         let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
         let dc_step = plan.steps.iter().find(|s| s.fd.is_none()).unwrap();
         assert_eq!(dc_step.detection, DetectionStrategy::Pairwise);
-        // FD-shaped rules keep their equality key, so Auto survives.
+        // FD-shaped rules keep their equality key, so Auto survives for the
+        // cost model to resolve against the data.
         let fd_step = plan.steps.iter().find(|s| s.fd.is_some()).unwrap();
         assert_eq!(fd_step.detection, DetectionStrategy::Auto);
-
-        // Forcing a strategy flows through to every step with a plan.
-        let config = DaisyConfig::default().with_detection_strategy(DetectionStrategy::Indexed);
-        let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
-        assert!(plan
-            .steps
-            .iter()
-            .all(|s| s.detection == DetectionStrategy::Indexed));
     }
 
     #[test]
     fn steps_record_the_snapshot_decision() {
-        use daisy_common::SnapshotMode;
-        let (catalog, constraints) = setup();
+        let (mut catalog, constraints) = setup();
         let q = parse_query("SELECT suppkey FROM lineorder WHERE orderkey < 100").unwrap();
-        // Tiny catalog tables stay on the row path under Auto (pinned
-        // explicitly: the ambient DAISY_SNAPSHOT env may force a mode)…
-        let config = DaisyConfig::default().with_snapshot_mode(SnapshotMode::Auto);
-        let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
-        assert!(plan.steps.iter().all(|s| !s.snapshot));
-        // …but forcing the knob flips every step.
-        let config = DaisyConfig::default().with_snapshot_mode(SnapshotMode::On);
-        let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
-        assert!(plan.steps.iter().all(|s| s.snapshot));
-        let config = DaisyConfig::default().with_snapshot_mode(SnapshotMode::Off);
-        let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
-        assert!(plan.steps.iter().all(|s| !s.snapshot));
+        let config = DaisyConfig::default();
+        let plan_with_rows = |catalog: &mut Catalog, rows: usize| {
+            let schema = catalog.table("lineorder").unwrap().schema().clone();
+            let rows = (0..rows as i64)
+                .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(i)])
+                .collect();
+            catalog.add(Table::from_rows("lineorder", Schema::clone(&schema), rows).unwrap());
+            CleaningPlan::build(&q, &constraints, catalog, &config).unwrap()
+        };
+        // Tables below the size threshold stay on the row path; from the
+        // threshold on, every step reads through the snapshot.
+        for (rows, expected) in [
+            (0, false),
+            (SNAPSHOT_MIN_ROWS - 1, false),
+            (SNAPSHOT_MIN_ROWS, true),
+        ] {
+            let plan = plan_with_rows(&mut catalog, rows);
+            assert!(!plan.steps.is_empty());
+            assert!(
+                plan.steps.iter().all(|s| s.snapshot == expected),
+                "{rows} rows"
+            );
+        }
     }
 
     #[test]

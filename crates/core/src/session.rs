@@ -38,11 +38,11 @@
 //!    through the engine's `apply_delta_patching`/`absorb_delta` write
 //!    path);
 //! 2. otherwise consults the **commit log** — a bounded ring of recent
-//!    `(version, write Footprint, touched rules, staged deltas)` records —
-//!    when [footprint validation](daisy_common::config::CommitValidation)
-//!    is on: if no intervening commit advanced a `(table, rule)` cleaning
-//!    state this session touched, wrote a cell this session wrote
-//!    (write–write), or wrote a cell this session read, the session's
+//!    `(version, write Footprint, touched rules, staged deltas)` records
+//!    (footprint validation): if no intervening commit advanced a
+//!    `(table, rule)` cleaning state this session touched, wrote a cell
+//!    this session wrote (write–write), or wrote a cell this session read,
+//!    the session's
 //!    staged deltas are **rebased onto the current world in
 //!    `O(|delta|)`** — deltas re-applied, provenance grafted cell-by-cell,
 //!    derived rule state swapped in — with no re-execution at all;
@@ -52,19 +52,19 @@
 //!    session observed (byte-identical, candidate sets included), the
 //!    session's execution is provably unaffected and the `O(|delta|)`
 //!    install above still applies;
-//! 4. **rebases fully** only when the cheap checks fail (or under
-//!    version-only validation) — the session re-clones the now-current
-//!    shared world and replays its request log against it (still holding
-//!    the lock, so the replay cannot be invalidated), then installs.
+//! 4. **rebases fully** only when the cheap checks fail (or the ring does
+//!    not reach back to the session's branch point) — the session
+//!    re-clones the now-current shared world and replays its request log
+//!    against it (still holding the lock, so the replay cannot be
+//!    invalidated), then installs.
 //!
 //! Because every commit lands in a state byte-identical to what a serial
 //! execution would have produced, **any interleaving of sessions whose
 //! commits happen in a fixed order produces byte-identical tables, reports
 //! and provenance to replaying the same requests serially in that order**
-//! — at any validation mode and any worker count; the property the
-//! scheduler in `daisy-service` relies on and
-//! `tests/integration_service.rs` / `tests/integration_footprint.rs`
-//! enforce.  [`CommitReceipt::cause`] reports which path each commit took.
+//! — at any worker count; the property the scheduler in `daisy-service`
+//! relies on and `tests/integration_service.rs` /
+//! `tests/integration_footprint.rs` enforce.  [`CommitReceipt::cause`] reports which path each commit took.
 //!
 //! ```
 //! use daisy_core::DaisyEngine;
@@ -108,7 +108,7 @@ use std::sync::{Arc, Mutex};
 
 use daisy_common::{ColumnId, DaisyConfig, DaisyError, Result, TupleId, Value};
 use daisy_query::Query;
-use daisy_storage::{Delta, DeltaOverlay, Footprint, ProvenanceStore, Table};
+use daisy_storage::{ColumnSnapshot, Delta, Footprint, ProvenanceStore, Table};
 use daisy_wal::{LoggedCommit, PersistedWorld, RealVfs, Vfs, WalStats, WalStore};
 
 use crate::durability::{logged_commit, persisted_world, restore_world, WorldSnapshot};
@@ -344,8 +344,9 @@ impl EngineShared {
     /// reference-count bumps, independent of data size, and only the root
     /// pointer is taken under the commit mutex — which is what makes a
     /// per-request session handle viable.  Measured (`BENCH_service.json`,
-    /// `session_open_us`, 5 tables and 5 cached rules): 1.1 µs over a
-    /// 300-row hot table, 0.9 µs over 3 000 rows, 1.0 µs over 30 000.
+    /// `session_open_us`, 5 tables and 5 cached rules, best of 3 runs on a
+    /// 2-core host): 1.3 µs over a 300-row hot table, 1.2 µs over 3 000
+    /// rows, 1.7 µs over 30 000.
     pub fn session(self: &Arc<Self>) -> CleaningSession {
         self.session_named("anonymous")
     }
@@ -366,7 +367,6 @@ impl EngineShared {
         let mut engine = DaisyEngine::from_world(self.config.clone(), world)
             .expect("shared config was validated at construction");
         engine.set_record_deltas(true);
-        engine.set_record_footprints(self.config.commit_validation.uses_footprints());
         CleaningSession {
             shared: Arc::clone(self),
             engine,
@@ -419,8 +419,10 @@ pub enum CommitCause {
     /// semi-naive recheck found every such cell value-stable: same
     /// `O(|delta|)` install as [`CommitCause::FootprintClean`].
     DeltaRecheck,
-    /// Validation failed (or version-only validation saw any intervening
-    /// commit): the session's request log was replayed against the
+    /// Validation failed — a shared `(table, rule)` cleaning state, a
+    /// write–write overlap, an intervening append the session depends on,
+    /// a value-unstable read, or a branch point older than the commit
+    /// log reaches: the session's request log was replayed against the
     /// current world — the serial fallback.
     FullRebase,
 }
@@ -604,15 +606,19 @@ impl CleaningSession {
         self.engine.provenance(table)
     }
 
+    /// The session's private columnar snapshot of a table, if one is
+    /// maintained (see [`DaisyEngine::snapshot`]).
+    pub fn snapshot(&self, table: &str) -> Option<&ColumnSnapshot> {
+        self.engine.snapshot(table)
+    }
+
     /// The per-query cleaning reports accumulated since the last commit.
     pub fn report(&self) -> &SessionReport {
         self.engine.session()
     }
 
     /// The cells this session's queries consulted since the last commit —
-    /// the read half of footprint-based commit validation.  Empty unless
-    /// the configured [`CommitValidation`](daisy_common::CommitValidation)
-    /// records footprints.
+    /// the read half of footprint-based commit validation.
     pub fn read_footprint(&self) -> &Footprint {
         self.engine.reads()
     }
@@ -627,31 +633,6 @@ impl CleaningSession {
     /// publish.
     pub fn has_staged_changes(&self) -> bool {
         !self.engine.delta_log().is_empty()
-    }
-
-    /// The session's staged repairs for one table as a sparse
-    /// [`DeltaOverlay`] over the **shared** base table it branched from —
-    /// "what would this commit change?" without cloning either world.
-    ///
-    /// Reading a base tuple through the overlay
-    /// ([`DeltaOverlay::patched_tuple`]) yields exactly the session's
-    /// private state of that tuple, and overlay-aware predicate evaluation
-    /// (`CodedPredicate::eval_overlay` in `daisy-expr`) reads the shared
-    /// columnar snapshot with these patches on top.
-    ///
-    /// Fails if the shared table has been advanced past this session's
-    /// branch point by another commit (the overlay would mix worlds); a
-    /// fresh session or a commit resolves that.
-    pub fn staged_overlay(&self, table: &str) -> Result<DeltaOverlay> {
-        let base = self.shared.table(table)?;
-        self.verify_current()?;
-        let deltas = self
-            .engine
-            .delta_log()
-            .iter()
-            .filter(|(name, _)| name == table)
-            .map(|(_, delta)| delta);
-        DeltaOverlay::build(&base, deltas)
     }
 
     /// Publishes the session's world back into the shared core.
@@ -678,10 +659,8 @@ impl CleaningSession {
         let mut state = shared.lock();
         let cause = if state.version == self.base_version {
             CommitCause::Clean
-        } else if shared.config.commit_validation.uses_footprints() {
-            self.classify_conflict(&state)
         } else {
-            CommitCause::FullRebase
+            self.classify_conflict(&state)
         };
         if cause == CommitCause::FullRebase {
             // Re-execute the log against the now-current world while holding
@@ -782,7 +761,7 @@ impl CleaningSession {
         Ok(receipt)
     }
 
-    /// Decides, under footprint validation, which commit path a conflicted
+    /// Decides by footprint validation which commit path a conflicted
     /// session can take (the shared version is known to have advanced).
     fn classify_conflict(&self, state: &SharedState) -> CommitCause {
         // The ring must reach back to the session's branch point.
@@ -965,7 +944,7 @@ fn merge_world(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_common::{CommitValidation, DataType, IncrementalMode, Schema, SnapshotMode, Value};
+    use daisy_common::{DataType, Schema, Value};
     use daisy_expr::FunctionalDependency;
     use daisy_storage::Cell;
 
@@ -995,8 +974,8 @@ mod tests {
         engine.into_shared()
     }
 
-    /// A core over `t(key, rhs, note)`: ten keys of four rows each, the
-    /// groups of keys 0 and 5 dirty, warmed by one committed request (a
+    /// A core over `t(key, rhs, note)`: 64 keys of four rows each (256 rows,
+    /// the snapshot threshold), the groups of keys 0 and 5 dirty, warmed by one committed request (a
     /// clean one-row ingest plus a `SELECT` that repairs group 0) so the
     /// shared world owns a snapshot, a maintained violation index and
     /// provenance entries — one shared piece per component to check.
@@ -1007,7 +986,7 @@ mod tests {
             ("note", DataType::Str),
         ])
         .unwrap();
-        let rows = (0..40i64)
+        let rows = (0..4 * 64i64)
             .map(|i| {
                 let key = i / 4;
                 let dirty = (key == 0 || key == 5) && i % 4 == 1;
@@ -1018,14 +997,10 @@ mod tests {
                 ]
             })
             .collect();
-        // The environment may force any knob (the CI matrix does); pin the
-        // ones that decide whether the shared pieces exist at all.
         let mut engine = DaisyEngine::new(
             DaisyConfig::default()
                 .with_worker_threads(1)
-                .with_cost_model(false)
-                .with_snapshot_mode(SnapshotMode::On)
-                .with_incremental_detection(IncrementalMode::On),
+                .with_cost_model(false),
         )
         .unwrap();
         engine.register_table(Table::from_rows("t", schema, rows).unwrap());
@@ -1083,7 +1058,7 @@ mod tests {
                 );
                 untouched += usize::from(!touched.contains(&new.id));
             }
-            assert!(untouched >= 36);
+            assert!(untouched >= 252);
         };
         // In the session's private world, and — the commit being a pointer
         // swap — in the version it publishes.
@@ -1289,31 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_overlay_over_shared_base_equals_private_world() {
-        let shared = shared_cities();
-        let mut session = shared.session();
-        session
-            .execute_sql("SELECT zip FROM cities WHERE city = 'Los Angeles'")
-            .unwrap();
-        assert!(session.has_staged_changes());
-        let overlay = session.staged_overlay("cities").unwrap();
-        assert!(!overlay.is_empty());
-        // Invariant: shared base + overlay == the session's private table.
-        let base = shared.table("cities").unwrap();
-        for tuple in base.tuples() {
-            assert_eq!(
-                &overlay.patched_tuple(tuple),
-                session.table("cities").unwrap().tuple(tuple.id).unwrap()
-            );
-        }
-        // After another session commits, the overlay's base is gone.
-        let mut other = shared.session();
-        other.execute_sql("SELECT city FROM cities").unwrap();
-        other.commit().unwrap();
-        assert!(session.staged_overlay("cities").is_err());
-    }
-
-    #[test]
     fn failed_query_rolls_back_partial_repairs() {
         // The projection fails on an unknown column, but only *after* the
         // driving table was filtered and cleaned — the session must roll
@@ -1389,13 +1339,7 @@ mod tests {
         let mut engine = DaisyEngine::new(
             DaisyConfig::default()
                 .with_worker_threads(2)
-                .with_cost_model(false)
-                // Pinned: these tests assert footprint-specific causes and
-                // maintained-index carry-over, and must not flip when
-                // DAISY_COMMIT_VALIDATION=version or DAISY_INCREMENTAL=off
-                // is forced (e.g. by the CI knob matrix).
-                .with_commit_validation(CommitValidation::Footprint)
-                .with_incremental_detection(IncrementalMode::On),
+                .with_cost_model(false),
         )
         .unwrap();
         engine.register_table(Table::from_rows("east", schema.clone(), rows()).unwrap());
@@ -1421,9 +1365,7 @@ mod tests {
         let mut engine = DaisyEngine::new(
             DaisyConfig::default()
                 .with_worker_threads(2)
-                .with_cost_model(false)
-                // Pinned for the same reason as `shared_two_regions`.
-                .with_commit_validation(CommitValidation::Footprint),
+                .with_cost_model(false),
         )
         .unwrap();
         engine.register_table(table);
@@ -1586,7 +1528,6 @@ mod tests {
             DaisyConfig::default()
                 .with_worker_threads(2)
                 .with_cost_model(false)
-                .with_commit_validation(CommitValidation::Footprint)
                 .with_commit_log_capacity(capacity),
         )
         .unwrap();
@@ -1746,10 +1687,5 @@ mod tests {
             }
             other => panic!("expected StaleSession, got {other:?}"),
         }
-        // The overlay path surfaces the same typed error.
-        assert_eq!(
-            fresh.staged_overlay("cities").unwrap_err().category(),
-            "stale-session"
-        );
     }
 }

@@ -23,17 +23,17 @@
 //! block pairs.  Both kernels share the block bookkeeping (`checked`,
 //! pruning, `support`) and emit identical, canonically ordered violations;
 //! only `pairs_compared` — and the wall-clock time — differs.  The kernel is
-//! picked per matrix from the [`DetectionStrategy`] knob and the detection
-//! cost model ([`crate::cost::DetectionEstimate`]).
+//! picked per matrix from the constraint's shape and the detection cost
+//! model ([`crate::cost::DetectionEstimate`]).
 
 use std::collections::{HashMap, HashSet};
 
-use daisy_common::{DaisyError, DetectionStrategy, Result, Schema, Value};
+use daisy_common::{DaisyError, Result, Schema, Value};
 use daisy_exec::ExecContext;
 use daisy_expr::{DenialConstraint, IndexPlan, Operand, Violation};
 use daisy_storage::{ColumnSnapshot, Tuple};
 
-use crate::cost::{planned_detection, DetectionEstimate, DetectionMode};
+use crate::cost::{refine_detection, DetectionEstimate, DetectionMode, DetectionStrategy};
 use crate::index::{canonicalize_violations, ViolationIndex};
 
 /// Per-block bounds of one attribute.
@@ -174,12 +174,11 @@ pub struct ThetaMatrix {
 
 impl ThetaMatrix {
     /// Builds the matrix over `tuples` with `blocks_per_side` partitions per
-    /// axis, resolving the detection kernel from the [`DETECTION_ENV`]
-    /// override (defaulting to [`DetectionStrategy::Auto`]).  The partition
-    /// attribute is the column of the first predicate's left operand; it
-    /// must be numeric for range pruning to be meaningful.
-    ///
-    /// [`DETECTION_ENV`]: daisy_common::DETECTION_ENV
+    /// axis, letting the engine's choice pick the detection kernel: the
+    /// constraint's shape first ([`crate::cost::planned_detection`]), then
+    /// the detection cost model over the equality key's selectivity.  The
+    /// partition attribute is the column of the first predicate's left
+    /// operand; it must be numeric for range pruning to be meaningful.
     pub fn build(
         schema: &Schema,
         tuples: &[Tuple],
@@ -191,7 +190,7 @@ impl ThetaMatrix {
             tuples,
             constraint,
             blocks_per_side,
-            DetectionStrategy::from_env().unwrap_or_default(),
+            DetectionStrategy::Auto,
         )
     }
 
@@ -298,11 +297,11 @@ impl ThetaMatrix {
             }
         }
         let plan = constraint.index_plan();
-        let mode = match planned_detection(constraint, strategy) {
+        let mode = match refine_detection(constraint, strategy) {
             DetectionStrategy::Pairwise => DetectionMode::Pairwise,
             DetectionStrategy::Indexed => DetectionMode::Indexed,
             DetectionStrategy::Auto => {
-                // `planned_detection` only leaves `Auto` standing when the
+                // `refine_detection` only leaves `Auto` standing when the
                 // plan has an equality key; measure its selectivity and let
                 // the cost model decide.  Both statistics paths count the
                 // same composite keys; the snapshot one just skips the

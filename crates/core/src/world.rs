@@ -54,6 +54,10 @@ use crate::fd_index::FdIndex;
 use crate::index::MaintainedIndex;
 use crate::theta::ThetaMatrix;
 
+/// Tables with at least this many rows carry a maintained columnar
+/// snapshot; smaller ones never recoup its build and stay on the row path.
+pub const SNAPSHOT_MIN_ROWS: usize = 256;
+
 /// The key under which per-rule derived structures are cached: the table
 /// name plus the raw rule id.
 pub(crate) type RuleKey = (String, u64);

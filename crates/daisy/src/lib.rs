@@ -80,8 +80,7 @@ pub use daisy_wal as wal;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use daisy_common::{
-        CommitValidation, DaisyConfig, DataType, DurabilityMode, Field, QueryExecMode, Schema,
-        ServiceFairness, Value,
+        DaisyConfig, DataType, DurabilityMode, Field, Schema, ServiceFairness, Value,
     };
     pub use daisy_core::{
         CleaningReport, CleaningSession, CleaningStrategy, CommitCause, CommitReceipt, DaisyEngine,

@@ -3,7 +3,7 @@
 //!
 //! The row path evaluates a [`DcPredicate`] by resolving each operand's
 //! column name through the schema and cloning a
-//! [`Value`] out of a tuple — per candidate pair, per
+//! [`Value`](daisy_common::Value) out of a tuple — per candidate pair, per
 //! predicate.  When detection runs over a
 //! [`ColumnSnapshot`], a predicate is instead resolved **once** into a
 //! [`CodedPredicate`]: column names become column indices, constants become
@@ -29,7 +29,7 @@
 
 use std::cmp::Ordering;
 
-use daisy_common::{DaisyError, Result, Schema, Value};
+use daisy_common::{DaisyError, Result, Schema};
 use daisy_storage::{CodedCandidate, CodedCandidates, ColumnCode, ColumnSnapshot, ConstProbe};
 
 use crate::constraint::{DcPredicate, Operand};
@@ -61,11 +61,6 @@ pub struct CodedPredicate {
     /// is then row-independent and probes cannot express inexact-vs-inexact
     /// string comparisons faithfully).
     const_result: Option<bool>,
-    /// The original constant operand values, kept so the overlay-aware read
-    /// path ([`CodedPredicate::eval_overlay`]) can fall back to exact
-    /// `Value` comparisons for patched cells.
-    left_const: Option<Value>,
-    right_const: Option<Value>,
 }
 
 impl CodedPredicate {
@@ -100,17 +95,11 @@ impl CodedPredicate {
             (Operand::Const(l), Operand::Const(r)) => Some(pred.op.eval(l, r)),
             _ => None,
         };
-        let const_value = |operand: &Operand| match operand {
-            Operand::Const(v) => Some(v.clone()),
-            Operand::Attr { .. } => None,
-        };
         Ok(CodedPredicate {
             op: pred.op,
             left,
             right,
             const_result,
-            left_const: const_value(&pred.left),
-            right_const: const_value(&pred.right),
         })
     }
 
@@ -132,50 +121,6 @@ impl CodedPredicate {
         let right = fetch(&self.right);
         self.op
             .eval_parts(left.is_null(), right.is_null(), || left.total_cmp(right))
-    }
-
-    /// Evaluates the predicate for the binding `(t1 = rows[0], t2 =
-    /// rows[1])` over the snapshot, with an **uncommitted overlay** on top:
-    /// `patched(binding, column)` returns the staged expected value of a
-    /// cell when a pending delta overrides it (e.g. via
-    /// [`DeltaOverlay::expected_value`](daisy_storage::DeltaOverlay::expected_value)),
-    /// `None` to read the snapshot.
-    ///
-    /// Clean bindings take the coded fast path ([`CodedPredicate::eval`]);
-    /// as soon as a referenced cell is patched the evaluation falls back to
-    /// exact `Value` comparisons ([`ComparisonOp::eval`]) for that pair —
-    /// the two paths share their NULL/ordering semantics, so the result is
-    /// byte-identical to rebuilding the snapshot with the overlay applied
-    /// (pinned down by the differential test in this module).
-    pub fn eval_overlay(
-        &self,
-        snapshot: &ColumnSnapshot,
-        rows: [usize; 2],
-        patched: &dyn Fn(usize, usize) -> Option<Value>,
-    ) -> bool {
-        if let Some(fixed) = self.const_result {
-            return fixed;
-        }
-        let patch_of = |operand: &CodedOperand| match operand {
-            CodedOperand::Cell { tuple, column } => patched(*tuple, *column),
-            CodedOperand::Const(_) => None,
-        };
-        let (left_patch, right_patch) = (patch_of(&self.left), patch_of(&self.right));
-        if left_patch.is_none() && right_patch.is_none() {
-            return self.eval(snapshot, rows);
-        }
-        let value_of =
-            |operand: &CodedOperand, patch: Option<Value>, side: &Option<Value>| match operand {
-                CodedOperand::Cell { tuple, column } => {
-                    patch.unwrap_or_else(|| snapshot.value(rows[*tuple], *column))
-                }
-                CodedOperand::Const(_) => side
-                    .clone()
-                    .expect("const operands store their value at resolve"),
-            };
-        let l = value_of(&self.left, left_patch, &self.left_const);
-        let r = value_of(&self.right, right_patch, &self.right_const);
-        self.op.eval(&l, &r)
     }
 }
 
@@ -389,75 +334,6 @@ mod tests {
                             let row = pred.eval(schema, &[t1, t2]).unwrap();
                             let col = coded.eval(&snapshot, [i, j]);
                             assert_eq!(row, col, "`{pred}` diverged on rows ({i}, {j})");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Overlay-aware reads must be byte-identical to materialising the
-    /// patched table and rebuilding its snapshot — including patches that
-    /// intern strings the base dictionary has never seen, NULL out a cell,
-    /// or change a value's type-coercion class.
-    #[test]
-    fn overlay_eval_matches_materialised_snapshot() {
-        let base = table();
-        let snapshot = ColumnSnapshot::build(&base).unwrap();
-        let schema = base.schema();
-        // Staged (uncommitted) cell patches: (row, column) → new value.
-        let patches: Vec<((usize, usize), Value)> = vec![
-            ((0, 1), Value::from("Miami")), // new dictionary string
-            ((1, 2), Value::Float(0.75)),   // NaN → finite
-            ((2, 0), Value::Int(9001)),     // NULL → value
-            ((3, 1), Value::Null),          // value → NULL
-        ];
-        // Ground truth: a materialised table with the patches applied.
-        let mut patched_table = base.clone();
-        for ((row, col), value) in &patches {
-            let id = patched_table.tuples()[*row].id;
-            *patched_table.tuple_mut(id).unwrap().cell_mut(*col).unwrap() =
-                daisy_storage::Cell::Determinate(value.clone());
-        }
-        let patched_snapshot = ColumnSnapshot::build(&patched_table).unwrap();
-
-        let ops = [
-            ComparisonOp::Eq,
-            ComparisonOp::Neq,
-            ComparisonOp::Lt,
-            ComparisonOp::Le,
-            ComparisonOp::Gt,
-            ComparisonOp::Ge,
-        ];
-        let operands = [
-            Operand::attr(0, "zip"),
-            Operand::attr(0, "city"),
-            Operand::attr(1, "rate"),
-            Operand::attr(1, "city"),
-            Operand::Const(Value::from("Miami")),
-            Operand::Const(Value::Int(9001)),
-            Operand::Const(Value::Null),
-        ];
-        for left in &operands {
-            for right in &operands {
-                for op in ops {
-                    let pred = DcPredicate::new(left.clone(), op, right.clone());
-                    let coded = CodedPredicate::resolve(&pred, schema, &snapshot).unwrap();
-                    let truth = CodedPredicate::resolve(&pred, schema, &patched_snapshot).unwrap();
-                    for i in 0..base.len() {
-                        for j in 0..base.len() {
-                            let overlay_read = |binding: usize, column: usize| {
-                                let row = [i, j][binding];
-                                patches
-                                    .iter()
-                                    .find(|((r, c), _)| *r == row && *c == column)
-                                    .map(|(_, v)| v.clone())
-                            };
-                            assert_eq!(
-                                coded.eval_overlay(&snapshot, [i, j], &overlay_read),
-                                truth.eval(&patched_snapshot, [i, j]),
-                                "`{pred}` diverged on rows ({i}, {j})"
-                            );
                         }
                     }
                 }

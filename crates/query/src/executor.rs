@@ -1,15 +1,17 @@
-//! Plan execution: a row path and a vectorized batch-at-a-time path.
+//! Plan execution: one executor that vectorizes where it can.
 //!
-//! The row path walks the plan materialising `Vec<Tuple>` between
-//! operators.  The vectorized path keeps scans and filters as
+//! Scans whose table has a current columnar snapshot attached to the
+//! catalog run batch-at-a-time: scans and filters stay
 //! `(table, snapshot, selection)` batches — sorted position lists over the
-//! table's columnar snapshot — and only materialises tuples at the final
-//! `project`/`aggregate` (or at a join output).  Both paths produce
-//! byte-identical results; [`QueryExecMode`] picks between them.
+//! snapshot — and tuples are only materialised at the final
+//! `project`/`aggregate` (or at a join output).  Every other scan
+//! materialises its tuples and runs the row kernels.  Both kinds of
+//! subtree produce byte-identical results, so whether a catalog carries
+//! snapshots only changes wall-clock time.
 
 use std::sync::Arc;
 
-use daisy_common::{QueryExecMode, Result, Schema};
+use daisy_common::{Result, Schema};
 use daisy_exec::ExecContext;
 use daisy_storage::{ColumnSnapshot, Table, Tuple};
 
@@ -28,47 +30,19 @@ use crate::result::QueryResult;
 /// fixes keep tuples in play; the "dirty baseline" (what a cleaning-unaware
 /// engine would return) runs with [`PredicateMode::Expected`].
 ///
-/// The execution path honours the `DAISY_QUERY_EXEC` environment override
-/// and otherwise vectorizes per scanned table whenever a current snapshot
-/// is attached to the catalog; use [`execute_with`] to force a path.
+/// Exactly the scans whose catalog snapshot is current are vectorized
+/// ([`Catalog::refresh_snapshot`] attaches one); the rest stay on the row
+/// path.  The result is the same either way.
 pub fn execute(
     ctx: &ExecContext,
     catalog: &Catalog,
     plan: &LogicalPlan,
     mode: PredicateMode,
 ) -> Result<QueryResult> {
-    execute_with(
-        ctx,
-        catalog,
-        plan,
-        mode,
-        QueryExecMode::from_env().unwrap_or_default(),
-    )
-}
-
-/// [`execute`] with an explicit execution path.
-///
-/// `Row` forces tuple-at-a-time execution; `Vectorized` forces the batch
-/// path, building ad-hoc snapshots for tables without a current one; `Auto`
-/// vectorizes exactly the scans whose catalog snapshot is current and keeps
-/// the rest on the row path.  All three return byte-identical results.
-pub fn execute_with(
-    ctx: &ExecContext,
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    mode: PredicateMode,
-    exec: QueryExecMode,
-) -> Result<QueryResult> {
     // Operator-construction validation: join keys are checked against the
     // schemas the plan will produce before anything runs.
     validate_plan(catalog, plan)?;
-    let (schema, tuples) = match exec {
-        QueryExecMode::Row => execute_node(ctx, catalog, plan, mode)?,
-        QueryExecMode::Auto | QueryExecMode::Vectorized => {
-            let forced = exec == QueryExecMode::Vectorized;
-            execute_vectorized(ctx, catalog, plan, mode, forced)?.materialize()
-        }
-    };
+    let (schema, tuples) = execute_vectorized(ctx, catalog, plan, mode)?.materialize();
     Ok(QueryResult::new(schema, tuples))
 }
 
@@ -157,18 +131,12 @@ fn execute_vectorized(
     catalog: &Catalog,
     plan: &LogicalPlan,
     mode: PredicateMode,
-    forced: bool,
 ) -> Result<Batch> {
     match plan {
         LogicalPlan::Scan { table } => {
             let t = catalog.shared(table)?;
             let schema = Arc::new(t.schema().qualify(table));
-            let snapshot = match catalog.current_snapshot(table) {
-                Some(snapshot) => Some(snapshot),
-                None if forced => Some(Arc::new(ColumnSnapshot::build(&t)?)),
-                None => None,
-            };
-            Ok(match snapshot {
+            Ok(match catalog.current_snapshot(table) {
                 Some(snapshot) => Batch::Pending {
                     selection: (0..t.len()).collect(),
                     snapshot,
@@ -182,7 +150,7 @@ fn execute_vectorized(
             })
         }
         LogicalPlan::Filter { input, predicate } => {
-            match execute_vectorized(ctx, catalog, input, mode, forced)? {
+            match execute_vectorized(ctx, catalog, input, mode)? {
                 Batch::Pending {
                     table,
                     snapshot,
@@ -211,7 +179,7 @@ fn execute_vectorized(
             }
         }
         LogicalPlan::Project { input, columns } => {
-            match execute_vectorized(ctx, catalog, input, mode, forced)? {
+            match execute_vectorized(ctx, catalog, input, mode)? {
                 Batch::Pending {
                     table,
                     schema,
@@ -246,8 +214,7 @@ fn execute_vectorized(
             group_by,
             aggregates,
         } => {
-            let (schema, tuples) =
-                execute_vectorized(ctx, catalog, input, mode, forced)?.materialize();
+            let (schema, tuples) = execute_vectorized(ctx, catalog, input, mode)?.materialize();
             let (schema, tuples) = aggregate(ctx, &schema, &tuples, group_by, aggregates)?;
             Ok(Batch::Rows { schema, tuples })
         }
@@ -257,8 +224,8 @@ fn execute_vectorized(
             left_key,
             right_key,
         } => {
-            let left_batch = execute_vectorized(ctx, catalog, left, mode, forced)?;
-            let right_batch = execute_vectorized(ctx, catalog, right, mode, forced)?;
+            let left_batch = execute_vectorized(ctx, catalog, left, mode)?;
+            let right_batch = execute_vectorized(ctx, catalog, right, mode)?;
             let out = match right_batch {
                 Batch::Pending {
                     table: right_table,
@@ -316,59 +283,6 @@ fn execute_vectorized(
                 schema: out.schema,
                 tuples: out.tuples,
             })
-        }
-    }
-}
-
-fn execute_node(
-    ctx: &ExecContext,
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    mode: PredicateMode,
-) -> Result<(Arc<Schema>, Vec<Tuple>)> {
-    match plan {
-        LogicalPlan::Scan { table } => {
-            let t = catalog.table(table)?;
-            // Qualify the schema with the table name so joined schemas are
-            // unambiguous while unqualified lookups still resolve.
-            let schema = Arc::new(t.schema().qualify(table));
-            Ok((schema, t.tuples().to_vec()))
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            let (schema, tuples) = execute_node(ctx, catalog, input, mode)?;
-            let filtered = filter_tuples(ctx, &schema, &tuples, predicate, mode)?;
-            Ok((schema, filtered))
-        }
-        LogicalPlan::Project { input, columns } => {
-            let (schema, tuples) = execute_node(ctx, catalog, input, mode)?;
-            project(&schema, &tuples, columns)
-        }
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let (schema, tuples) = execute_node(ctx, catalog, input, mode)?;
-            aggregate(ctx, &schema, &tuples, group_by, aggregates)
-        }
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => {
-            let (left_schema, left_tuples) = execute_node(ctx, catalog, left, mode)?;
-            let (right_schema, right_tuples) = execute_node(ctx, catalog, right, mode)?;
-            let out = hash_join(
-                ctx,
-                &left_schema,
-                &left_tuples,
-                &right_schema,
-                &right_tuples,
-                left_key,
-                right_key,
-            )?;
-            Ok((out.schema, out.tuples))
         }
     }
 }
@@ -473,10 +387,18 @@ mod tests {
         out
     }
 
+    /// A copy of the fixture catalog with current snapshots attached, so
+    /// every scan over it is vectorized.
+    fn vectorized_catalog() -> Catalog {
+        let mut cat = catalog();
+        cat.refresh_snapshot("cities").unwrap();
+        cat.refresh_snapshot("employees").unwrap();
+        cat
+    }
+
     /// Every SQL fixture must return byte-identical results on the row path
-    /// and the vectorized path — with snapshots attached (Auto vectorizes)
-    /// and without (Vectorized builds ad-hoc snapshots) — across predicate
-    /// modes and worker counts.
+    /// (no snapshot attached) and the vectorized path (current snapshots
+    /// attached), across predicate modes and worker counts.
     #[test]
     fn vectorized_path_matches_row_path_on_sql_fixtures() {
         let queries = [
@@ -489,35 +411,21 @@ mod tests {
              JOIN employees ON cities.zip = employees.zip",
             "SELECT zip, COUNT(*) FROM cities GROUP BY zip",
         ];
-        for attach_snapshots in [false, true] {
-            let mut cat = catalog();
-            if attach_snapshots {
-                cat.refresh_snapshot("cities").unwrap();
-                cat.refresh_snapshot("employees").unwrap();
-            }
-            for sql in &queries {
-                let q = parse_query(sql).unwrap();
-                let plan = LogicalPlan::from_query(&q).unwrap();
-                for mode in [PredicateMode::Expected, PredicateMode::Possible] {
-                    let row = execute_with(
-                        &ExecContext::sequential(),
-                        &cat,
-                        &plan,
-                        mode,
-                        QueryExecMode::Row,
-                    )
-                    .unwrap();
-                    for workers in [1usize, 2, 4, 7] {
-                        let ctx = ExecContext::new(workers);
-                        for exec in [QueryExecMode::Auto, QueryExecMode::Vectorized] {
-                            let vec = execute_with(&ctx, &cat, &plan, mode, exec).unwrap();
-                            assert_eq!(
-                                dump(&row),
-                                dump(&vec),
-                                "`{sql}` diverged ({mode:?}, {exec}, {workers} workers, \
-                                 snapshots={attach_snapshots})"
-                            );
-                        }
+        let (rows, vectorized) = (catalog(), vectorized_catalog());
+        for sql in &queries {
+            let q = parse_query(sql).unwrap();
+            let plan = LogicalPlan::from_query(&q).unwrap();
+            for mode in [PredicateMode::Expected, PredicateMode::Possible] {
+                let row = execute(&ExecContext::sequential(), &rows, &plan, mode).unwrap();
+                for workers in [1usize, 2, 4, 7] {
+                    let ctx = ExecContext::new(workers);
+                    for (path, cat) in [("row", &rows), ("vectorized", &vectorized)] {
+                        let got = execute(&ctx, cat, &plan, mode).unwrap();
+                        assert_eq!(
+                            dump(&row),
+                            dump(&got),
+                            "`{sql}` diverged ({mode:?}, {path}, {workers} workers)"
+                        );
                     }
                 }
             }
@@ -528,19 +436,14 @@ mod tests {
     /// runs — and raises the typed error on every execution path.
     #[test]
     fn unknown_join_key_is_a_typed_plan_error_on_all_paths() {
-        let cat = catalog();
         let ctx = ExecContext::sequential();
         let q = parse_query(
             "SELECT cities.zip FROM cities JOIN employees ON cities.zip = employees.postcode",
         )
         .unwrap();
         let plan = LogicalPlan::from_query(&q).unwrap();
-        for exec in [
-            QueryExecMode::Row,
-            QueryExecMode::Auto,
-            QueryExecMode::Vectorized,
-        ] {
-            let err = execute_with(&ctx, &cat, &plan, PredicateMode::Possible, exec).unwrap_err();
+        for cat in [catalog(), vectorized_catalog()] {
+            let err = execute(&ctx, &cat, &plan, PredicateMode::Possible).unwrap_err();
             match err {
                 daisy_common::DaisyError::UnknownJoinColumn { side, column } => {
                     assert_eq!(side, "right");

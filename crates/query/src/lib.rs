@@ -25,7 +25,7 @@ pub mod result;
 
 pub use ast::{AggregateFunc, Query, SelectItem};
 pub use catalog::Catalog;
-pub use executor::{execute, execute_with};
+pub use executor::execute;
 pub use logical::LogicalPlan;
 pub use parser::parse_query;
 pub use result::QueryResult;

@@ -37,7 +37,6 @@ pub mod cell;
 pub mod csv;
 pub mod delta;
 pub mod footprint;
-pub mod overlay;
 pub mod provenance;
 pub mod snapshot;
 pub mod statistics;
@@ -48,7 +47,6 @@ pub mod worlds;
 pub use cell::{Candidate, CandidateValue, Cell};
 pub use delta::{CellUpdate, Delta, RowAppend};
 pub use footprint::{Footprint, RowSet, TableFootprint};
-pub use overlay::DeltaOverlay;
 pub use provenance::{CellProvenance, ProvenanceStore, RuleEvidence};
 pub use snapshot::{
     CodedCandidate, CodedCandidates, ColumnCode, ColumnSnapshot, ConstProbe, StringDictionary,

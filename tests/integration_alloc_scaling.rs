@@ -18,7 +18,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use daisy::common::{IncrementalMode, SnapshotMode};
 use daisy::prelude::*;
 
 struct CountingAllocator;
@@ -117,19 +116,11 @@ fn request(shared: &std::sync::Arc<EngineShared>, fresh_key: i64, low_key: i64) 
 /// Allocations of the second request against a `rows`-row `hot` (the first
 /// builds the snapshot, the FD index and the maintained violation index).
 fn allocations_of_one_request(rows: usize) -> usize {
-    // Every knob the environment can force (the CI matrix forces them all)
-    // is pinned: this test measures the default paths, and the rebuild-
-    // per-batch and snapshot-less paths it would otherwise be switched to
-    // are O(table) by design.
     let mut engine = DaisyEngine::new(
         DaisyConfig::default()
             .with_worker_threads(1)
             .with_data_partitions(1)
-            .with_cost_model(false)
-            .with_snapshot_mode(SnapshotMode::Auto)
-            .with_incremental_detection(IncrementalMode::Auto)
-            .with_query_exec(QueryExecMode::Auto)
-            .with_commit_validation(CommitValidation::Auto),
+            .with_cost_model(false),
     )
     .unwrap();
     engine.register_table(hot(rows));

@@ -5,16 +5,24 @@
 //! inequality and residual predicates, the hash-equality / sort-sweep
 //! violation index must find exactly the violation set of a brute-force
 //! quadratic scan — in full checks and in incremental (range) checks, and
-//! identically to the forced-pairwise theta kernel.
+//! identically to the pairwise theta kernel; and the engine, which picks
+//! its kernel and read path itself, must repair exactly what the oracle's
+//! violations call for, and across a range request exactly what the
+//! pairwise kernel repairs.
 
 use proptest::prelude::*;
 
-use daisy::common::{DaisyConfig, DataType, DetectionStrategy, Schema, SnapshotMode, Value};
+use std::sync::Arc;
+
+use daisy::common::{DaisyConfig, DataType, Schema, Value};
+use daisy::core::accuracy::{estimate_accuracy, CleaningDecision};
+use daisy::core::clean_dc::repair_dc_violations;
+use daisy::core::index::id_index;
 use daisy::core::theta::ThetaMatrix;
-use daisy::core::DaisyEngine;
+use daisy::core::{DaisyEngine, DetectionStrategy};
 use daisy::exec::ExecContext;
 use daisy::expr::{ComparisonOp, DcPredicate, DenialConstraint, Operand, Violation};
-use daisy::storage::{ColumnSnapshot, Table, Tuple};
+use daisy::storage::{ColumnSnapshot, ProvenanceStore, Table};
 
 /// Builds a three-column table: `a` is a low-cardinality grouping column,
 /// `b` a numeric column, `c` a float column with occasional NULLs so the
@@ -102,6 +110,69 @@ fn check_all(
         .check_all(&ExecContext::new(2), table.schema(), table.tuples())
         .unwrap();
     violations
+}
+
+/// The engine's incremental flow on table `t` — `SELECT … WHERE a <=
+/// split`, then the whole table — replayed on the pairwise theta kernel
+/// with the block layout and accuracy threshold of `config`: per request, the range check over the
+/// blocks the answer spans on the partition attribute `a` (the full check
+/// when the accuracy estimate asks for it), then the repair, on one matrix
+/// whose checked block pairs carry over to the next request.  Returns
+/// each request's error count and the table and provenance after it.
+fn pairwise_range_then_full(
+    config: &DaisyConfig,
+    table: &Table,
+    dc: &DenialConstraint,
+    split: i64,
+) -> Vec<(usize, Table, ProvenanceStore)> {
+    let ctx = ExecContext::new(2);
+    let schema = Arc::new(table.schema().qualify("t"));
+    let mut matrix = ThetaMatrix::build_with_strategy(
+        &schema,
+        table.tuples(),
+        dc,
+        config.theta_blocks_per_side(),
+        DetectionStrategy::Pairwise,
+    )
+    .unwrap();
+    let mut current = table.clone();
+    let mut provenance = ProvenanceStore::default();
+    let mut after = Vec::new();
+    for bound in [Some(Value::Int(split)), None] {
+        let mut low: Option<Value> = None;
+        let mut high: Option<Value> = None;
+        let mut answer = 0;
+        for tuple in current.tuples() {
+            let a = tuple.value(0).unwrap();
+            if bound.as_ref().is_some_and(|b| &a > b) {
+                continue;
+            }
+            answer += 1;
+            low = Some(low.map_or(a.clone(), |l| Value::min_of(l, a.clone())));
+            high = Some(high.map_or(a.clone(), |h| Value::max_of(h, a)));
+        }
+        let estimate = estimate_accuracy(
+            &matrix,
+            answer,
+            low.as_ref(),
+            high.as_ref(),
+            config.accuracy_threshold,
+        );
+        let (violations, _) = if estimate.decision == CleaningDecision::Full {
+            matrix.check_all(&ctx, &schema, current.tuples()).unwrap()
+        } else {
+            matrix
+                .check_range(&ctx, &schema, current.tuples(), low.as_ref(), high.as_ref())
+                .unwrap()
+        };
+        let by_id = id_index(&ctx, current.tuples());
+        let repair =
+            repair_dc_violations(&ctx, &schema, dc, &violations, &by_id, &mut provenance).unwrap();
+        drop(by_id);
+        current.apply_delta(&repair.delta).unwrap();
+        after.push((repair.errors_detected, current.clone(), provenance.clone()));
+    }
+    after
 }
 
 proptest! {
@@ -206,53 +277,75 @@ proptest! {
         }
     }
 
-    /// End-to-end engine sessions: the same workload replayed under every
-    /// `DAISY_SNAPSHOT ∈ {on, off}` × `DAISY_DETECTION ∈ {pairwise,
-    /// indexed}` combination must produce byte-identical query results,
-    /// repaired tables (i.e. applied deltas) and provenance dumps.
+    /// End-to-end engine over random tables of up to 300 rows, in every
+    /// mode the engine picks for itself: small tables on the row path and
+    /// the pairwise kernel, large ones with a snapshot and whichever kernel
+    /// the cost model picks.  A whole-table cleaning query repairs exactly
+    /// what repairing the brute-force oracle's violations produces — same
+    /// answer, repaired table, provenance and error count — and the
+    /// incremental flow (a range query on the partition attribute, then
+    /// the whole table) repairs exactly what the same two requests repair
+    /// on the pairwise theta kernel.
     #[test]
     fn engine_sessions_agree_across_snapshot_and_detection_modes(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 8..50),
+        copies in 1i64..7,
         split in 0i64..6,
     ) {
-        let table = table_from_rows(&rows);
-        let sql_first = format!("SELECT a, b, c FROM t WHERE a <= {split}");
-        let run = |snapshot: SnapshotMode, detection: DetectionStrategy| {
-            let mut engine = DaisyEngine::new(
-                DaisyConfig::default()
-                    .with_worker_threads(2)
-                    .with_cost_model(false)
-                    .with_theta_partitions(16)
-                    .with_snapshot_mode(snapshot)
-                    .with_detection_strategy(detection),
-            )
-            .unwrap();
+        // Copies shift the grouping column, so they never violate each
+        // other and the equality key stays selective as the table grows.
+        let tiled: Vec<(i64, i64, i64)> = (0..copies)
+            .flat_map(|k| rows.iter().map(move |&(a, b, c)| (a + 6 * k, b, c)))
+            .collect();
+        let table = table_from_rows(&tiled);
+        let config = DaisyConfig::default()
+            .with_worker_threads(2)
+            .with_cost_model(false)
+            .with_theta_partitions(16);
+        let engine = || {
+            let mut engine = DaisyEngine::new(config.clone()).unwrap();
             engine.register_table(table.clone());
             engine
                 .add_constraint_text("dc", "t1.a = t2.a & t1.b < t2.b & t1.c > t2.c")
                 .unwrap();
-            let first = engine.execute_sql(&sql_first).unwrap();
-            let second = engine.execute_sql("SELECT a, b, c FROM t").unwrap();
-            let final_table: Vec<Tuple> = engine.table("t").unwrap().tuples().to_vec();
-            let prov = engine.provenance("t").unwrap().dump();
-            (
-                first.result.tuples,
-                second.result.tuples,
-                first.report.errors_repaired + second.report.errors_repaired,
-                final_table,
-                prov,
-            )
+            engine
         };
-        let baseline = run(SnapshotMode::Off, DetectionStrategy::Pairwise);
-        for snapshot in [SnapshotMode::Off, SnapshotMode::On] {
-            for detection in [DetectionStrategy::Pairwise, DetectionStrategy::Indexed] {
-                let replay = run(snapshot, detection);
-                prop_assert!(
-                    replay == baseline,
-                    "session diverged under snapshot={snapshot} detection={detection}"
-                );
-            }
+
+        let mut whole = engine();
+        let outcome = whole.execute_sql("SELECT a, b, c FROM t").unwrap();
+        let dc = whole.constraints().rules()[0].clone();
+        let violations = oracle(&table, &dc);
+        let ctx = ExecContext::new(2);
+        let schema = Arc::new(table.schema().qualify("t"));
+        let by_id = id_index(&ctx, table.tuples());
+        let mut provenance = ProvenanceStore::default();
+        let repair =
+            repair_dc_violations(&ctx, &schema, &dc, &violations, &by_id, &mut provenance)
+                .unwrap();
+        drop(by_id);
+        let mut expected = table.clone();
+        expected.apply_delta(&repair.delta).unwrap();
+
+        prop_assert_eq!(whole.snapshot("t").is_some(), tiled.len() >= 256);
+        prop_assert_eq!(outcome.report.errors_repaired, repair.errors_detected);
+        prop_assert_eq!(&outcome.result.tuples[..], expected.tuples());
+        prop_assert_eq!(whole.table("t").unwrap().tuples(), expected.tuples());
+        prop_assert_eq!(whole.provenance("t").unwrap().dump(), provenance.dump());
+
+        let mut incremental = engine();
+        let reference = pairwise_range_then_full(&config, &table, &dc, split);
+        let range = format!("SELECT a, b, c FROM t WHERE a <= {split}");
+        let mut answer = Vec::new();
+        for (sql, (errors, table, provenance)) in
+            [range.as_str(), "SELECT a, b, c FROM t"].into_iter().zip(&reference)
+        {
+            let outcome = incremental.execute_sql(sql).unwrap();
+            prop_assert_eq!(outcome.report.errors_repaired, *errors);
+            prop_assert_eq!(incremental.table("t").unwrap().tuples(), table.tuples());
+            prop_assert_eq!(incremental.provenance("t").unwrap().dump(), provenance.dump());
+            answer = outcome.result.tuples;
         }
+        prop_assert_eq!(&answer[..], reference[1].1.tuples());
     }
 
     /// Incremental detection: two successive range checks (sharing the

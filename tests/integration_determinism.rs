@@ -13,12 +13,23 @@
 //! other integration suites exercise (SP cleaning, SPJ cleaning, and
 //! general-DC engine workloads).
 
-use daisy::common::{ColumnId, DetectionStrategy, SnapshotMode, TupleId, Value};
+mod common;
+
+use std::sync::Arc;
+
+use daisy::common::{ColumnId, TupleId, Value};
+use daisy::core::clean_dc::repair_dc_violations;
+use daisy::core::index::id_index;
+use daisy::core::theta::ThetaMatrix;
+use daisy::core::{DetectionMode, DetectionStrategy};
 use daisy::data::errors::{inject_fd_errors, inject_inequality_errors};
 use daisy::data::ssb::{generate_lineorder, generate_supplier, SsbConfig};
 use daisy::data::workload::non_overlapping_range_queries;
+use daisy::exec::ExecContext;
 use daisy::prelude::*;
-use daisy::storage::{CellProvenance, Table, Tuple};
+use daisy::storage::{CellProvenance, ProvenanceStore, Table, Tuple};
+
+use common::assert_matches_fresh_build;
 
 /// The worker counts every scenario is replayed at; 1 is the sequential
 /// baseline, 7 deliberately does not divide typical block/row counts.
@@ -216,11 +227,14 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
     // `data_partitions` controls only morsel granularity — how finely the
     // work-stealing scheduler slices each kernel's input — and must never
     // change an observable output.  The workload is deliberately
-    // equality-skewed: most rows are collapsed onto one hot supplier, so
-    // the hot hash partition dominates the candidate mass and the weighted
-    // morsel cuts genuinely split it (at 16 partitions a single sweep task
-    // covers only a slice of the hot partition's outer loop).  Every
-    // (workers, data_partitions) combination must produce a session
+    // equality-skewed: half the rows are collapsed onto one hot supplier,
+    // so the hot hash partition dominates the candidate mass and the
+    // weighted morsel cuts genuinely split it (at 16 partitions a single
+    // sweep task covers only a slice of the hot partition's outer loop).
+    // Half, not more: the cost model charges the hot partition
+    // `max_group²`, and above about 70% of the rows that outweighs the
+    // pairwise scan and the engine would not run the index sweep at all.
+    // Every (workers, data_partitions) combination must produce a session
     // byte-identical to the 1-worker, 1-partition baseline.
     let ssb = SsbConfig {
         lineorder_rows: 900,
@@ -230,7 +244,7 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
     };
     let mut table = generate_lineorder(&ssb).unwrap();
     inject_inequality_errors(&mut table, "extended_price", "discount", 0.08, 0.5, 51).unwrap();
-    // Collapse three of every four rows onto supplier 1.
+    // Collapse every other row onto supplier 1.
     let schema = table.schema().as_ref().clone();
     let suppkey = schema.index_of("suppkey").unwrap();
     let width = schema.len();
@@ -241,7 +255,7 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
         .map(|(i, t)| {
             (0..width)
                 .map(|c| {
-                    if c == suppkey && i % 4 != 0 {
+                    if c == suppkey && i % 2 != 0 {
                         Value::Int(1)
                     } else {
                         t.value(c).unwrap()
@@ -263,8 +277,7 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
         let mut engine = DaisyEngine::new(
             config(workers)
                 .with_data_partitions(partitions)
-                .with_theta_partitions(16)
-                .with_detection_strategy(DetectionStrategy::Indexed),
+                .with_theta_partitions(16),
         )
         .unwrap();
         engine.register_table(table.clone());
@@ -279,6 +292,17 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
     };
 
     let (engine, qs) = build(1, 1);
+    // The engine resolves the kernel on the whole table, as this build does
+    // (on the row path; its snapshot only discounts the index further).
+    let dc = engine.constraints().rules()[0].clone();
+    let schema = Arc::new(table.schema().qualify("lineorder"));
+    assert_eq!(
+        ThetaMatrix::build(&schema, table.tuples(), &dc, 16)
+            .unwrap()
+            .detection_mode(),
+        DetectionMode::Indexed,
+        "the skewed workload must run the indexed kernel to probe its morsel cuts"
+    );
     let baseline = snapshot(engine, &["lineorder"], &qs);
     assert!(
         baseline.reports.iter().any(|r| r.errors_repaired > 0),
@@ -297,13 +321,13 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
 }
 
 #[test]
-fn forced_detection_strategies_agree_and_are_thread_count_invariant() {
+fn dc_detection_matches_the_pairwise_kernel_and_is_thread_count_invariant() {
     // An equality-bearing DC (inverted price/discount pairs *within a
-    // supplier*) so the indexed kernel genuinely hash-partitions, plus the
-    // incremental range flow of the engine.  Each forced strategy must be
-    // invariant across worker counts, and — because both kernels emit
-    // canonically ordered violations over the same candidate space — the
-    // two strategies must produce byte-identical sessions too.
+    // supplier*), large and selective enough for the cost model to weigh
+    // the indexed kernel, plus the incremental range flow of the engine.
+    // The session must be invariant across worker counts, and — whatever
+    // kernel the engine picked — repair exactly what the pairwise kernel's
+    // violations call for.
     let ssb = SsbConfig {
         lineorder_rows: 900,
         distinct_orderkeys: 180,
@@ -319,45 +343,75 @@ fn forced_detection_strategies_agree_and_are_thread_count_invariant() {
     .iter()
     .map(|sql| parse_query(sql).unwrap())
     .collect();
-
-    let mut per_strategy = Vec::new();
-    for strategy in [DetectionStrategy::Pairwise, DetectionStrategy::Indexed] {
-        let build = |workers: usize| {
-            let mut engine = DaisyEngine::new(
-                config(workers)
-                    .with_theta_partitions(16)
-                    .with_detection_strategy(strategy),
+    let build = |workers: usize| {
+        let mut engine = DaisyEngine::new(config(workers).with_theta_partitions(16)).unwrap();
+        engine.register_table(table.clone());
+        engine
+            .add_constraint_text(
+                "dc",
+                "t1.suppkey = t2.suppkey & t1.extended_price < t2.extended_price \
+                 & t1.discount > t2.discount",
             )
             .unwrap();
-            engine.register_table(table.clone());
-            engine
-                .add_constraint_text(
-                    "dc",
-                    "t1.suppkey = t2.suppkey & t1.extended_price < t2.extended_price \
-                     & t1.discount > t2.discount",
-                )
-                .unwrap();
-            (engine, queries.clone())
-        };
-        assert_thread_count_invariant(&format!("forced-{strategy}"), &["lineorder"], build);
-        let (engine, queries) = build(1);
-        per_strategy.push(snapshot(engine, &["lineorder"], &queries));
-    }
-    assert_eq!(
-        per_strategy[0], per_strategy[1],
-        "pairwise and indexed detection diverged"
-    );
+        (engine, queries.clone())
+    };
+    assert_thread_count_invariant("general-dc-detection", &["lineorder"], build);
+
+    // The reference: the pairwise kernel over the whole table.  The first
+    // query's answer spans every supplier — the partition attribute — so
+    // its range check already covers every block pair, and the second
+    // query finds nothing left to repair.
+    let (engine, queries) = build(1);
+    let suppkey = table.schema().index_of("suppkey").unwrap();
+    let spanned: std::collections::BTreeSet<i64> = table
+        .tuples()
+        .iter()
+        .filter(|t| {
+            t.value(table.schema().index_of("extended_price").unwrap())
+                .unwrap()
+                <= Value::Int(4000)
+        })
+        .map(|t| match t.value(suppkey).unwrap() {
+            Value::Int(k) => k,
+            other => panic!("suppkey {other:?}"),
+        })
+        .collect();
+    assert_eq!(spanned.len(), ssb.distinct_suppkeys);
+    let dc = engine.constraints().rules()[0].clone();
+    let schema = Arc::new(table.schema().qualify("lineorder"));
+    let ctx = ExecContext::new(1);
+    let mut matrix = ThetaMatrix::build_with_strategy(
+        &schema,
+        table.tuples(),
+        &dc,
+        4,
+        DetectionStrategy::Pairwise,
+    )
+    .unwrap();
+    let (violations, _) = matrix.check_all(&ctx, &schema, table.tuples()).unwrap();
+    let by_id = id_index(&ctx, table.tuples());
+    let mut provenance = ProvenanceStore::default();
+    let repair =
+        repair_dc_violations(&ctx, &schema, &dc, &violations, &by_id, &mut provenance).unwrap();
+    drop(by_id);
+    let mut expected = table.clone();
+    expected.apply_delta(&repair.delta).unwrap();
+
+    let session = snapshot(engine, &["lineorder"], &queries);
+    assert_eq!(session.reports[0].errors_repaired, repair.errors_detected);
+    assert_eq!(session.reports[1].errors_repaired, 0);
+    assert_eq!(session.tables[0].1, expected.tuples());
+    assert_eq!(session.provenance[0].1, provenance.dump());
 }
 
 #[test]
-fn snapshot_modes_agree_and_are_thread_count_invariant() {
-    // The full knob matrix: columnar snapshot {on, off} × detection kernel
-    // {pairwise, indexed}, replayed at every worker count.  The workload
-    // mixes an FD (exercising the snapshot-keyed `cleanσ` grouping — 1.2k
-    // rows clears the `Auto` threshold, `On`/`Off` are forced here anyway)
-    // and an equality-bearing general DC (exercising the coded violation
-    // index and the snapshot-patched repair loop).  Every combination must
-    // produce byte-identical sessions.
+fn maintained_snapshot_matches_a_fresh_build_and_is_thread_count_invariant() {
+    // A workload that mixes an FD (exercising the snapshot-keyed `cleanσ`
+    // grouping — 1.2k rows clear the snapshot threshold) and an
+    // equality-bearing general DC (exercising the coded violation index and
+    // the snapshot-patched repair loop), replayed at every worker count.
+    // After every query the snapshot the engine patched along its repairs
+    // must hold exactly what a fresh build of the table holds.
     let ssb = SsbConfig {
         lineorder_rows: 1_200,
         distinct_orderkeys: 120,
@@ -375,47 +429,29 @@ fn snapshot_modes_agree_and_are_thread_count_invariant() {
     .iter()
     .map(|sql| parse_query(sql).unwrap())
     .collect();
+    let build = |workers: usize| {
+        let mut engine = DaisyEngine::new(config(workers).with_theta_partitions(16)).unwrap();
+        engine.register_table(table.clone());
+        engine.add_fd(&FunctionalDependency::new(&["orderkey"], "suppkey"), "phi");
+        engine
+            .add_constraint_text(
+                "dc",
+                "t1.suppkey = t2.suppkey & t1.extended_price < t2.extended_price \
+                 & t1.discount > t2.discount",
+            )
+            .unwrap();
+        (engine, queries.clone())
+    };
+    assert_thread_count_invariant("fd-and-dc-over-a-snapshot", &["lineorder"], build);
 
-    let mut sessions = Vec::new();
-    for snapshot_mode in [SnapshotMode::Off, SnapshotMode::On] {
-        for detection in [DetectionStrategy::Pairwise, DetectionStrategy::Indexed] {
-            let build = |workers: usize| {
-                let mut engine = DaisyEngine::new(
-                    config(workers)
-                        .with_theta_partitions(16)
-                        .with_snapshot_mode(snapshot_mode)
-                        .with_detection_strategy(detection),
-                )
-                .unwrap();
-                engine.register_table(table.clone());
-                engine.add_fd(&FunctionalDependency::new(&["orderkey"], "suppkey"), "phi");
-                engine
-                    .add_constraint_text(
-                        "dc",
-                        "t1.suppkey = t2.suppkey & t1.extended_price < t2.extended_price \
-                         & t1.discount > t2.discount",
-                    )
-                    .unwrap();
-                (engine, queries.clone())
-            };
-            assert_thread_count_invariant(
-                &format!("snapshot-{snapshot_mode}-{detection}"),
-                &["lineorder"],
-                build,
-            );
-            let (engine, queries) = build(1);
-            sessions.push((
-                format!("{snapshot_mode}/{detection}"),
-                snapshot(engine, &["lineorder"], &queries),
-            ));
-        }
-    }
-    let (baseline_name, baseline) = &sessions[0];
-    for (name, session) in &sessions[1..] {
-        assert_eq!(
-            baseline, session,
-            "sessions diverged between {baseline_name} and {name}"
-        );
+    let (mut engine, queries) = build(1);
+    for query in &queries {
+        engine.execute(query).unwrap();
+        let table = engine.table("lineorder").unwrap();
+        let snap = engine
+            .snapshot("lineorder")
+            .expect("1.2k rows keep a snapshot");
+        assert_matches_fresh_build(snap, table);
     }
 }
 

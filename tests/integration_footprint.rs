@@ -3,20 +3,19 @@
 //! Two properties are pinned down here, on top of the worker-count
 //! invariance `integration_service.rs` already enforces:
 //!
-//! 1. **The validation mode never changes an observable output.**  Version
-//!    and footprint validation produce byte-identical query results,
-//!    tables and provenance for the same admitted requests, at every
-//!    worker count — footprint validation only changes *how* a commit is
-//!    admitted, never *what* it publishes.
-//! 2. **Disjoint-table workloads never replay under footprint
-//!    validation.**  Sessions cleaning different tables have disjoint
+//! 1. **Validation never changes an observable output.**  Concurrent
+//!    sessions produce the query results, tables and provenance of
+//!    `run_serial` over the same admitted requests, at every worker count
+//!    — footprint validation only changes *how* a commit is admitted,
+//!    never *what* it publishes.
+//! 2. **Disjoint-table workloads never replay.**  Sessions cleaning different tables have disjoint
 //!    rule keys and disjoint footprints, so every conflicted commit takes
 //!    the `O(|delta|)` install path; the cause counters prove no request
 //!    log was ever re-executed.
 
 use proptest::prelude::*;
 
-use daisy::common::{ColumnId, CommitValidation, TupleId};
+use daisy::common::{ColumnId, TupleId};
 use daisy::prelude::*;
 use daisy::storage::{CellProvenance, Tuple};
 
@@ -27,8 +26,8 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 type ProvenanceDump = Vec<((TupleId, ColumnId), CellProvenance)>;
 
 /// Everything observable about one service run, wall-clock and commit-path
-/// bookkeeping excluded (the validation mode is allowed to change *how*
-/// commits are admitted, never *what* they publish).
+/// bookkeeping excluded (validation is allowed to change *how* commits
+/// are admitted, never *what* they publish).
 #[derive(Debug, Clone, PartialEq)]
 struct ServiceSnapshot {
     outcomes: Vec<(usize, String, Result<Vec<Tuple>, String>)>,
@@ -94,13 +93,12 @@ const DISJOINT_LANES: usize = 6;
 
 /// One table per session lane, all governed by the same FD: the canonical
 /// disjoint-table workload.
-fn disjoint_service(validation: CommitValidation, workers: usize) -> CleaningService {
+fn disjoint_service(workers: usize) -> CleaningService {
     let mut engine = DaisyEngine::new(
         DaisyConfig::default()
             .with_worker_threads(1)
             .with_cost_model(false)
-            .with_service_workers(workers)
-            .with_commit_validation(validation),
+            .with_service_workers(workers),
     )
     .unwrap();
     for lane in 0..DISJOINT_LANES {
@@ -125,61 +123,55 @@ fn disjoint_requests() -> Vec<ServiceRequest> {
         .collect()
 }
 
-/// Disjoint-table sessions must produce byte-identical outputs under both
-/// validation modes at every worker count, and under footprint validation
-/// no commit may ever replay its request log.
+/// Disjoint-table sessions must produce the outputs of `run_serial` at
+/// every worker count, and no commit may ever replay its request log.
 #[test]
-fn disjoint_tables_are_identical_across_modes_and_never_replay() {
+fn disjoint_tables_match_run_serial_and_never_replay() {
     let requests = disjoint_requests();
     let baseline = {
-        let service = disjoint_service(CommitValidation::Version, 1);
+        let service = disjoint_service(1);
         let report = service.run_serial(&requests);
         snapshot_service(&service, &report)
     };
     assert!(baseline.outcomes.iter().all(|(_, _, o)| o.is_ok()));
     assert_eq!(baseline.commits, DISJOINT_LANES as u64);
 
-    for validation in [CommitValidation::Version, CommitValidation::Footprint] {
-        for workers in WORKER_COUNTS {
-            let service = disjoint_service(validation, workers);
-            let report = service.run(&requests);
-            assert_eq!(
-                baseline,
-                snapshot_service(&service, &report),
-                "outputs diverged at {workers} workers under {validation} validation"
-            );
-            assert_eq!(report.causes.total(), report.commits);
-            if validation == CommitValidation::Footprint {
-                // Disjoint rule keys and footprints: every conflicted
-                // commit installs in O(|delta|) — zero replays, zero
-                // rechecks, perfect clean-commit rate.
-                assert_eq!(
-                    report.causes.full_rebase, 0,
-                    "a disjoint-table commit replayed at {workers} workers"
-                );
-                assert_eq!(report.causes.delta_recheck, 0);
-                assert_eq!(report.rebases, 0);
-                assert!((report.clean_commit_rate() - 1.0).abs() < 1e-12);
-                assert_eq!(
-                    report.causes.clean + report.causes.footprint_clean,
-                    report.commits
-                );
-            }
-        }
+    for workers in WORKER_COUNTS {
+        let service = disjoint_service(workers);
+        let report = service.run(&requests);
+        assert_eq!(
+            baseline,
+            snapshot_service(&service, &report),
+            "outputs diverged at {workers} workers"
+        );
+        assert_eq!(report.causes.total(), report.commits);
+        // Disjoint rule keys and footprints: every conflicted commit
+        // installs in O(|delta|) — zero replays, zero rechecks, perfect
+        // clean-commit rate.
+        assert_eq!(
+            report.causes.full_rebase, 0,
+            "a disjoint-table commit replayed at {workers} workers"
+        );
+        assert_eq!(report.causes.delta_recheck, 0);
+        assert_eq!(report.rebases, 0);
+        assert!((report.clean_commit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!(
+            report.causes.clean + report.causes.footprint_clean,
+            report.commits
+        );
     }
 }
 
-/// A shared-table (fully contended) workload: footprint validation must
-/// degrade gracefully to exactly the version-mode behaviour.
+/// A shared-table (fully contended) workload: conflicted commits replay,
+/// and the outputs are still those of `run_serial`.
 #[test]
-fn contended_tables_are_identical_across_modes() {
-    let build = |validation: CommitValidation, workers: usize| {
+fn contended_tables_match_run_serial() {
+    let build = |workers: usize| {
         let mut engine = DaisyEngine::new(
             DaisyConfig::default()
                 .with_worker_threads(1)
                 .with_cost_model(false)
-                .with_service_workers(workers)
-                .with_commit_validation(validation),
+                .with_service_workers(workers),
         )
         .unwrap();
         engine.register_table(dirty_fd_table("hot", 8, 0));
@@ -195,31 +187,29 @@ fn contended_tables_are_identical_across_modes() {
         })
         .collect();
     let baseline = {
-        let service = build(CommitValidation::Version, 1);
+        let service = build(1);
         let report = service.run_serial(&requests);
         snapshot_service(&service, &report)
     };
-    for validation in [CommitValidation::Version, CommitValidation::Footprint] {
-        for workers in WORKER_COUNTS {
-            let service = build(validation, workers);
-            let report = service.run(&requests);
-            assert_eq!(
-                baseline,
-                snapshot_service(&service, &report),
-                "outputs diverged at {workers} workers under {validation} validation"
-            );
-        }
+    for workers in WORKER_COUNTS {
+        let service = build(workers);
+        let report = service.run(&requests);
+        assert_eq!(
+            baseline,
+            snapshot_service(&service, &report),
+            "outputs diverged at {workers} workers"
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random interleavings over a shared dirty table: footprint
-    /// validation, version validation and the serial replay must be
-    /// byte-identical, whatever the schedule.
+    /// Random interleavings over a shared dirty table: footprint-validated
+    /// concurrent commits and the serial replay must be byte-identical,
+    /// whatever the schedule.
     #[test]
-    fn footprint_equals_version_equals_serial(
+    fn footprint_validation_equals_serial(
         pairs in prop::collection::vec((0i64..12, 0i64..6), 8..60),
         // Each request: (session 0..3, predicate threshold).
         plan in prop::collection::vec((0usize..3, 0i64..12), 1..10),
@@ -242,31 +232,24 @@ proptest! {
                 )
             })
             .collect();
-        let build = |validation: CommitValidation| {
+        let build = || {
             let mut engine = DaisyEngine::new(
                 DaisyConfig::default()
                     .with_worker_threads(1)
                     .with_cost_model(false)
-                    .with_service_workers(workers)
-                    .with_commit_validation(validation),
+                    .with_service_workers(workers),
             )
             .unwrap();
             engine.register_table(table.clone());
             engine.add_fd(&FunctionalDependency::new(&["lhs"], "rhs"), "phi");
             CleaningService::new(engine)
         };
-        let serial = build(CommitValidation::Version);
+        let serial = build();
         let serial_report = serial.run_serial(&requests);
         let baseline = snapshot_service(&serial, &serial_report);
-        for validation in [CommitValidation::Version, CommitValidation::Footprint] {
-            let service = build(validation);
-            let report = service.run(&requests);
-            let replay = snapshot_service(&service, &report);
-            prop_assert!(
-                baseline == replay,
-                "{} validation diverged from serial replay",
-                validation
-            );
-        }
+        let service = build();
+        let report = service.run(&requests);
+        let replay = snapshot_service(&service, &report);
+        prop_assert!(baseline == replay, "concurrent commits diverged from serial replay");
     }
 }

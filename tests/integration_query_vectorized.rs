@@ -3,21 +3,33 @@
 //! For random relaxed tables and random SP / SPJ / aggregate queries, the
 //! vectorized executor — selection-vector filters, code-keyed joins, late
 //! materialization — must return byte-identical results to the row path,
-//! across predicate modes (`Expected` / `Possible`) and worker counts.
-//! Engine-level runs must additionally agree on repaired tables, provenance
-//! dumps and recorded read footprints under `DAISY_QUERY_EXEC ∈ {row, auto,
-//! vectorized}`.
+//! across predicate modes (`Expected` / `Possible`) and worker counts.  The
+//! row path is a catalog without snapshots, the vectorized path the same
+//! tables with current snapshots attached.  At engine level, which
+//! vectorizes on its own once a table reaches the snapshot threshold, the
+//! maintained snapshot must equal a fresh build after every request and
+//! serve the row path's answers over the engine-made probabilistic data;
+//! sessions must record the same read footprint on both paths and commit
+//! what `run_serial` commits.
+
+mod common;
 
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
 
-use daisy::common::{DaisyConfig, DataType, QueryExecMode, Schema, Value};
+use std::sync::Arc;
+
+use daisy::common::{ColumnId, DaisyConfig, DataType, Schema, Value};
+use daisy::core::world::SNAPSHOT_MIN_ROWS;
 use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::query::physical::PredicateMode;
-use daisy::query::{execute_with, parse_query, Catalog, LogicalPlan, QueryResult};
-use daisy::storage::{Candidate, CandidateValue, Cell, Footprint, Table};
+use daisy::query::{execute, parse_query, Catalog, LogicalPlan, QueryResult};
+use daisy::service::{CleaningService, ServiceRequest};
+use daisy::storage::{Candidate, CandidateValue, Cell, ColumnSnapshot, Footprint, Table};
+
+use common::assert_matches_fresh_build;
 
 const NAMES: [&str; 5] = ["ann", "bob", "cat", "dan", "eve"];
 
@@ -153,31 +165,88 @@ fn spj_sql(shape: usize, x: i64) -> String {
     }
 }
 
-/// Runs one parsed plan on every path × worker count and asserts all dumps
-/// equal the sequential row-path dump.
-fn assert_paths_agree(catalog: &Catalog, sql: &str) -> Result<(), TestCaseError> {
+/// `catalog` with a fresh snapshot attached to every listed table, so
+/// every scan over those tables is vectorized.
+fn with_snapshots(catalog: &Catalog, tables: &[&str]) -> Catalog {
+    let mut vectorized = catalog.clone();
+    for name in tables {
+        vectorized.refresh_snapshot(name).unwrap();
+    }
+    vectorized
+}
+
+/// Runs one parsed plan on the row path (`rows`, no snapshot) and the
+/// vectorized path (`vectorized`) at every worker count, and asserts all
+/// dumps equal the sequential row-path dump.
+fn assert_paths_agree(
+    rows: &Catalog,
+    vectorized: &Catalog,
+    sql: &str,
+) -> Result<(), TestCaseError> {
     let query = parse_query(sql).unwrap();
     let plan = LogicalPlan::from_query(&query).unwrap();
     for mode in [PredicateMode::Expected, PredicateMode::Possible] {
-        let row = execute_with(
-            &ExecContext::sequential(),
-            catalog,
-            &plan,
-            mode,
-            QueryExecMode::Row,
-        )
-        .unwrap();
-        let expected = dump(&row);
+        let expected = dump(&execute(&ExecContext::sequential(), rows, &plan, mode).unwrap());
         for workers in [1usize, 2, 4, 7] {
             let ctx = ExecContext::new(workers);
-            for exec in [QueryExecMode::Auto, QueryExecMode::Vectorized] {
-                let got = execute_with(&ctx, catalog, &plan, mode, exec).unwrap();
+            for (path, catalog) in [("row", rows), ("vectorized", vectorized)] {
+                let got = execute(&ctx, catalog, &plan, mode).unwrap();
                 prop_assert!(
                     expected == dump(&got),
-                    "`{sql}` diverged ({mode:?}, {exec}, {workers} workers)"
+                    "`{sql}` diverged ({mode:?}, {path}, {workers} workers)"
                 );
             }
         }
+    }
+    Ok(())
+}
+
+/// The dirty `t(a, b, c)` of the engine-level tests, its rows repeated
+/// `copies` times with the grouping column shifted so copies never
+/// violate each other — enough copies cross the snapshot threshold.
+fn engine_table(rows: &[(i64, i64, i64)], copies: i64, null_c: bool) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Int),
+        ("c", DataType::Float),
+    ])
+    .unwrap();
+    let values = (0..copies).flat_map(|k| {
+        rows.iter().map(move |&(a, b, c)| {
+            let c = if null_c && c % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Float(c as f64 / 2.0)
+            };
+            vec![Value::Int(a + 6 * k), Value::Int(b), c]
+        })
+    });
+    Table::from_rows("t", schema, values.collect()).unwrap()
+}
+
+/// Asserts the engine's snapshot of `t` is absent below the threshold and
+/// equal to a fresh build from it on, and that reads through it answer
+/// what the row path answers over the same (engine-cleaned) table.
+fn assert_snapshot_serves_the_row_path(
+    table: &Table,
+    snapshot: Option<&ColumnSnapshot>,
+    reads: &[String],
+) -> Result<(), TestCaseError> {
+    let mut rows = Catalog::new();
+    rows.add(table.clone());
+    let mut vectorized = rows.clone();
+    match snapshot {
+        None => prop_assert!(table.len() < SNAPSHOT_MIN_ROWS),
+        Some(snap) => {
+            prop_assert!(table.len() >= SNAPSHOT_MIN_ROWS);
+            assert_matches_fresh_build(snap, table);
+            vectorized
+                .attach_snapshot("t", Arc::new(snap.clone()))
+                .unwrap();
+        }
+    }
+    for sql in reads {
+        assert_paths_agree(&rows, &vectorized, sql)?;
     }
     Ok(())
 }
@@ -186,22 +255,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// SP and aggregate plans: row path ≡ vectorized path on results for
-    /// random relaxed tables, with snapshots attached (Auto vectorizes) and
-    /// without (Vectorized builds ad-hoc snapshots, Auto falls back to the
-    /// row kernels).
+    /// random relaxed tables.
     #[test]
     fn vectorized_sp_plans_match_row_path(
         rows in prop::collection::vec((0i64..12, 0i64..40, 0i64..8, 0u8..255), 0..40),
         shapes in prop::collection::vec((0usize..7, 0i64..20), 1..4),
-        attach in 0usize..2,
     ) {
         let mut catalog = Catalog::new();
         catalog.add(table_from_rows("t", &rows));
-        if attach == 1 {
-            catalog.refresh_snapshot("t").unwrap();
-        }
+        let vectorized = with_snapshots(&catalog, &["t"]);
         for (shape, x) in &shapes {
-            assert_paths_agree(&catalog, &sp_sql(*shape, *x))?;
+            assert_paths_agree(&catalog, &vectorized, &sp_sql(*shape, *x))?;
         }
     }
 
@@ -214,140 +278,134 @@ proptest! {
         left in prop::collection::vec((0i64..12, 0i64..40, 0i64..8, 0u8..255), 0..30),
         right in prop::collection::vec((0i64..12, 0i64..30, 0u8..255), 0..25),
         shapes in prop::collection::vec((0usize..4, 0i64..20), 1..3),
-        attach in 0usize..2,
+        attach in 0usize..3,
     ) {
         let mut catalog = Catalog::new();
         catalog.add(table_from_rows("t", &left));
         catalog.add(right_table_from_rows(&right));
-        if attach == 1 {
-            catalog.refresh_snapshot("t").unwrap();
-            catalog.refresh_snapshot("u").unwrap();
-        }
+        // Either side alone or both vectorized: mixed plans join a pending
+        // selection with materialized rows.
+        let attached: &[&str] = match attach {
+            0 => &["t"],
+            1 => &["u"],
+            _ => &["t", "u"],
+        };
+        let vectorized = with_snapshots(&catalog, attached);
         for (shape, x) in &shapes {
-            assert_paths_agree(&catalog, &spj_sql(*shape, *x))?;
+            assert_paths_agree(&catalog, &vectorized, &spj_sql(*shape, *x))?;
         }
     }
 
-    /// End-to-end engine runs: the same cleaning workload under
-    /// `query_exec ∈ {row, auto, vectorized}` × worker counts must produce
-    /// byte-identical query results, repaired base tables and provenance
-    /// dumps — cleaning relaxes cells mid-run (the inequality DC leaves
-    /// range candidates on `b` and `c`), so the later queries read
-    /// engine-made probabilistic data through the coded kernels, the third
-    /// one filtering on exactly those range candidates.
+    /// End-to-end engine runs: the same cleaning workload at 1, 2, 4 and 7
+    /// workers produces byte-identical query results, repaired tables and
+    /// provenance dumps; after every query the maintained snapshot equals a
+    /// fresh build, and both query execution paths — the row path and the
+    /// vectorized path through that snapshot — answer alike.  Cleaning relaxes
+    /// cells mid-run (the inequality DC leaves range candidates on `b` and
+    /// `c`), so the later reads go through engine-made probabilistic data,
+    /// the third one filtering on exactly those range candidates.
     #[test]
     fn engine_agrees_across_query_exec_modes(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 8..40),
+        copies in 1i64..9,
         split in 0i64..6,
     ) {
-        let schema = Schema::from_pairs(&[
-            ("a", DataType::Int),
-            ("b", DataType::Int),
-            ("c", DataType::Float),
-        ])
-        .unwrap();
-        let table = Table::from_rows(
-            "t",
-            schema,
-            rows.iter()
-                .map(|(a, b, c)| {
-                    let c = if c % 5 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(*c as f64 / 2.0)
-                    };
-                    vec![Value::Int(*a), Value::Int(*b), c]
-                })
-                .collect(),
-        )
-        .unwrap();
+        let table = engine_table(&rows, copies, true);
         let sql_first = format!("SELECT a, b, c FROM t WHERE a <= {split}");
         let sql_third = format!("SELECT a, b FROM t WHERE b >= {} AND c <= {}.5", split * 5, split + 3);
-        let run = |exec: QueryExecMode, workers: usize| {
+        let reads = [sql_first.clone(), sql_third.clone()];
+        let run = |workers: usize| -> Result<_, TestCaseError> {
             let mut engine = DaisyEngine::new(
                 DaisyConfig::default()
                     .with_worker_threads(workers)
-                    .with_cost_model(false)
-                    .with_query_exec(exec),
+                    .with_cost_model(false),
             )
             .unwrap();
             engine.register_table(table.clone());
             engine
                 .add_constraint_text("dc", "t1.a = t2.a & t1.b < t2.b & t1.c > t2.c")
                 .unwrap();
-            let first = engine.execute_sql(&sql_first).unwrap();
-            let second = engine.execute_sql("SELECT a, b, c FROM t").unwrap();
-            let third = engine.execute_sql(&sql_third).unwrap();
-            (
-                dump(&first.result),
-                dump(&second.result),
-                dump(&third.result),
-                first.report.errors_repaired + second.report.errors_repaired,
+            let mut results = Vec::new();
+            let mut repaired = 0;
+            for sql in [&sql_first, &"SELECT a, b, c FROM t".to_string(), &sql_third] {
+                let outcome = engine.execute_sql(sql).unwrap();
+                assert_snapshot_serves_the_row_path(
+                    engine.table("t").unwrap(),
+                    engine.snapshot("t"),
+                    &reads,
+                )?;
+                results.push(dump(&outcome.result));
+                repaired += outcome.report.errors_repaired;
+            }
+            Ok((
+                results,
+                repaired,
                 engine.table("t").unwrap().tuples().to_vec(),
                 engine.provenance("t").unwrap().dump(),
-            )
+            ))
         };
-        let baseline = run(QueryExecMode::Row, 1);
-        for exec in [QueryExecMode::Row, QueryExecMode::Auto, QueryExecMode::Vectorized] {
-            for workers in [1usize, 2, 4, 7] {
-                let replay = run(exec, workers);
-                prop_assert!(
-                    replay == baseline,
-                    "engine diverged under query_exec={exec} workers={workers}"
-                );
-            }
+        let baseline = run(1)?;
+        for workers in [2usize, 4, 7] {
+            let replay = run(workers)?;
+            prop_assert!(replay == baseline, "engine diverged at {} workers", workers);
         }
     }
 
-    /// Sessions under footprint-recording commit validation: the vectorized
-    /// path must record exactly the read footprint of the row path (it is
-    /// recorded before the kernels run, by construction), and commits must
-    /// land identically.
+    /// The same request in a session over a table below the snapshot
+    /// threshold (the row query path) and over the same rows padded past it
+    /// with copies that can neither violate the rule with them nor match
+    /// the filter (the vectorized path): both record the same read
+    /// footprint — the answer rows and the rule's columns — and the same
+    /// answer, and each commits what `run_serial` commits for it.
     #[test]
     fn session_footprints_agree_across_query_exec_modes(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 8..30),
         split in 0i64..6,
     ) {
-        let schema = Schema::from_pairs(&[
-            ("a", DataType::Int),
-            ("b", DataType::Int),
-            ("c", DataType::Float),
-        ])
-        .unwrap();
-        let table = Table::from_rows(
-            "t",
-            schema,
-            rows.iter()
-                .map(|(a, b, c)| vec![Value::Int(*a), Value::Int(*b), Value::Float(*c as f64)])
-                .collect(),
-        )
-        .unwrap();
         let sql = format!("SELECT a, b FROM t WHERE a <= {split}");
-        let run = |exec: QueryExecMode| -> (String, Footprint, Vec<daisy::storage::Tuple>) {
-            let mut engine = DaisyEngine::new(
-                DaisyConfig::default()
-                    .with_worker_threads(2)
-                    .with_cost_model(false)
-                    .with_query_exec(exec),
-            )
-            .unwrap();
-            engine.register_table(table.clone());
-            engine
-                .add_constraint_text("dc", "t1.a = t2.a & t1.b < t2.b & t1.c > t2.c")
+        let run = |table: Table| -> Result<(String, Footprint), TestCaseError> {
+            let engine = || {
+                let mut engine = DaisyEngine::new(
+                    DaisyConfig::default()
+                        .with_worker_threads(2)
+                        .with_cost_model(false),
+                )
                 .unwrap();
-            let shared = engine.into_shared();
+                engine.register_table(table.clone());
+                engine
+                    .add_constraint_text("dc", "t1.a = t2.a & t1.b < t2.b & t1.c > t2.c")
+                    .unwrap();
+                engine
+            };
+            let shared = engine().into_shared();
             let mut session = shared.session_named("probe");
             let outcome = session.execute_sql(&sql).unwrap();
+            prop_assert_eq!(session.snapshot("t").is_some(), table.len() >= SNAPSHOT_MIN_ROWS);
             let reads = session.read_footprint().clone();
+            for tuple in table.tuples() {
+                for column in 0..3 {
+                    prop_assert!(reads.covers_cell("t", tuple.id, ColumnId::new(column)));
+                }
+            }
             session.commit().unwrap();
-            (dump(&outcome.result), reads, shared.table("t").unwrap().tuples().to_vec())
+
+            let serial = CleaningService::new(engine());
+            let report = serial.run_serial(&[ServiceRequest::new("probe", sql.clone())]);
+            let expected = report.outcomes[0].outcome.as_ref().unwrap();
+            prop_assert_eq!(dump(&outcome.result), dump(&expected.result));
+            let (committed, replayed) =
+                (shared.table("t").unwrap(), serial.shared().table("t").unwrap());
+            prop_assert_eq!(committed.tuples(), replayed.tuples());
+            prop_assert_eq!(
+                shared.provenance("t").map(|p| p.dump()),
+                serial.shared().provenance("t").map(|p| p.dump())
+            );
+            Ok((dump(&outcome.result), reads))
         };
-        let (row_dump, row_reads, row_table) = run(QueryExecMode::Row);
-        for exec in [QueryExecMode::Auto, QueryExecMode::Vectorized] {
-            let (vec_dump, vec_reads, vec_table) = run(exec);
-            prop_assert!(row_dump == vec_dump, "result diverged under {exec}");
-            prop_assert!(row_reads == vec_reads, "footprint diverged under {exec}");
-            prop_assert!(row_table == vec_table, "committed table diverged under {exec}");
-        }
+        let padded = SNAPSHOT_MIN_ROWS.div_ceil(rows.len()) as i64;
+        let (row_answer, row_reads) = run(engine_table(&rows, 1, false))?;
+        let (vectorized_answer, vectorized_reads) = run(engine_table(&rows, padded, false))?;
+        prop_assert_eq!(row_answer, vectorized_answer);
+        prop_assert_eq!(row_reads, vectorized_reads);
     }
 }

@@ -10,21 +10,33 @@
 //! 1. **Index layer** — `absorb_delta` + `detect_delta` versus a fresh
 //!    [`ViolationIndex`] swept with the delta admit filter, versus the
 //!    quadratic oracle restricted to pairs touching the delta.
-//! 2. **Engine layer** — `DaisyEngine::ingest_rows` under
-//!    `IncrementalMode::On` versus `Off` (per-batch rebuild): identical
-//!    final tuples, provenance and cleaning reports.
+//! 2. **Engine layer** — `DaisyEngine::ingest_rows`, whose cost model
+//!    picks maintenance or a rebuild per batch, versus the kernel-level
+//!    reference (per-batch rebuild sweep plus repair): identical final
+//!    tuples, provenance and cleaning reports; and a table grown across
+//!    the snapshot threshold keeps a snapshot equal to a fresh build.
 //! 3. **Service layer** — mixed SQL + ingest request streams at 1/2/4/7
 //!    scheduler workers: identical outcomes, tables and provenance.
 
+mod common;
+
 use proptest::prelude::*;
 
-use daisy::common::{DaisyConfig, DataType, IncrementalMode, Schema, Value};
-use daisy::core::index::{canonicalize_violations, MaintainedIndex, ViolationIndex};
+use std::sync::Arc;
+
+use daisy::common::{DaisyConfig, DataType, Schema, Value};
+use daisy::core::clean_dc::repair_dc_violations;
+use daisy::core::index::{canonicalize_violations, id_index, MaintainedIndex, ViolationIndex};
+use daisy::core::world::SNAPSHOT_MIN_ROWS;
 use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::expr::{ComparisonOp, DcPredicate, DenialConstraint, Operand, Violation};
+use daisy::query::physical::PredicateMode;
+use daisy::query::{execute, parse_query, Catalog, LogicalPlan};
 use daisy::service::{CleaningService, ServiceRequest};
-use daisy::storage::{Delta, Table};
+use daisy::storage::{ColumnSnapshot, Delta, ProvenanceStore, Table};
+
+use common::assert_matches_fresh_build;
 
 /// Builds the shared three-column test table: `a` is a low-cardinality
 /// grouping column, `b` numeric, `c` a float column with occasional NULLs
@@ -132,17 +144,8 @@ fn append_batch(table: &mut Table, rows: &[(i64, i64, i64)]) -> Delta {
     delta
 }
 
-fn engine_with(
-    mode: IncrementalMode,
-    base: &[(i64, i64, i64)],
-    dc: &DenialConstraint,
-) -> DaisyEngine {
-    let mut engine = DaisyEngine::new(
-        DaisyConfig::default()
-            .with_worker_threads(1)
-            .with_incremental_detection(mode),
-    )
-    .unwrap();
+fn engine_with(base: &[(i64, i64, i64)], dc: &DenialConstraint) -> DaisyEngine {
+    let mut engine = DaisyEngine::new(DaisyConfig::default().with_worker_threads(1)).unwrap();
     engine.register_table(table_from_rows(base));
     engine.add_constraint(dc.clone());
     engine
@@ -201,10 +204,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Engine layer: the same ingest stream through `IncrementalMode::On`
-    /// (persistent maintained index) and `IncrementalMode::Off` (per-batch
-    /// index rebuild) produces byte-identical repaired tables, provenance
-    /// and per-batch cleaning reports.
+    /// Engine layer: an ingest stream through `DaisyEngine::ingest_rows`
+    /// (maintained index or per-batch rebuild, as the cost model picks)
+    /// produces the repaired tables, provenance and per-batch cleaning
+    /// reports of the kernel-level reference: append the batch, rebuild
+    /// the violation index over the whole table, sweep only the pairs that
+    /// touch the batch, repair what it finds.
     #[test]
     fn incremental_ingest_matches_rebuild_mode_end_to_end(
         base in prop::collection::vec((0i64..5, 0i64..30, 0i64..25), 2..40),
@@ -214,26 +219,176 @@ proptest! {
             1..4,
         ),
     ) {
+        let ctx = ExecContext::new(1);
         let dc = equality_dc(&tail);
-        let mut on = engine_with(IncrementalMode::On, &base, &dc);
-        let mut off = engine_with(IncrementalMode::Off, &base, &dc);
+        let plan = dc.index_plan().expect("two-tuple DCs always have a plan");
+        let mut engine = engine_with(&base, &dc);
+        let mut table = table_from_rows(&base);
+        let schema = Arc::clone(table.schema());
+        let mut provenance: Option<ProvenanceStore> = None;
         for batch in &batches {
-            let rows: Vec<Vec<Value>> = batch.iter().map(row_values).collect();
-            let on_outcome = on.ingest_rows("t", rows.clone()).unwrap();
-            let off_outcome = off.ingest_rows("t", rows).unwrap();
-            prop_assert_eq!(
-                on_outcome.report.errors_repaired,
-                off_outcome.report.errors_repaired
+            let outcome = engine.ingest_rows("t", batch.iter().map(row_values).collect()).unwrap();
+            if batch.is_empty() {
+                prop_assert_eq!(outcome.report.errors_repaired, 0);
+                continue;
+            }
+            append_batch(&mut table, batch);
+            let delta_from = table.len() - batch.len();
+            let index = ViolationIndex::build(&ctx, &schema, &dc, &plan, table.tuples()).unwrap();
+            let (found, _) = index
+                .sweep_detect(&ctx, &schema, table.tuples(), |i, j| {
+                    i >= delta_from || j >= delta_from
+                })
+                .unwrap();
+            let violations = canonicalize_violations(found);
+            let (errors, cells) = if violations.is_empty() {
+                (0, 0)
+            } else {
+                let by_id = id_index(&ctx, table.tuples());
+                let store = provenance.get_or_insert_with(ProvenanceStore::default);
+                let repair =
+                    repair_dc_violations(&ctx, &schema, &dc, &violations, &by_id, store).unwrap();
+                drop(by_id);
+                table.apply_delta(&repair.delta).unwrap();
+                (repair.errors_detected, repair.delta.len())
+            };
+            prop_assert_eq!(outcome.report.errors_repaired, errors);
+            prop_assert_eq!(outcome.report.cells_updated, cells);
+        }
+        prop_assert_eq!(engine.table("t").unwrap().tuples(), table.tuples());
+        prop_assert_eq!(
+            engine.provenance("t").map(|p| p.dump()).unwrap_or_default(),
+            provenance.map(|p| p.dump()).unwrap_or_default()
+        );
+    }
+}
+
+/// The rows of the threshold-crossing stream: a fixed, dirty pattern over
+/// the `equality_dc` columns (19 groups, NULLs in `c`).
+fn threshold_row(i: i64) -> Vec<Value> {
+    row_values(&(i % 19, (i * 37) % 101, (i * 53) % 89))
+}
+
+/// After every request of the threshold-crossing stream: the snapshot is
+/// equal to a fresh build whenever the table had at least
+/// [`SNAPSHOT_MIN_ROWS`] rows when the request began (snapshots are
+/// refreshed as a request starts and patched along its writes, so the
+/// ingest that crosses the threshold leaves none: the next request builds
+/// it) and absent otherwise; and reads served through it answer exactly
+/// what the row path answers over the same table.
+fn check_snapshot_and_reads(table: &Table, snapshot: Option<&ColumnSnapshot>, rows_before: usize) {
+    let ctx = ExecContext::new(2);
+    let mut rows = Catalog::new();
+    rows.add(table.clone());
+    let mut coded = rows.clone();
+    match snapshot {
+        Some(snap) => {
+            assert!(
+                rows_before >= SNAPSHOT_MIN_ROWS,
+                "snapshot after {rows_before} rows"
             );
-            prop_assert_eq!(
-                on_outcome.report.cells_updated,
-                off_outcome.report.cells_updated
+            assert_matches_fresh_build(snap, table);
+            coded.attach_snapshot("t", Arc::new(snap.clone())).unwrap();
+            assert!(coded.current_snapshot("t").is_some());
+        }
+        None => assert!(
+            rows_before < SNAPSHOT_MIN_ROWS,
+            "no snapshot after {rows_before} rows"
+        ),
+    }
+    for sql in [
+        "SELECT * FROM t WHERE b >= 40 AND c <= 20.5",
+        "SELECT a, b FROM t WHERE a = 3",
+        "SELECT a, COUNT(*) FROM t GROUP BY a",
+    ] {
+        let plan = LogicalPlan::from_query(&parse_query(sql).unwrap()).unwrap();
+        for mode in [PredicateMode::Expected, PredicateMode::Possible] {
+            let row = execute(&ctx, &rows, &plan, mode).unwrap();
+            let got = execute(&ctx, &coded, &plan, mode).unwrap();
+            assert_eq!(
+                row.tuples,
+                got.tuples,
+                "`{sql}` ({mode:?}) at {} rows",
+                table.len()
             );
         }
-        prop_assert_eq!(on.table("t").unwrap().tuples(), off.table("t").unwrap().tuples());
-        prop_assert_eq!(
-            on.provenance("t").map(|p| p.dump()),
-            off.provenance("t").map(|p| p.dump())
+    }
+}
+
+/// A table grown from 200 to 320 rows — across the snapshot threshold —
+/// by ingest batches with cleaning queries in between, once through
+/// `DaisyEngine::ingest_rows` and once through one session per request, at
+/// 1 and 2 engine workers.  After each request the snapshot is checked
+/// against a fresh build and its reads against the row path; the answers
+/// of both runs agree, and their final tables and provenance equal
+/// `run_serial` over the same stream.
+#[test]
+fn a_table_growing_across_the_snapshot_threshold_keeps_its_snapshot_exact() {
+    let dc = equality_dc(&[]);
+    let base: Vec<Vec<Value>> = (0..200).map(threshold_row).collect();
+    let mut requests = Vec::new();
+    for k in 0..6i64 {
+        let rows = (200 + 20 * k..220 + 20 * k).map(threshold_row).collect();
+        requests.push(ServiceRequest::ingest("s", "t", rows));
+        requests.push(ServiceRequest::new(
+            "s",
+            format!("SELECT a, b, c FROM t WHERE a <= {}", k % 4),
+        ));
+    }
+    let engine_for = |workers: usize| {
+        let mut engine =
+            DaisyEngine::new(DaisyConfig::default().with_worker_threads(workers)).unwrap();
+        let schema = table_from_rows(&[]).schema().as_ref().clone();
+        engine.register_table(Table::from_rows("t", schema, base.clone()).unwrap());
+        engine.add_constraint(dc.clone());
+        engine
+    };
+    let serial = CleaningService::new(engine_for(1));
+    serial.run_serial(&requests);
+    let expected_table = serial.shared().table("t").unwrap();
+    let expected_provenance = serial.shared().provenance("t").map(|p| p.dump());
+
+    for workers in [1usize, 2] {
+        let mut engine = engine_for(workers);
+        let shared = engine_for(workers).into_shared();
+        check_snapshot_and_reads(engine.table("t").unwrap(), engine.snapshot("t"), 0);
+        for request in &requests {
+            let rows_before = engine.table("t").unwrap().len();
+            let mut session = shared.session();
+            let (direct, staged) = match &request.op {
+                daisy::service::RequestOp::Ingest { table, rows } => (
+                    engine.ingest_rows(table, rows.clone()).unwrap(),
+                    session.ingest_rows(table, rows.clone()).unwrap(),
+                ),
+                daisy::service::RequestOp::Sql(sql) => (
+                    engine.execute_sql(sql).unwrap(),
+                    session.execute_sql(sql).unwrap(),
+                ),
+            };
+            assert_eq!(direct.result.tuples, staged.result.tuples);
+            assert_eq!(direct.report.errors_repaired, staged.report.errors_repaired);
+            check_snapshot_and_reads(
+                engine.table("t").unwrap(),
+                engine.snapshot("t"),
+                rows_before,
+            );
+            check_snapshot_and_reads(
+                session.table("t").unwrap(),
+                session.snapshot("t"),
+                rows_before,
+            );
+            session.commit().unwrap();
+        }
+        assert_eq!(engine.table("t").unwrap().len(), 320);
+        assert_eq!(engine.table("t").unwrap().tuples(), expected_table.tuples());
+        assert_eq!(shared.table("t").unwrap().tuples(), expected_table.tuples());
+        assert_eq!(
+            engine.provenance("t").map(|p| p.dump()),
+            expected_provenance
+        );
+        assert_eq!(
+            shared.provenance("t").map(|p| p.dump()),
+            expected_provenance
         );
     }
 }
@@ -267,7 +422,7 @@ proptest! {
             .collect();
 
         let run = |workers: usize| {
-            let service = CleaningService::new(engine_with(IncrementalMode::On, &base, &dc));
+            let service = CleaningService::new(engine_with(&base, &dc));
             let report = service.run_with_workers(&requests, workers);
             let observable: Vec<(usize, Option<Vec<daisy::storage::Tuple>>)> = report
                 .outcomes
