@@ -1,11 +1,11 @@
-//! Machine-readable perf trajectory for the query execution paths.
+//! Machine-readable perf trajectory for query execution.
 //!
 //! Times three query shapes — a selective SP filter, an SPJ join
-//! (filter → code-keyed hash join → projection) and a filtered group-by
-//! aggregate — over SSB lineorder/supplier at 2k/8k/32k rows under
-//! `{row, vectorized}` execution × `{1, 4}` workers × a relaxed share of
-//! `{0, 0.5, 1}`, and writes the measurements as `BENCH_query.json` at the
-//! repository root, next to the host's core count.
+//! (filter → hash join → projection) and a filtered group-by aggregate —
+//! over SSB lineorder/supplier at 2k/8k/32k rows × `{1, 4}` workers × a
+//! relaxed share of `{0, 0.5, 1}`, and writes the measurements as
+//! `BENCH_query.json` at the repository root, next to the host's core
+//! count.
 //!
 //! The relaxed share is the state Daisy actually serves after its first
 //! cleaning queries: that share of the rows has its filter and join-key
@@ -13,24 +13,13 @@
 //! probabilistic cells of 2–8 exact candidates around the original value,
 //! which stays the most probable one.
 //!
-//! The row path is a catalog without snapshots; the vectorized path is a
-//! second catalog over the same shared tables with current snapshots
-//! attached — the executor vectorizes exactly the scans that have one.
-//!
 //! Result equality is asserted **per grid cell**: before a configuration is
 //! timed, its result is dumped byte-for-byte (schema, tuple ids, lineage,
-//! cells) and compared against the sequential row-path reference for the
-//! same query and row count — the vectorized path may only move wall-clock,
-//! never output.  At 32k determinate rows, the vectorized SP filter and
-//! SPJ join are additionally asserted not to fall behind the row path.
-//!
-//! Snapshots are built **outside** the timed region: they are the engine's
-//! maintained artifact (kept current by `O(|delta|)` patching on the write
-//! path), not a per-query cost.  The one-off build cost is reported
-//! separately as `snapshot_build`.  Queries run under the engine's
-//! `Possible` predicate mode, so on relaxed rows both paths enumerate
-//! candidate worlds — the row path over `Value`s, the vectorized path over
-//! the snapshot's candidate codes.
+//! cells) and compared against the sequential reference for the same query
+//! and row count — the worker count may only move wall-clock, never output.
+//! Queries run under the engine's `Possible` predicate mode, so on relaxed
+//! rows the filters enumerate candidate worlds and the join matches on
+//! candidate overlap.
 //!
 //! Knobs: `DAISY_BENCH_RUNS` (iterations per measurement, min is reported;
 //! default 3) and `DAISY_BENCH_OUT` (output path override).
@@ -43,7 +32,7 @@ use daisy_data::ssb::{generate_lineorder, generate_supplier, SsbConfig};
 use daisy_exec::ExecContext;
 use daisy_query::physical::PredicateMode;
 use daisy_query::{execute, parse_query, Catalog, LogicalPlan, QueryResult};
-use daisy_storage::{Candidate, Cell, ColumnSnapshot, Table};
+use daisy_storage::{Candidate, Cell, Table};
 
 /// One measurement row of the JSON report.
 struct Measurement {
@@ -51,9 +40,6 @@ struct Measurement {
     rows: usize,
     /// Percentage of rows whose filter / join-key cells are probabilistic.
     relaxed_pct: usize,
-    /// `row` (a catalog without snapshots) or `vectorized` (current
-    /// snapshots attached: every scan is vectorized).
-    exec: &'static str,
     workers: usize,
     seconds: f64,
     result_rows: usize,
@@ -94,9 +80,7 @@ fn dump(result: &QueryResult) -> String {
 }
 
 /// The three benched query shapes.  Filters sit below the join on the
-/// driving table, so the vectorized path carries a selection vector from
-/// the scan through the filter into the join probe / final projection and
-/// only materializes result tuples.
+/// driving table, so the join probes only the filtered rows.
 const QUERIES: [(&str, &str); 3] = [
     (
         "sp_filter",
@@ -182,33 +166,10 @@ fn main() {
     for &rows in &row_counts {
         for relaxed_pct in RELAXED_PCT {
             let catalog = catalog_for(rows, relaxed_pct);
-
-            // The maintained-artifact build, reported separately (un-timed
-            // in the query measurements below).
-            let (snap_seconds, _) = time_min(|| {
-                ColumnSnapshot::build(catalog.table("lineorder").unwrap()).unwrap();
-                rows
-            });
-            eprintln!("snapshot_build rows={rows} relaxed={relaxed_pct}%: {snap_seconds:.4}s");
-            measurements.push(Measurement {
-                query: "snapshot_build",
-                rows,
-                relaxed_pct,
-                exec: "vectorized",
-                workers: 1,
-                seconds: snap_seconds,
-                result_rows: rows,
-            });
-            let mut vectorized = Catalog::new();
-            for name in ["lineorder", "supplier"] {
-                vectorized.add_shared(catalog.shared(name).unwrap());
-                vectorized.refresh_snapshot(name).unwrap();
-            }
-
             for (name, sql) in QUERIES {
                 let query = parse_query(sql).unwrap();
                 let plan = LogicalPlan::from_query(&query).unwrap();
-                // The byte-identity reference: the sequential row path.
+                // The byte-identity reference: the sequential run.
                 let reference = dump(
                     &execute(
                         &ExecContext::sequential(),
@@ -221,78 +182,39 @@ fn main() {
 
                 for &workers in &workers_grid {
                     let ctx = ExecContext::new(workers);
-                    for (exec, catalog) in [("row", &catalog), ("vectorized", &vectorized)] {
-                        // Per-cell equality first, un-timed: this
-                        // configuration must reproduce the reference byte
-                        // for byte.
-                        let result =
-                            execute(&ctx, catalog, &plan, PredicateMode::Possible).unwrap();
-                        assert_eq!(
-                            dump(&result),
-                            reference,
-                            "{name}@{rows} relaxed={relaxed_pct}% diverged from the row path \
-                             under {exec} with {workers} workers"
-                        );
-                        let (seconds, result_rows) = time_min(|| {
-                            execute(&ctx, catalog, &plan, PredicateMode::Possible)
-                                .unwrap()
-                                .len()
-                        });
-                        eprintln!(
-                            "{name} rows={rows} relaxed={relaxed_pct}% exec={exec} \
-                             workers={workers}: {seconds:.4}s ({result_rows} result rows)"
-                        );
-                        measurements.push(Measurement {
-                            query: name,
-                            rows,
-                            relaxed_pct,
-                            exec,
-                            workers,
-                            seconds,
-                            result_rows,
-                        });
-                    }
+                    // Per-cell equality first, un-timed: this configuration
+                    // must reproduce the reference byte for byte.
+                    let result = execute(&ctx, &catalog, &plan, PredicateMode::Possible).unwrap();
+                    assert_eq!(
+                        dump(&result),
+                        reference,
+                        "{name}@{rows} relaxed={relaxed_pct}% diverged from the sequential \
+                         run with {workers} workers"
+                    );
+                    let (seconds, result_rows) = time_min(|| {
+                        execute(&ctx, &catalog, &plan, PredicateMode::Possible)
+                            .unwrap()
+                            .len()
+                    });
+                    eprintln!(
+                        "{name} rows={rows} relaxed={relaxed_pct}% workers={workers}: \
+                         {seconds:.4}s ({result_rows} result rows)"
+                    );
+                    measurements.push(Measurement {
+                        query: name,
+                        rows,
+                        relaxed_pct,
+                        workers,
+                        seconds,
+                        result_rows,
+                    });
                 }
             }
         }
     }
 
-    let time_of = |query: &str, rows: usize, relaxed_pct: usize, exec: &str, workers: usize| {
-        measurements
-            .iter()
-            .find(|m| {
-                (m.query, m.rows, m.relaxed_pct, m.exec, m.workers)
-                    == (query, rows, relaxed_pct, exec, workers)
-            })
-            .map(|m| m.seconds)
-            .unwrap()
-    };
-
-    // The sanity gate: at 32k determinate rows late materialization must
-    // keep the SP filter and the SPJ join clearly ahead of the row path
-    // (results already asserted byte-identical above).  The bound was 3×
-    // while the row kernel re-resolved column names per tuple; it resolves
-    // them once per call now, which took most of that ratio with it — then
-    // 1.5×, until row clones became pointer bumps (shared cells) and the
-    // row path's own materialization stopped costing a copy per answer row:
-    // what is left of the lead is 1.2–1.5×, so the gate is "not behind".
-    for query in ["sp_filter", "spj_join"] {
-        for &workers in &workers_grid {
-            let row_path = time_of(query, 32_000, 0, "row", workers);
-            let vectorized = time_of(query, 32_000, 0, "vectorized", workers);
-            let speedup = row_path / vectorized.max(1e-9);
-            eprintln!("{query}@32k workers={workers}: {speedup:.2}x");
-            assert!(
-                speedup >= 1.0,
-                "{query} at 32k rows with {workers} workers must not be slower \
-                 vectorized, got {speedup:.2}x ({row_path:.4}s row vs {vectorized:.4}s vectorized)"
-            );
-        }
-    }
-
-    let json = render_json(&row_counts, &workers_grid, &measurements, &time_of);
     let out = output_path();
-    std::fs::write(&out, json).unwrap();
+    std::fs::write(&out, render_json(&measurements)).unwrap();
     eprintln!("wrote {}", out.display());
 }
 
@@ -304,12 +226,7 @@ fn output_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_query.json")
 }
 
-fn render_json(
-    row_counts: &[usize],
-    workers_grid: &[usize],
-    measurements: &[Measurement],
-    time_of: &dyn Fn(&str, usize, usize, &str, usize) -> f64,
-) -> String {
+fn render_json(measurements: &[Measurement]) -> String {
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut json =
         format!("{{\n  \"bench\": \"query\",\n  \"host_nproc\": {nproc},\n  \"results\": [\n");
@@ -317,39 +234,16 @@ fn render_json(
         let comma = if i + 1 == measurements.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"query\": \"{}\", \"rows\": {}, \"relaxed_share\": {:.1}, \
-             \"exec\": \"{}\", \"workers\": {}, \"seconds\": {:.6}, \"result_rows\": {}}}{}\n",
+             \"workers\": {}, \"seconds\": {:.6}, \"result_rows\": {}}}{}\n",
             m.query,
             m.rows,
             m.relaxed_pct as f64 / 100.0,
-            m.exec,
             m.workers,
             m.seconds,
             m.result_rows,
             comma
         ));
     }
-    // Keys: `<query>_<rows>_w<workers>` on determinate tables, with a
-    // `_relaxed<pct>` suffix on relaxed ones.
-    json.push_str("  ],\n  \"speedup_vectorized_over_row\": {\n");
-    let mut lines = Vec::new();
-    for relaxed_pct in RELAXED_PCT {
-        let suffix = match relaxed_pct {
-            0 => String::new(),
-            pct => format!("_relaxed{pct}"),
-        };
-        for &rows in row_counts {
-            for query in ["sp_filter", "spj_join", "aggregate"] {
-                for &workers in workers_grid {
-                    let speedup = time_of(query, rows, relaxed_pct, "row", workers)
-                        / time_of(query, rows, relaxed_pct, "vectorized", workers).max(1e-9);
-                    lines.push(format!(
-                        "    \"{query}_{rows}_w{workers}{suffix}\": {speedup:.2}"
-                    ));
-                }
-            }
-        }
-    }
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  }\n}\n");
+    json.push_str("  ]\n}\n");
     json
 }

@@ -137,39 +137,6 @@ impl DetectionEstimate {
             DetectionMode::Pairwise
         }
     }
-
-    /// Cost of detecting a batch of `delta_rows` against a **maintained**
-    /// index: per delta row, an `O(log group)` membership update plus one
-    /// visit per candidate inside its equality partition (`mean_group`,
-    /// vetoed by the worst partition like [`DetectionEstimate::indexed_cost`]).
-    /// The table-sized build term of the rebuild path is entirely absent —
-    /// that is the point of maintaining the index.
-    pub fn incremental_cost(&self, delta_rows: usize) -> f64 {
-        let d = delta_rows as f64;
-        let mean_group = self.key.mean_group().max(1.0);
-        let max_group = self.key.max_group as f64;
-        let maintenance = d * mean_group.max(2.0).log2();
-        maintenance + (d * mean_group).max(d.min(1.0) * max_group)
-    }
-
-    /// `true` when detecting a `delta_rows`-row batch through the
-    /// maintained index is projected to beat rebuilding the index and
-    /// restricting detection to the batch — the choice streaming ingest
-    /// makes for every batch over a live index.  Both
-    /// paths enumerate the same `Δ × (T ∪ Δ)` candidates, so the decision
-    /// reduces to the maintenance term against the per-batch rebuild pass:
-    /// maintenance wins for any batch meaningfully smaller than the table
-    /// and only loses for near-table-sized batches over skew-free keys.
-    pub fn prefers_incremental(&self, delta_rows: usize) -> bool {
-        let n = self.rows as f64;
-        let mut rebuild = n * (n.max(2.0)).log2();
-        if self.columnar {
-            rebuild *= COLUMNAR_BUILD_FACTOR;
-        }
-        let d = delta_rows as f64;
-        let mean_group = self.key.mean_group().max(1.0);
-        d * mean_group.max(2.0).log2() < rebuild
-    }
 }
 
 /// The engine's detection choice for a constraint, from its *shape*
@@ -514,31 +481,6 @@ mod tests {
             },
         );
         assert_eq!(skewed.recommend(), DetectionMode::Pairwise);
-    }
-
-    #[test]
-    fn incremental_detection_beats_rebuilds_for_small_batches() {
-        let estimate = DetectionEstimate::new(
-            100_000,
-            daisy_storage::KeyStatistics {
-                rows: 100_000,
-                distinct: 1_000,
-                max_group: 150,
-            },
-        );
-        // A 1% batch is far cheaper through the maintained index than the
-        // 100k-row rebuild the baseline pays per batch.
-        assert!(estimate.incremental_cost(1_000) < estimate.indexed_cost());
-        assert!(estimate.prefers_incremental(1_000));
-        // Cost grows with the batch; an empty batch is free.
-        assert!(estimate.incremental_cost(2_000) > estimate.incremental_cost(1_000));
-        assert_eq!(estimate.incremental_cost(0), 0.0);
-        assert!(estimate.prefers_incremental(0));
-        // A batch much larger than the table loses to one rebuild.
-        assert!(!estimate.prefers_incremental(10_000_000));
-        // The columnar discount shifts the break-even towards rebuilding.
-        let columnar = estimate.clone().with_columnar(true);
-        assert!(columnar.prefers_incremental(1_000));
     }
 
     #[test]

@@ -28,22 +28,16 @@ use std::time::Instant;
 use daisy_common::{ColumnId, DaisyConfig, DaisyError, Result, RuleId, Schema, TupleId, Value};
 use daisy_exec::ExecContext;
 use daisy_expr::{BoolExpr, DenialConstraint, FunctionalDependency, Violation};
-use daisy_query::physical::{
-    aggregate, filter_selection, filter_tuples, hash_join, hash_join_coded, project, PredicateMode,
-};
+use daisy_query::physical::{aggregate, filter_tuples, hash_join, project, PredicateMode};
 use daisy_query::{parse_query, Query, QueryResult, SelectItem};
-use daisy_storage::{
-    ColumnSnapshot, Delta, Footprint, KeyStatistics, ProvenanceStore, Table, Tuple,
-};
+use daisy_storage::{ColumnSnapshot, Delta, Footprint, ProvenanceStore, Table, Tuple};
 
 use crate::accuracy::{estimate_accuracy, CleaningDecision};
 use crate::clean_dc::{repair_dc_violations, DcCleanOutcome};
 use crate::clean_select::clean_select_fd_with;
-use crate::cost::{
-    planned_detection, CostParameters, CostTracker, DetectionEstimate, DetectionStrategy,
-};
+use crate::cost::{planned_detection, CostParameters, CostTracker, DetectionStrategy};
 use crate::fd_index::FdIndex;
-use crate::index::{canonicalize_violations, MaintainedIndex, ViolationIndex};
+use crate::index::MaintainedIndex;
 use crate::planner::CleaningPlan;
 use crate::relaxation::FilterTarget;
 use crate::report::{CleaningReport, CleaningStrategy, SessionReport};
@@ -303,19 +297,6 @@ impl DaisyEngine {
         Ok(())
     }
 
-    /// The snapshot the vectorized query path reads a table through: the
-    /// maintained one, while it is current.  Without one the query stays on
-    /// the row path.
-    fn query_snapshot(&self, table_name: &str) -> Result<Option<Arc<ColumnSnapshot>>> {
-        let table = self.world.catalog.table(table_name)?;
-        Ok(self
-            .world
-            .snapshots
-            .get(table_name)
-            .filter(|snap| snap.is_current(table))
-            .cloned())
-    }
-
     /// Parses and executes a SQL query.
     pub fn execute_sql(&mut self, sql: &str) -> Result<QueryOutcome> {
         let query = parse_query(sql)?;
@@ -341,12 +322,6 @@ impl DaisyEngine {
 
         // ---- driving table: filter + clean ---------------------------------
         let driving = query.from.clone();
-        // Give the vectorized path current snapshots to read through (tables
-        // below the size threshold stay bare and take the row path).
-        self.refresh_snapshot(&driving)?;
-        for join in &query.joins {
-            self.refresh_snapshot(&join.table)?;
-        }
         let driving_schema = Arc::new(
             self.world
                 .catalog
@@ -435,34 +410,15 @@ impl DaisyEngine {
                 &mut report,
             )?;
 
-            // Code-keyed join when a current snapshot covers the (partially
-            // cleaned) build side; the row-path hash join otherwise.  Both
-            // produce byte-identical output.
-            let right_snapshot = self.query_snapshot(&right_name)?;
-            let right_table = self.world.catalog.shared(&right_name)?;
-            let joined = match right_snapshot {
-                Some(snapshot) => hash_join_coded(
-                    &self.ctx,
-                    &current_schema,
-                    &current,
-                    None,
-                    &right_schema,
-                    right_table.tuples(),
-                    None,
-                    &snapshot,
-                    &join.left_key,
-                    &join.right_key,
-                )?,
-                None => hash_join(
-                    &self.ctx,
-                    &current_schema,
-                    &current,
-                    &right_schema,
-                    right_table.tuples(),
-                    &join.left_key,
-                    &join.right_key,
-                )?,
-            };
+            let joined = hash_join(
+                &self.ctx,
+                &current_schema,
+                &current,
+                &right_schema,
+                self.world.catalog.table(&right_name)?.tuples(),
+                &join.left_key,
+                &join.right_key,
+            )?;
             current_schema = joined.schema;
             current = joined.tuples;
         }
@@ -549,33 +505,13 @@ impl DaisyEngine {
         plan: &CleaningPlan,
         report: &mut CleaningReport,
     ) -> Result<Vec<Tuple>> {
-        let answer = {
-            let snapshot = self.query_snapshot(table_name)?;
-            let table = self.world.catalog.table(table_name)?;
-            match snapshot {
-                // Vectorized: a selection vector over snapshot codes, then
-                // materialize the qualifying tuples — identical output to
-                // the row path's clone-filter by construction.
-                Some(snapshot) => filter_selection(
-                    &self.ctx,
-                    schema,
-                    &snapshot,
-                    None,
-                    filter,
-                    PredicateMode::Possible,
-                )?
-                .into_iter()
-                .map(|pos| table.tuples()[pos].clone())
-                .collect(),
-                None => filter_tuples(
-                    &self.ctx,
-                    schema,
-                    table.tuples(),
-                    filter,
-                    PredicateMode::Possible,
-                )?,
-            }
-        };
+        let answer = filter_tuples(
+            &self.ctx,
+            schema,
+            self.world.catalog.table(table_name)?.tuples(),
+            filter,
+            PredicateMode::Possible,
+        )?;
         let cleaned = self.clean_answer_for_table(table_name, schema, answer, plan, report)?;
         // Keep only the tuples that (possibly) satisfy the filter: relaxation
         // extras whose candidates fall in the query range stay, the rest were
@@ -1014,9 +950,7 @@ impl DaisyEngine {
     /// [`Delta`] and runs **delta-restricted** detect → relax → repair for
     /// every registered two-tuple rule over the table — only the
     /// `Δ × (T ∪ Δ)` candidate pairs are enumerated, against the world's
-    /// persistent [`MaintainedIndex`]es instead of a per-batch rebuild
-    /// (the detection cost model picks maintenance or a rebuild per batch;
-    /// both produce byte-identical violations, repairs and pair counts).
+    /// persistent [`MaintainedIndex`]es instead of a per-batch rebuild.
     ///
     /// The repairs flow through the same `apply_delta_patching` write path
     /// as query-driven cleaning, so staged-delta recording and
@@ -1092,7 +1026,7 @@ impl DaisyEngine {
     }
 
     /// One rule of an ingest batch: delta-restricted detection against the
-    /// maintained (or freshly rebuilt) index, then the holistic repair of
+    /// maintained index, then the holistic repair of
     /// `clean_dc` applied through the standard write path.
     fn ingest_clean_rule(
         &mut self,
@@ -1143,11 +1077,9 @@ impl DaisyEngine {
     }
 
     /// Delta-restricted detection for one rule: the `Δ × (T ∪ Δ)` candidate
-    /// pairs, via the world's [`MaintainedIndex`] or a fresh
-    /// [`ViolationIndex`] swept with the `i ∈ Δ ∨ j ∈ Δ` admit filter,
-    /// whichever the detection cost model prices cheaper.  Both paths
-    /// return the same canonical violations and the same candidate-pair
-    /// count.
+    /// pairs, via the world's [`MaintainedIndex`] — built on the rule's
+    /// first ingest (or when an out-of-band write left it stale) and
+    /// patched by every write since.
     fn ingest_detect(
         &mut self,
         table_name: &str,
@@ -1160,52 +1092,19 @@ impl DaisyEngine {
             .index_plan()
             .expect("ingest_rows only admits rules with an index plan");
         let key = (table_name.to_string(), rule.id.raw());
-        let use_maintained = {
-            let table = self.world.catalog.table(table_name)?;
-            match self.world.violation_indexes.get(&key) {
-                // A live index prices maintenance against a rebuild.
-                Some(index) if index.is_current(table) => {
-                    let stats = KeyStatistics {
-                        rows: index.rows(),
-                        distinct: index.partition_count(),
-                        max_group: index.max_partition_size(),
-                    };
-                    DetectionEstimate::new(index.rows(), stats)
-                        .with_columnar(self.world.snapshots.contains_key(table_name))
-                        .prefers_incremental(positions.len())
-                }
-                // No (current) index yet: building one costs the same as
-                // the rebuild baseline and amortizes over the stream.
-                _ => true,
-            }
-        };
-        if use_maintained {
-            let table = self.world.catalog.table(table_name)?;
-            let current = self
-                .world
+        let table = self.world.catalog.table(table_name)?;
+        let current = self
+            .world
+            .violation_indexes
+            .get(&key)
+            .is_some_and(|index| index.is_current(table));
+        if !current {
+            let built = MaintainedIndex::build(schema, rule, &plan, table)?;
+            self.world
                 .violation_indexes
-                .get(&key)
-                .is_some_and(|index| index.is_current(table));
-            if !current {
-                let built = MaintainedIndex::build(schema, rule, &plan, table)?;
-                self.world
-                    .violation_indexes
-                    .insert(key.clone(), Arc::new(built));
-            }
-            let index = self
-                .world
-                .violation_indexes
-                .get(&key)
-                .expect("just ensured current");
-            index.detect_delta(&self.ctx, schema, tuples, positions)
-        } else {
-            let index = ViolationIndex::build(&self.ctx, schema, rule, &plan, tuples)?;
-            let in_delta: HashSet<usize> = positions.iter().copied().collect();
-            let (found, pairs) = index.sweep_detect(&self.ctx, schema, tuples, |i, j| {
-                in_delta.contains(&i) || in_delta.contains(&j)
-            })?;
-            Ok((canonicalize_violations(found), pairs))
+                .insert(key.clone(), Arc::new(built));
         }
+        self.world.violation_indexes[&key].detect_delta(&self.ctx, schema, tuples, positions)
     }
 
     /// Applies a delta to a base table and keeps its columnar snapshot
@@ -1309,6 +1208,7 @@ fn filter_for_table(query: &Query, _table: &str, allow_whole_filter: bool) -> Bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{canonicalize_violations, ViolationIndex};
     use daisy_common::DataType;
 
     fn cities_table() -> Table {
@@ -1426,11 +1326,6 @@ mod tests {
                 assert_eq!(
                     snap.value(row, col),
                     fresh.value(row, col),
-                    "({row}, {col})"
-                );
-                assert_eq!(
-                    snap.candidate_values(row, col),
-                    fresh.candidate_values(row, col),
                     "({row}, {col})"
                 );
             }
@@ -1598,12 +1493,11 @@ mod tests {
     }
 
     #[test]
-    fn ingest_batch_larger_than_the_table_takes_the_rebuild_path() {
+    fn ingest_batch_larger_than_the_table_matches_the_kernel() {
         // A snapshot-backed table on a single key with a live index (built
         // by a first, one-row ingest), then a batch larger than the table:
-        // the cost model prices rebuilding the index over the grown table
-        // below maintaining it, so detection takes the per-batch rebuild
-        // branch of `ingest_detect` — and must still match the kernel.
+        // the maintained index absorbs it and detection must still match
+        // the kernel's rebuild-and-sweep reference.
         let on_key = |count: usize, city: &str| -> Vec<Vec<Value>> {
             (0..count)
                 .map(|_| vec![Value::Int(1), Value::from(city)])
@@ -1636,20 +1530,6 @@ mod tests {
         let mut rows = on_key(batch - 3, "Springfield");
         rows.extend(on_key(3, "Shelbyville"));
         assert!(ingest_matches_the_kernel(&mut engine, rows) > 0);
-        // The decision `ingest_detect` made, from the same index statistics.
-        let key = (
-            "cities".to_string(),
-            engine.constraints().rules()[0].id.raw(),
-        );
-        let index = &engine.world.violation_indexes[&key];
-        let stats = KeyStatistics {
-            rows: index.rows(),
-            distinct: index.partition_count(),
-            max_group: index.max_partition_size(),
-        };
-        assert!(!DetectionEstimate::new(index.rows(), stats)
-            .with_columnar(true)
-            .prefers_incremental(batch));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | table (`Arc<Table>` in the catalog) | the table | the row *table* — one `(id, cells pointer, lineage)` record per row, no cell — then the cells of each row it updates ([`Cells`](daisy_storage::Cells)), once per row; the id index only for appends |
 //! | provenance ([`ProvenanceStore`] handle) | the key map and every entry | the key map (pointers) and the entry recorded — *inside the recording call*; a pass that records nothing leaves the handle pointer-equal |
-//! | snapshot (`Arc<ColumnSnapshot>`) | every column, side-column, the dictionary, the row map | the columns a delta's updates touch; the dictionary only for a novel string; the row map and every column for appends |
+//! | snapshot (`Arc<ColumnSnapshot>`) | every column, the dictionary, the row map | the columns a delta's updates touch; the dictionary only for a novel string; the row map and every column for appends |
 //! | violation index (`Arc<MaintainedIndex>`) | every partition, every row's contribution, the plan shape | the two pointer tables, then only the partitions a delta row leaves or enters |
 //! | FD index, θ-matrix (`Arc`) | the whole structure | FD indexes are immutable once built; a θ-matrix is copied by the first check that marks blocks |
 //! | constraints (`Arc<ConstraintSet>`) | the set | the set, when a rule is registered |
@@ -55,7 +55,8 @@ use crate::index::MaintainedIndex;
 use crate::theta::ThetaMatrix;
 
 /// Tables with at least this many rows carry a maintained columnar
-/// snapshot; smaller ones never recoup its build and stay on the row path.
+/// snapshot; smaller ones never recoup its build, and their cleaning
+/// kernels read the tuples.
 pub const SNAPSHOT_MIN_ROWS: usize = 256;
 
 /// The key under which per-rule derived structures are cached: the table

@@ -26,7 +26,7 @@ pub mod sat;
 pub mod scalar;
 pub mod violation;
 
-pub use columnar::{resolve_predicates, CodedPredicate, CodedScalarPredicate};
+pub use columnar::{resolve_predicates, CodedPredicate};
 pub use constraint::{
     ConstraintSet, DcPredicate, DenialConstraint, FunctionalDependency, IndexPlan, Operand,
     PredicateKind,

@@ -23,10 +23,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use daisy_common::{DaisyError, Result, Schema, Value};
-use daisy_storage::{Candidate, CandidateValue, Cell, Tuple};
+use daisy_storage::Tuple;
 
 use crate::operators::ComparisonOp;
-use crate::possible::{CandidateList, Domain, Resolved, Row};
+use crate::possible::Resolved;
 
 /// A scalar expression: a column reference or a literal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -238,87 +238,43 @@ fn merge_bound(a: Option<Value>, b: Option<Value>, is_lower: bool) -> Option<Val
 /// A [`BoolExpr`] resolved against a schema for evaluation over many
 /// tuples: column names are looked up once, each evaluation reads cells by
 /// ordinal and compares `&Value`s in place — nothing is allocated per
-/// tuple.  The per-tuple counterpart of
-/// [`CodedScalarPredicate`](crate::columnar::CodedScalarPredicate); the two
-/// share the possible-world core of `daisy-expr/src/possible.rs`.
+/// tuple.  The possible-world core it runs lives in
+/// `daisy-expr/src/possible.rs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowPredicate<'e> {
-    resolved: Resolved<&'e Value>,
-}
-
-/// One tuple as the possible-world core reads it.
-struct TupleRow<'a>(&'a Tuple);
-
-impl<'a> Row for TupleRow<'a> {
-    type Literal = &'a Value;
-    type Scalar = &'a Value;
-    type Candidates = &'a [Candidate];
-
-    fn literal(&self, literal: &&'a Value) -> &'a Value {
-        literal
-    }
-
-    fn expected(&self, column: usize) -> &'a Value {
-        self.0.cells[column].expected_ref()
-    }
-
-    fn candidates(&self, column: usize) -> Option<&'a [Candidate]> {
-        match &self.0.cells[column] {
-            Cell::Determinate(_) => None,
-            Cell::Probabilistic(candidates) => Some(candidates),
-        }
-    }
-}
-
-impl<'a> CandidateList for &'a [Candidate] {
-    type Scalar = &'a Value;
-
-    fn len(self) -> usize {
-        <[Candidate]>::len(self)
-    }
-
-    fn all_exact(self) -> bool {
-        self.iter()
-            .all(|c| matches!(c.value, CandidateValue::Exact(_)))
-    }
-
-    fn get(self, index: usize) -> Domain<&'a Value> {
-        match &self[index].value {
-            CandidateValue::Exact(v) => Domain::Exact(v),
-            CandidateValue::LessThan(b) => Domain::LessThan(b),
-            CandidateValue::GreaterThan(b) => Domain::GreaterThan(b),
-            CandidateValue::Between(lo, hi) => Domain::Between(lo, hi),
-        }
-    }
+    resolved: Resolved<'e>,
 }
 
 impl<'e> RowPredicate<'e> {
     /// Resolves the expression's column references against `schema`.  Fails
     /// for unknown (or ambiguous) columns.
     pub fn resolve(expr: &'e BoolExpr, schema: &Schema) -> Result<RowPredicate<'e>> {
-        let resolved = Resolved::resolve(expr, schema, |literal| literal)?;
-        Ok(RowPredicate { resolved })
+        Ok(RowPredicate {
+            resolved: Resolved::resolve(expr, schema)?,
+        })
     }
 
-    /// The tuple as a [`Row`]; fails when it is shorter than the schema the
-    /// predicate was resolved against.
-    fn row<'a>(&self, tuple: &'a Tuple) -> Result<TupleRow<'a>> {
+    /// Fails when `tuple` is shorter than the schema the predicate was
+    /// resolved against.
+    fn check_arity(&self, tuple: &Tuple) -> Result<()> {
         match self.resolved.columns().last() {
             Some(&column) if column >= tuple.arity() => Err(DaisyError::Execution(format!(
                 "cell index {column} out of bounds"
             ))),
-            _ => Ok(TupleRow(tuple)),
+            _ => Ok(()),
         }
     }
 
     /// See [`BoolExpr::eval_expected`].
     pub fn eval_expected(&self, tuple: &Tuple) -> Result<bool> {
-        Ok(self.resolved.eval_expected(&self.row(tuple)?))
+        self.check_arity(tuple)?;
+        Ok(self.resolved.eval_expected(tuple))
     }
 
     /// See [`BoolExpr::eval_possible`].
     pub fn eval_possible(&self, tuple: &Tuple) -> Result<bool> {
-        Ok(self.resolved.eval_possible(&self.row(tuple)?))
+        self.check_arity(tuple)?;
+        Ok(self.resolved.eval_possible(tuple))
     }
 }
 

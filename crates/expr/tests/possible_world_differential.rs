@@ -1,7 +1,6 @@
-//! Differential tests for possible-world predicate evaluation: the coded
-//! kernel over a snapshot row ([`CodedScalarPredicate::eval_possible`])
-//! against the per-tuple kernel ([`BoolExpr::eval_possible`]), and both
-//! against a brute-force enumeration of worlds where one is defined.
+//! Differential tests for possible-world predicate evaluation: the
+//! per-tuple kernel ([`RowPredicate::eval_possible`]) against a
+//! brute-force enumeration of worlds wherever one is defined.
 //!
 //! Random predicates use every shape the resolver distinguishes —
 //! `And` / `Or` / `Not`, column–literal both ways round, column–column,
@@ -13,8 +12,8 @@
 use proptest::prelude::*;
 
 use daisy_common::{DataType, Schema, TupleId, Value};
-use daisy_expr::{BoolExpr, CodedScalarPredicate, ComparisonOp, RowPredicate, ScalarExpr};
-use daisy_storage::{Candidate, CandidateValue, Cell, ColumnSnapshot, Table, Tuple};
+use daisy_expr::{BoolExpr, ComparisonOp, RowPredicate, ScalarExpr};
+use daisy_storage::{Candidate, CandidateValue, Cell, Table, Tuple};
 
 /// splitmix64, so one proptest-drawn seed unfolds into a table and a tree.
 struct Rng(u64);
@@ -191,7 +190,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn coded_eval_matches_tuple_eval_and_the_definition(seed in 0u64..u64::MAX) {
+    fn row_predicate_matches_the_definition(seed in 0u64..u64::MAX) {
         let rng = &mut Rng(seed);
         let schema = schema();
         let mut table = Table::new("t", schema.clone());
@@ -200,30 +199,23 @@ proptest! {
                 .push_cells((0..COLUMNS.len()).map(|c| cell(rng, c)).collect())
                 .unwrap();
         }
-        let snapshot = ColumnSnapshot::build(&table).unwrap();
         for _ in 0..6 {
             let expr = predicate(rng, 3);
-            let coded = CodedScalarPredicate::resolve(&expr, &schema, &snapshot).unwrap();
             let resolved = RowPredicate::resolve(&expr, &schema).unwrap();
-            for (row, tuple) in table.tuples().iter().enumerate() {
-                let possible = expr.eval_possible(&schema, tuple).unwrap();
-                prop_assert!(
-                    coded.eval_possible(&snapshot, row) == possible,
-                    "`{expr}` possible: coded != tuple on {tuple:?}"
-                );
-                prop_assert_eq!(resolved.eval_possible(tuple).unwrap(), possible);
-                let expected = expr.eval_expected(&schema, tuple).unwrap();
-                prop_assert!(
-                    coded.eval(&snapshot, row) == expected,
-                    "`{expr}` expected: coded != tuple on {tuple:?}"
+            for tuple in table.tuples() {
+                let possible = resolved.eval_possible(tuple).unwrap();
+                prop_assert_eq!(expr.eval_possible(&schema, tuple).unwrap(), possible);
+                prop_assert_eq!(
+                    resolved.eval_expected(tuple).unwrap(),
+                    expr.eval_expected(&schema, tuple).unwrap()
                 );
                 // Every cell has at most 4 candidates: 256 worlds at most,
                 // far below the enumeration bound.
                 if let Some(defined) = brute_force(&expr, &schema, tuple) {
                     prop_assert!(
                         possible == defined,
-                        "`{expr}` possible: kernels say {possible}, the definition {defined} \
-                         on {tuple:?}"
+                        "`{expr}` possible: the kernel says {possible}, the definition \
+                         {defined} on {tuple:?}"
                     );
                 }
             }
@@ -232,11 +224,11 @@ proptest! {
 }
 
 /// The enumeration bound: 4 096 worlds are still enumerated (exact), one
-/// more world and the row is judged by the optimistic rule — on both
-/// kernels.  `c0`'s candidates straddle `[5, 10]` without entering it, so
-/// enumeration says no and the optimistic rule says yes.
+/// more world and the tuple is judged by the optimistic rule.  `c0`'s
+/// candidates straddle `[5, 10]` without entering it, so enumeration says
+/// no and the optimistic rule says yes.
 #[test]
-fn both_kernels_switch_to_the_optimistic_rule_past_4096_worlds() {
+fn evaluation_switches_to_the_optimistic_rule_past_4096_worlds() {
     let schema = Schema::from_pairs(&[
         ("c0", DataType::Int),
         ("c1", DataType::Int),
@@ -260,18 +252,17 @@ fn both_kernels_switch_to_the_optimistic_rule_past_4096_worlds() {
     table
         .push_cells(vec![exact(8), exact(8), exact(8), exact(9)])
         .unwrap(); // 4608 worlds
-    let snapshot = ColumnSnapshot::build(&table).unwrap();
     let expr = BoolExpr::between("c0", 5, 10)
         .and(BoolExpr::cmp("c1", ComparisonOp::Ge, 0))
         .and(BoolExpr::cmp("c2", ComparisonOp::Ge, 0))
         .and(BoolExpr::cmp("c3", ComparisonOp::Ge, 0));
-    let coded = CodedScalarPredicate::resolve(&expr, &schema, &snapshot).unwrap();
+    let resolved = RowPredicate::resolve(&expr, &schema).unwrap();
     for (row, optimistic) in [(0, false), (1, true)] {
         let tuple = &table.tuples()[row];
+        assert_eq!(resolved.eval_possible(tuple).unwrap(), optimistic);
         assert_eq!(expr.eval_possible(&schema, tuple).unwrap(), optimistic);
-        assert_eq!(coded.eval_possible(&snapshot, row), optimistic);
     }
-    // A tuple the snapshot has never seen evaluates the same way.
+    // A tuple outside any table evaluates the same way.
     let loose = Tuple::from_cells(TupleId::new(99), table.tuples()[1].cells.to_vec());
-    assert!(expr.eval_possible(&schema, &loose).unwrap());
+    assert!(resolved.eval_possible(&loose).unwrap());
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use daisy_common::{DaisyError, Result};
-use daisy_storage::{ColumnSnapshot, Table};
+use daisy_storage::Table;
 
 /// A collection of named tables.
 ///
@@ -17,16 +17,9 @@ use daisy_storage::{ColumnSnapshot, Table};
 /// whole catalog cheaply and only pay a deep table copy on their first
 /// write to it (copy-on-write through [`Arc::make_mut`] in
 /// [`Catalog::table_mut`]).
-///
-/// A table may carry an attached [`ColumnSnapshot`] (see
-/// [`Catalog::attach_snapshot`]); the vectorized executor reads through it
-/// when — and only when — it is still current for the table.  Replacing or
-/// removing a table drops its snapshot; in-place mutation bumps the table
-/// revision, which [`Catalog::current_snapshot`]'s currency check observes.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
-    snapshots: BTreeMap<String, Arc<ColumnSnapshot>>,
 }
 
 impl Catalog {
@@ -36,47 +29,24 @@ impl Catalog {
     }
 
     /// Registers a table under its own name, replacing any table previously
-    /// registered under that name (and dropping its attached snapshot).
+    /// registered under that name.
     pub fn add(&mut self, table: Table) {
-        self.snapshots.remove(table.name());
         self.tables
             .insert(table.name().to_string(), Arc::new(table));
     }
 
     /// Registers an already-shared table under its own name without copying
-    /// it, replacing any table previously registered under that name (and
-    /// dropping its attached snapshot).
+    /// it, replacing any table previously registered under that name.
     pub fn add_shared(&mut self, table: Arc<Table>) {
-        self.snapshots.remove(table.name());
         self.tables.insert(table.name().to_string(), table);
     }
 
-    /// Attaches a columnar snapshot to table `name` for the vectorized
-    /// read path.  The snapshot is only served while still current (see
-    /// [`Catalog::current_snapshot`]); attaching a stale one is harmless.
-    pub fn attach_snapshot(&mut self, name: &str, snapshot: Arc<ColumnSnapshot>) -> Result<()> {
-        if !self.tables.contains_key(name) {
-            return Err(DaisyError::Plan(format!("unknown table `{name}`")));
-        }
-        self.snapshots.insert(name.to_string(), snapshot);
-        Ok(())
-    }
-
-    /// Builds and attaches a fresh snapshot of table `name`.
+    /// Checks that table `name` is registered.  Queries read tables through
+    /// their tuples alone, so a catalog keeps no columnar snapshot to
+    /// refresh; the check remains for callers that prepare a catalog
+    /// table by table before querying it.
     pub fn refresh_snapshot(&mut self, name: &str) -> Result<()> {
-        let snapshot = Arc::new(ColumnSnapshot::build(self.table(name)?)?);
-        self.snapshots.insert(name.to_string(), snapshot);
-        Ok(())
-    }
-
-    /// The snapshot attached to table `name`, provided it is still current
-    /// (same revision and length as the table); `None` otherwise.
-    pub fn current_snapshot(&self, name: &str) -> Option<Arc<ColumnSnapshot>> {
-        let table = self.tables.get(name)?;
-        self.snapshots
-            .get(name)
-            .filter(|snapshot| snapshot.is_current(table))
-            .cloned()
+        self.table(name).map(|_| ())
     }
 
     /// Looks up a table.
@@ -110,7 +80,6 @@ impl Catalog {
 
     /// Removes a table, returning it (copied out if still shared).
     pub fn remove(&mut self, name: &str) -> Option<Table> {
-        self.snapshots.remove(name);
         self.tables
             .remove(name)
             .map(|t| Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone()))
@@ -162,6 +131,8 @@ mod tests {
         assert!(cat.table("a").is_ok());
         assert!(cat.table("z").is_err());
         assert!(cat.contains("b"));
+        assert!(cat.refresh_snapshot("a").is_ok());
+        assert!(cat.refresh_snapshot("z").is_err());
         cat.table_mut("a")
             .unwrap()
             .push_values(vec![daisy_common::Value::Int(1)])
@@ -170,34 +141,6 @@ mod tests {
         assert!(cat.remove("a").is_some());
         assert!(cat.remove("a").is_none());
         assert_eq!(cat.len(), 1);
-    }
-
-    #[test]
-    fn snapshots_attach_and_expire_with_the_table() {
-        let mut cat = Catalog::new();
-        let mut t = table("t");
-        t.push_values(vec![daisy_common::Value::Int(1)]).unwrap();
-        cat.add(t);
-        assert!(cat
-            .attach_snapshot(
-                "nope",
-                Arc::new(ColumnSnapshot::build(cat.table("t").unwrap()).unwrap())
-            )
-            .is_err());
-        assert!(cat.current_snapshot("t").is_none());
-        cat.refresh_snapshot("t").unwrap();
-        assert!(cat.current_snapshot("t").is_some());
-        // In-place mutation bumps the revision: the snapshot goes stale.
-        cat.table_mut("t")
-            .unwrap()
-            .push_values(vec![daisy_common::Value::Int(2)])
-            .unwrap();
-        assert!(cat.current_snapshot("t").is_none());
-        cat.refresh_snapshot("t").unwrap();
-        assert!(cat.current_snapshot("t").is_some());
-        // Replacing the table drops the attached snapshot outright.
-        cat.add(table("t"));
-        assert!(cat.current_snapshot("t").is_none());
     }
 
     #[test]

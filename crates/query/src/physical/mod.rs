@@ -11,6 +11,6 @@ pub mod join;
 pub mod project;
 
 pub use aggregate::{aggregate, AggregateSpec};
-pub use filter::{filter_selection, filter_tuples, PredicateMode};
-pub use join::{hash_join, hash_join_coded, validate_join_keys, JoinOutput};
+pub use filter::{filter_tuples, PredicateMode};
+pub use join::{hash_join, validate_join_keys, JoinOutput};
 pub use project::project;
