@@ -1,18 +1,11 @@
-//! Machine-readable perf trajectory for the detection read paths.
+//! Machine-readable perf trajectory for violation detection.
 //!
 //! Times four cleaning kernels — the theta DC check, `cleanσ` for FDs
 //! (clean-select), general-DC repair, and the incremental repair loop
-//! (range check → repair → delta → snapshot patch) — at 2k/8k/32k rows
-//! under every `{pairwise, indexed}` strategy × `{row, snapshot}` read-path
-//! combination, and writes the measurements as `BENCH_detection.json` at
-//! the repository root so future changes have a baseline to diff against.
-//!
-//! The snapshot is built **outside** the timed region: it is the engine's
-//! maintained artifact (amortised across queries by `O(|delta|)` patching,
-//! which the `repair_loop` kernel times end to end), not a per-check cost.
-//! Its one-off build cost is reported separately as the `snapshot_build`
-//! kernel.  The pairwise strategy is skipped at 32k rows (quadratic: ~16×
-//! the 8k cost per run) — a deliberate, logged omission, not a measurement.
+//! (range check → repair → delta) — at 2k/8k/32k rows, plus sustained
+//! streaming ingest and skew-adversarial detection, and writes the
+//! measurements as `BENCH_detection.json` at the repository root (with the
+//! host's core count) so future changes have a baseline to diff against.
 //!
 //! Knobs: `DAISY_BENCH_RUNS` (iterations per measurement, min is reported;
 //! default 3) and `DAISY_BENCH_OUT` (output path override).
@@ -24,25 +17,21 @@ use std::time::Instant;
 use daisy_bench::skew::{generate_skewed_table, key_histogram};
 use daisy_common::{RuleId, TupleId, Value};
 use daisy_core::clean_dc::repair_dc_violations;
-use daisy_core::clean_select::clean_select_fd_with;
+use daisy_core::clean_select::clean_select_fd;
 use daisy_core::fd_index::FdIndex;
 use daisy_core::index::{canonicalize_violations, MaintainedIndex, ViolationIndex};
 use daisy_core::relaxation::FilterTarget;
 use daisy_core::theta::ThetaMatrix;
-use daisy_core::DetectionStrategy;
 use daisy_data::errors::{inject_fd_errors, inject_inequality_errors};
 use daisy_data::ssb::{generate_lineorder, SsbConfig};
 use daisy_exec::{chunk_ranges, ExecContext, MorselCounters};
 use daisy_expr::{DenialConstraint, FunctionalDependency};
-use daisy_storage::{ColumnSnapshot, Delta, ProvenanceStore, Table, Tuple};
+use daisy_storage::{Delta, ProvenanceStore, Table, Tuple};
 
 /// One measurement row of the JSON report.
 struct Measurement {
     kernel: &'static str,
     rows: usize,
-    strategy: DetectionStrategy,
-    /// `true` when detection read through the columnar snapshot.
-    snapshot: bool,
     seconds: f64,
     /// Kernel-specific work counter (violations found / errors detected).
     work: usize,
@@ -121,22 +110,6 @@ fn equality_dc() -> DenialConstraint {
     .unwrap()
 }
 
-/// The `(strategy, snapshot)` grid, pairwise omitted at 32k (see module
-/// docs).
-fn read_path_grid(rows: usize) -> Vec<(DetectionStrategy, bool)> {
-    let mut grid = Vec::new();
-    for &strategy in &[DetectionStrategy::Pairwise, DetectionStrategy::Indexed] {
-        if strategy == DetectionStrategy::Pairwise && rows > 8_000 {
-            eprintln!("skipping pairwise at {rows} rows (quadratic, dominates the run)");
-            continue;
-        }
-        for &snapshot in &[false, true] {
-            grid.push((strategy, snapshot));
-        }
-    }
-    grid
-}
-
 fn main() {
     let ctx = ExecContext::sequential();
     let row_counts = [2_000usize, 8_000, 32_000];
@@ -145,57 +118,24 @@ fn main() {
     for &rows in &row_counts {
         let table = dirty_lineorder(rows);
         let dc = equality_dc();
-        let (snap_seconds, _) = time_min(|| {
-            ColumnSnapshot::build(&table).unwrap();
-            rows
-        });
-        eprintln!("snapshot_build rows={rows}: {snap_seconds:.4}s");
-        measurements.push(Measurement {
-            kernel: "snapshot_build",
-            rows,
-            strategy: DetectionStrategy::Indexed,
-            snapshot: true,
-            seconds: snap_seconds,
-            work: rows,
-        });
-        let snap = ColumnSnapshot::build(&table).unwrap();
 
         // Kernel 1: the (full) theta DC check.
-        for (strategy, snapshot) in read_path_grid(rows) {
-            let snap_ref = snapshot.then_some(&snap);
-            let (seconds, work) = time_min(|| {
-                let mut matrix = ThetaMatrix::build_with_strategy_snap(
-                    table.schema(),
-                    table.tuples(),
-                    &dc,
-                    8,
-                    strategy,
-                    snap_ref,
-                )
+        let (seconds, work) = time_min(|| {
+            let mut matrix = ThetaMatrix::build(table.schema(), table.tuples(), &dc, 8).unwrap();
+            let (violations, _) = matrix
+                .check_all(&ctx, table.schema(), table.tuples())
                 .unwrap();
-                let (violations, _) = matrix
-                    .check_all_with(&ctx, table.schema(), table.tuples(), snap_ref)
-                    .unwrap();
-                violations.len()
-            });
-            eprintln!(
-                "theta_check rows={rows} strategy={} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} violations)",
-                format!("{strategy:?}").to_lowercase(),
-            );
-            measurements.push(Measurement {
-                kernel: "theta_check",
-                rows,
-                strategy,
-                snapshot,
-                seconds,
-                work,
-            });
-        }
+            violations.len()
+        });
+        eprintln!("theta_check rows={rows}: {seconds:.4}s ({work} violations)");
+        measurements.push(Measurement {
+            kernel: "theta_check",
+            rows,
+            seconds,
+            work,
+        });
 
-        // Kernel 2: clean-select for an FD (detection is hash grouping in
-        // either strategy; recorded under both for a uniform trajectory —
-        // the snapshot dimension is the lhs keying path).
+        // Kernel 2: clean-select for an FD (detection is hash grouping).
         let mut fd_table = generate_lineorder(&SsbConfig {
             lineorder_rows: rows,
             distinct_orderkeys: rows / 10,
@@ -206,156 +146,97 @@ fn main() {
         inject_fd_errors(&mut fd_table, "orderkey", "suppkey", 1.0, 0.1, 7).unwrap();
         let fd = FunctionalDependency::new(&["orderkey"], "suppkey");
         let fd_index = FdIndex::build(&fd_table, &fd).unwrap();
-        let fd_snap = ColumnSnapshot::build(&fd_table).unwrap();
         let answer: Vec<Tuple> = fd_table
             .tuples()
             .iter()
             .filter(|t| t.value(1).unwrap().as_int().unwrap() < 1)
             .cloned()
             .collect();
-        for (strategy, snapshot) in read_path_grid(rows) {
-            let snap_ref = snapshot.then_some(&fd_snap);
-            let (seconds, work) = time_min(|| {
-                let mut prov = ProvenanceStore::new();
-                clean_select_fd_with(
-                    &ctx,
-                    RuleId::new(0),
-                    &fd_index,
-                    &answer,
-                    fd_table.tuples(),
-                    FilterTarget::Rhs,
-                    16,
-                    &mut prov,
-                    snap_ref,
-                )
-                .unwrap()
-                .errors_detected
-            });
-            eprintln!(
-                "clean_select rows={rows} strategy={} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} errors)",
-                format!("{strategy:?}").to_lowercase(),
-            );
-            measurements.push(Measurement {
-                kernel: "clean_select",
-                rows,
-                strategy,
-                snapshot,
-                seconds,
-                work,
-            });
-        }
+        let (seconds, work) = time_min(|| {
+            let mut prov = ProvenanceStore::new();
+            clean_select_fd(
+                &ctx,
+                RuleId::new(0),
+                &fd_index,
+                &answer,
+                fd_table.tuples(),
+                FilterTarget::Rhs,
+                16,
+                &mut prov,
+            )
+            .unwrap()
+            .errors_detected
+        });
+        eprintln!("clean_select rows={rows}: {seconds:.4}s ({work} errors)");
+        measurements.push(Measurement {
+            kernel: "clean_select",
+            rows,
+            seconds,
+            work,
+        });
 
         // Kernel 3: general-DC repair — detection plus candidate-range
         // construction, end to end.
-        for (strategy, snapshot) in read_path_grid(rows) {
-            let snap_ref = snapshot.then_some(&snap);
-            let (seconds, work) = time_min(|| {
-                let mut matrix = ThetaMatrix::build_with_strategy_snap(
-                    table.schema(),
-                    table.tuples(),
-                    &dc,
-                    8,
-                    strategy,
-                    snap_ref,
-                )
+        let (seconds, work) = time_min(|| {
+            let mut matrix = ThetaMatrix::build(table.schema(), table.tuples(), &dc, 8).unwrap();
+            let (violations, _) = matrix
+                .check_all(&ctx, table.schema(), table.tuples())
                 .unwrap();
-                let (violations, _) = matrix
-                    .check_all_with(&ctx, table.schema(), table.tuples(), snap_ref)
-                    .unwrap();
-                let by_id: HashMap<TupleId, &Tuple> =
-                    daisy_core::index::id_index(&ctx, table.tuples());
-                let mut prov = ProvenanceStore::new();
-                repair_dc_violations(&ctx, table.schema(), &dc, &violations, &by_id, &mut prov)
-                    .unwrap()
-                    .errors_detected
-            });
-            eprintln!(
-                "dc_repair rows={rows} strategy={} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} errors)",
-                format!("{strategy:?}").to_lowercase(),
-            );
-            measurements.push(Measurement {
-                kernel: "dc_repair",
-                rows,
-                strategy,
-                snapshot,
-                seconds,
-                work,
-            });
-        }
+            let by_id: HashMap<TupleId, &Tuple> = daisy_core::index::id_index(&ctx, table.tuples());
+            let mut prov = ProvenanceStore::new();
+            repair_dc_violations(&ctx, table.schema(), &dc, &violations, &by_id, &mut prov)
+                .unwrap()
+                .errors_detected
+        });
+        eprintln!("dc_repair rows={rows}: {seconds:.4}s ({work} errors)");
+        measurements.push(Measurement {
+            kernel: "dc_repair",
+            rows,
+            seconds,
+            work,
+        });
 
         // Kernel 4: the incremental repair loop — the engine's steady
         // state.  Eight suppkey range slices, each: range check → repair →
-        // apply the delta to the working table → patch the snapshot
-        // (`O(|delta|)` absorb, never a rebuild).  This is where delta
-        // maintenance pays: the row path re-clones values per check, the
-        // snapshot path keeps reading patched columns.
-        for (strategy, snapshot) in read_path_grid(rows) {
-            let (seconds, work) = time_min(|| {
-                let mut work_table = table.clone();
-                let mut maintained = snapshot.then(|| ColumnSnapshot::build(&work_table).unwrap());
-                let mut matrix = ThetaMatrix::build_with_strategy_snap(
+        // apply the delta to the working table.
+        let (seconds, work) = time_min(|| {
+            let mut work_table = table.clone();
+            let mut matrix =
+                ThetaMatrix::build(work_table.schema(), work_table.tuples(), &dc, 8).unwrap();
+            let mut errors = 0usize;
+            for slice in 0..8i64 {
+                let low = Value::Int(slice * 13);
+                let high = Value::Int((slice + 1) * 13);
+                let tuples: Vec<Tuple> = work_table.tuples().to_vec();
+                let (violations, _) = matrix
+                    .check_range(&ctx, work_table.schema(), &tuples, Some(&low), Some(&high))
+                    .unwrap();
+                let by_id: HashMap<TupleId, &Tuple> = daisy_core::index::id_index(&ctx, &tuples);
+                let mut prov = ProvenanceStore::new();
+                let outcome = repair_dc_violations(
+                    &ctx,
                     work_table.schema(),
-                    work_table.tuples(),
                     &dc,
-                    8,
-                    strategy,
-                    maintained.as_ref(),
+                    &violations,
+                    &by_id,
+                    &mut prov,
                 )
                 .unwrap();
-                let mut errors = 0usize;
-                for slice in 0..8i64 {
-                    let low = Value::Int(slice * 13);
-                    let high = Value::Int((slice + 1) * 13);
-                    let tuples: Vec<Tuple> = work_table.tuples().to_vec();
-                    let (violations, _) = matrix
-                        .check_range_with(
-                            &ctx,
-                            work_table.schema(),
-                            &tuples,
-                            maintained.as_ref(),
-                            Some(&low),
-                            Some(&high),
-                        )
-                        .unwrap();
-                    let by_id: HashMap<TupleId, &Tuple> =
-                        daisy_core::index::id_index(&ctx, &tuples);
-                    let mut prov = ProvenanceStore::new();
-                    let outcome = repair_dc_violations(
-                        &ctx,
-                        work_table.schema(),
-                        &dc,
-                        &violations,
-                        &by_id,
-                        &mut prov,
-                    )
-                    .unwrap();
-                    drop(by_id);
-                    errors += outcome.errors_detected;
-                    if !outcome.delta.is_empty() {
-                        work_table.apply_delta(&outcome.delta).unwrap();
-                        if let Some(snap) = maintained.as_mut() {
-                            snap.absorb_delta(&work_table, &outcome.delta).unwrap();
-                        }
-                    }
+                drop(by_id);
+                errors += outcome.errors_detected;
+                if !outcome.delta.is_empty() {
+                    work_table.apply_delta(&outcome.delta).unwrap();
                 }
-                errors
-            });
-            eprintln!(
-                "repair_loop rows={rows} strategy={} snapshot={snapshot}: \
-                 {seconds:.4}s ({work} errors)",
-                format!("{strategy:?}").to_lowercase(),
-            );
-            measurements.push(Measurement {
-                kernel: "repair_loop",
-                rows,
-                strategy,
-                snapshot,
-                seconds,
-                work,
-            });
-        }
+            }
+            errors
+        });
+        eprintln!("repair_loop rows={rows}: {seconds:.4}s ({work} errors)");
+        measurements.push(Measurement {
+            kernel: "repair_loop",
+            rows,
+            seconds,
+            work,
+        });
     }
 
     // Kernel 5: sustained streaming ingest — the steady state of
@@ -368,8 +249,8 @@ fn main() {
     // (`i ∈ Δ ∨ j ∈ Δ`).  Both paths emit byte-identical violations and
     // candidate-pair counts per batch — asserted below, so the speedup is
     // pure index reuse, not different work.  The one-off base-index build
-    // is reported separately (like `snapshot_build`): it is the engine's
-    // maintained artifact, amortised across the whole stream.  Timed
+    // is reported separately: it is the engine's maintained artifact,
+    // amortised across the whole stream.  Timed
     // regions cover only the per-batch work (append → absorb/build →
     // detect); the starting table and index are cloned outside the timer.
     {
@@ -417,8 +298,6 @@ fn main() {
         measurements.push(Measurement {
             kernel: "maintained_index_build",
             rows: base_rows,
-            strategy: DetectionStrategy::Indexed,
-            snapshot: false,
             seconds: index_build_seconds,
             work: base_rows,
         });
@@ -484,8 +363,6 @@ fn main() {
         measurements.push(Measurement {
             kernel: "ingest_maintained",
             rows: base_rows,
-            strategy: DetectionStrategy::Indexed,
-            snapshot: false,
             seconds: maintained_seconds,
             work: maintained_work,
         });
@@ -515,8 +392,6 @@ fn main() {
         measurements.push(Measurement {
             kernel: "ingest_rebuild",
             rows: base_rows,
-            strategy: DetectionStrategy::Indexed,
-            snapshot: false,
             seconds: rebuild_seconds,
             work: rebuild_work,
         });
@@ -684,22 +559,7 @@ fn main() {
         }
     };
 
-    // Sanity: every read-path combination agrees on the work it found.
-    for &rows in &row_counts {
-        for kernel in ["theta_check", "clean_select", "dc_repair", "repair_loop"] {
-            let work: Vec<usize> = measurements
-                .iter()
-                .filter(|m| m.kernel == kernel && m.rows == rows)
-                .map(|m| m.work)
-                .collect();
-            assert!(
-                work.windows(2).all(|w| w[0] == w[1]),
-                "{kernel}@{rows}: read paths disagree on results: {work:?}"
-            );
-        }
-    }
-
-    let json = render_json(&row_counts, &measurements, &skew_report);
+    let json = render_json(&measurements, &skew_report);
     let out = output_path();
     std::fs::write(&out, json).unwrap();
     eprintln!("wrote {}", out.display());
@@ -713,66 +573,20 @@ fn output_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_detection.json")
 }
 
-fn render_json(row_counts: &[usize], measurements: &[Measurement], skew: &SkewReport) -> String {
-    let mut json = String::from("{\n  \"bench\": \"detection\",\n  \"results\": [\n");
+fn render_json(measurements: &[Measurement], skew: &SkewReport) -> String {
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut json =
+        format!("{{\n  \"bench\": \"detection\",\n  \"host_nproc\": {nproc},\n  \"results\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let comma = if i + 1 == measurements.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"rows\": {}, \"strategy\": \"{}\", \"snapshot\": \"{}\", \"seconds\": {:.6}, \"work\": {}}}{}\n",
-            m.kernel,
-            m.rows,
-            format!("{:?}", m.strategy).to_lowercase(),
-            if m.snapshot { "on" } else { "off" },
-            m.seconds,
-            m.work,
-            comma
+            "    {{\"kernel\": \"{}\", \"rows\": {}, \"seconds\": {:.6}, \"work\": {}}}{}\n",
+            m.kernel, m.rows, m.seconds, m.work, comma
         ));
     }
-    let time_of = |kernel: &str, rows: usize, strategy: DetectionStrategy, snapshot: bool| {
-        measurements
-            .iter()
-            .find(|m| {
-                m.kernel == kernel
-                    && m.rows == rows
-                    && m.strategy == strategy
-                    && m.snapshot == snapshot
-            })
-            .map(|m| m.seconds)
-    };
-
-    json.push_str("  ],\n  \"speedup_indexed_over_pairwise\": {\n");
-    let mut lines = Vec::new();
-    for &rows in row_counts {
-        for kernel in ["theta_check", "dc_repair"] {
-            if let (Some(pairwise), Some(indexed)) = (
-                time_of(kernel, rows, DetectionStrategy::Pairwise, false),
-                time_of(kernel, rows, DetectionStrategy::Indexed, false),
-            ) {
-                lines.push(format!(
-                    "    \"{kernel}_{rows}\": {:.2}",
-                    pairwise / indexed.max(1e-9)
-                ));
-            }
-        }
-    }
-    json.push_str(&lines.join(",\n"));
-
-    json.push_str("\n  },\n  \"speedup_snapshot_over_row\": {\n");
-    let mut lines = Vec::new();
-    for &rows in row_counts {
-        for kernel in ["theta_check", "clean_select", "dc_repair", "repair_loop"] {
-            if let (Some(row_path), Some(snapshot)) = (
-                time_of(kernel, rows, DetectionStrategy::Indexed, false),
-                time_of(kernel, rows, DetectionStrategy::Indexed, true),
-            ) {
-                lines.push(format!(
-                    "    \"{kernel}_indexed_{rows}\": {:.2}",
-                    row_path / snapshot.max(1e-9)
-                ));
-            }
-        }
-    }
-    json.push_str(&lines.join(",\n"));
+    json.push_str("  ]");
 
     // The streaming-ingest axis: violations per second sustained by the
     // maintained (persistent, delta-absorbed) index versus rebuilding the
@@ -787,7 +601,7 @@ fn render_json(row_counts: &[usize], measurements: &[Measurement], skew: &SkewRe
     if let (Some((maintained_s, work)), Some((rebuild_s, _))) =
         (ingest("ingest_maintained"), ingest("ingest_rebuild"))
     {
-        json.push_str("\n  },\n  \"sustained_ingest\": {\n");
+        json.push_str(",\n  \"sustained_ingest\": {\n");
         json.push_str(&format!(
             "    \"maintained_violations_per_sec\": {:.0},\n",
             work as f64 / maintained_s.max(1e-9)
@@ -800,13 +614,14 @@ fn render_json(row_counts: &[usize], measurements: &[Measurement], skew: &SkewRe
             "    \"speedup_maintained_over_rebuild\": {:.2}",
             rebuild_s / maintained_s.max(1e-9)
         ));
+        json.push_str("\n  }");
     }
 
     // The skew axis: the morsel scheduler on a zipfian-hot equality key.
     // Violations and pair counts are identical across every combination
     // (asserted in main); what varies is wall-clock and how evenly the
     // candidate mass spread over morsels.
-    json.push_str("\n  },\n  \"skewed_keys\": {\n");
+    json.push_str(",\n  \"skewed_keys\": {\n");
     json.push_str(&format!("    \"rows\": {},\n", skew.rows));
     json.push_str(&format!("    \"distinct_keys\": {},\n", skew.distinct_keys));
     json.push_str(&format!(

@@ -22,7 +22,7 @@
 //! reads two keys of `hot` — with `hot` at 300, 3 000 and 30 000 rows, and
 //! reports microseconds per request serially and at 2 workers, plus the
 //! cost of opening a session.  Versions of the world share their rows,
-//! provenance entries, snapshot columns and index partitions, so a request
+//! provenance entries and index partitions, so a request
 //! should cost its delta, not its table: the curve is what shows it.
 //!
 //! Per measurement:
@@ -238,7 +238,7 @@ struct CostPoint {
 /// The skewed shape as a stream of small requests over a `hot` table of
 /// `hot_rows` rows: `ROUNDS` rounds in which each of 4 sessions ingests one
 /// row and reads two keys of `hot`.  One untimed round warms the service
-/// (snapshots, FD indexes, maintained violation indexes) first.
+/// (FD indexes, maintained violation indexes) first.
 fn request_cost(hot_rows: usize) -> CostPoint {
     const SESSIONS: usize = 4;
     const ROUNDS: usize = 24;

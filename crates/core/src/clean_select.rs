@@ -20,9 +20,7 @@ use std::collections::HashMap;
 use daisy_common::{ColumnId, Result, RuleId, Value, WorldId};
 use daisy_exec::ExecContext;
 use daisy_expr::Violation;
-use daisy_storage::{
-    Candidate, Cell, ColumnCode, ColumnSnapshot, Delta, ProvenanceStore, RuleEvidence, Tuple,
-};
+use daisy_storage::{Candidate, Cell, Delta, ProvenanceStore, RuleEvidence, Tuple};
 
 use crate::fd_index::FdIndex;
 use crate::relaxation::{relax_fd, FilterTarget, RelaxationOutcome};
@@ -71,40 +69,6 @@ pub fn clean_select_fd(
     max_iterations: usize,
     provenance: &mut ProvenanceStore,
 ) -> Result<FdCleanOutcome> {
-    clean_select_fd_with(
-        ctx,
-        rule,
-        index,
-        answer,
-        unvisited_pool,
-        filter_on,
-        max_iterations,
-        provenance,
-        None,
-    )
-}
-
-/// [`clean_select_fd`] with the columnar read path: when a **current**
-/// [`ColumnSnapshot`] of the base table is supplied, the violation grouping
-/// keys single-attribute lhs columns by snapshot column codes instead of
-/// cloned [`Value`]s.  The fast path engages only when every relaxed tuple
-/// is a base tuple with a determinate lhs cell (so its key provably equals
-/// the snapshot's); otherwise — probabilistic lhs cells, composite lhs
-/// keys, foreign tuples — the grouping falls back to the row path.  Either
-/// way the groups, and therefore the emitted violations, provenance and
-/// deltas, are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn clean_select_fd_with(
-    ctx: &ExecContext,
-    rule: RuleId,
-    index: &FdIndex,
-    answer: &[Tuple],
-    unvisited_pool: &[Tuple],
-    filter_on: FilterTarget,
-    max_iterations: usize,
-    provenance: &mut ProvenanceStore,
-    snapshot: Option<&ColumnSnapshot>,
-) -> Result<FdCleanOutcome> {
     let mut relaxation = relax_fd(index, answer, unvisited_pool, filter_on, max_iterations)?;
 
     // The extras move into the relaxed set rather than being cloned: a second
@@ -120,43 +84,11 @@ pub fn clean_select_fd_with(
     // is the hash-equality partitioning stage of the violation-index
     // subsystem: keys are computed in parallel (order preserving), then
     // grouped with the lhs-hash-sharded group-by so each worker owns whole
-    // FD groups; member positions stay in ascending relaxed order either
-    // way, which keeps the representative conflicting tuple — and thus the
+    // FD groups; member positions stay in ascending relaxed order, which
+    // keeps the representative conflicting tuple — and thus the
     // emitted violations and provenance — identical for every worker count.
-    let snapshot_keyed = snapshot.filter(|snap| {
-        index.lhs_columns.len() == 1
-            && relaxed.iter().all(|t| {
-                snap.row_of(t.id).is_some()
-                    && t.cell(index.lhs_columns[0])
-                        .map(|c| !c.is_probabilistic())
-                        .unwrap_or(false)
-            })
-    });
-    let coded_groups: Option<HashMap<ColumnCode, Vec<usize>>> = match snapshot_keyed {
-        Some(snap) => {
-            let col = index.lhs_columns[0];
-            Some(crate::index::partition_by_key(ctx, &relaxed, |t| {
-                Ok(snap.ordering_code(snap.row_of(t.id).expect("membership checked"), col))
-            })?)
-        }
-        None => None,
-    };
-    let value_groups: Option<HashMap<Value, Vec<usize>>> = match &coded_groups {
-        Some(_) => None,
-        None => Some(crate::index::partition_by_key(ctx, &relaxed, |t| {
-            index.lhs_key(t)
-        })?),
-    };
-    let members_for = |lhs: &Value| -> Option<&Vec<usize>> {
-        match (&coded_groups, &value_groups) {
-            (Some(groups), _) => snapshot_keyed
-                .expect("coded groups imply a snapshot")
-                .encode_ordering(lhs)
-                .and_then(|code| groups.get(&code)),
-            (None, Some(groups)) => groups.get(lhs),
-            (None, None) => unreachable!("one grouping is always built"),
-        }
-    };
+    let groups: HashMap<Value, Vec<usize>> =
+        crate::index::partition_by_key(ctx, &relaxed, |t| index.lhs_key(t))?;
 
     let mut outcome = FdCleanOutcome {
         answer_len: answer.len(),
@@ -196,7 +128,8 @@ pub fn clean_select_fd_with(
                     Candidate::exact_in_world(value.clone(), *count as f64 / total as f64, world)
                 })
                 .collect();
-            let conflicting: Vec<_> = members_for(&lhs)
+            let conflicting: Vec<_> = groups
+                .get(&lhs)
                 .map(|members| {
                     members
                         .iter()
@@ -484,85 +417,6 @@ mod tests {
             .find(|t| t.id == TupleId::new(4))
             .unwrap();
         assert!(t4.cell(1).unwrap().is_probabilistic());
-    }
-
-    #[test]
-    fn snapshot_keyed_grouping_is_byte_identical_with_row_keying() {
-        let (table, index) = setup();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        let answer: Vec<Tuple> = table
-            .tuples()
-            .iter()
-            .filter(|t| t.value(1).unwrap() == Value::from("Los Angeles"))
-            .cloned()
-            .collect();
-        let run = |snapshot: Option<&ColumnSnapshot>| {
-            let mut prov = ProvenanceStore::new();
-            let out = clean_select_fd_with(
-                &ExecContext::new(4),
-                RuleId::new(0),
-                &index,
-                &answer,
-                table.tuples(),
-                FilterTarget::Rhs,
-                16,
-                &mut prov,
-                snapshot,
-            )
-            .unwrap();
-            (out, prov.dump())
-        };
-        let (row, row_prov) = run(None);
-        let (coded, coded_prov) = run(Some(&snap));
-        assert_eq!(coded.cleaned, row.cleaned);
-        assert_eq!(coded.delta, row.delta);
-        assert_eq!(coded.violations, row.violations);
-        assert_eq!(coded.errors_detected, row.errors_detected);
-        assert_eq!(coded_prov, row_prov);
-        assert!(!row.delta.is_empty(), "the scenario must repair something");
-    }
-
-    #[test]
-    fn snapshot_keyed_grouping_backs_off_for_probabilistic_lhs_cells() {
-        // Make one lhs cell probabilistic: the fast path must refuse the
-        // snapshot (the snapshot stores expected values, the grouping uses
-        // provenance-original keys) and fall back to row keying — results
-        // stay identical to a run with no snapshot at all.
-        let (mut table, _) = setup();
-        let mut delta = Delta::new();
-        delta.push_update(
-            TupleId::new(1),
-            ColumnId::new(0),
-            Cell::probabilistic(vec![
-                Candidate::exact(Value::Int(9001), 0.6),
-                Candidate::exact(Value::Int(10001), 0.4),
-            ]),
-        );
-        table.apply_delta(&delta).unwrap();
-        let index = FdIndex::build(
-            &table,
-            &daisy_expr::FunctionalDependency::new(&["zip"], "city"),
-        )
-        .unwrap();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        let answer: Vec<Tuple> = table.tuples().to_vec();
-        let run = |snapshot: Option<&ColumnSnapshot>| {
-            let mut prov = ProvenanceStore::new();
-            let out = clean_select_fd_with(
-                &ExecContext::new(2),
-                RuleId::new(0),
-                &index,
-                &answer,
-                table.tuples(),
-                FilterTarget::Lhs,
-                16,
-                &mut prov,
-                snapshot,
-            )
-            .unwrap();
-            (out.delta, out.violations, prov.dump())
-        };
-        assert_eq!(run(Some(&snap)), run(None));
     }
 
     #[test]

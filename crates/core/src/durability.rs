@@ -8,7 +8,7 @@
 //! [`EngineShared::recover`](crate::session::EngineShared::recover) is
 //! called.  Recovery therefore combines the bootstrap world's constraints
 //! with the log's tables and provenance, and clears every derived
-//! structure (indexes, θ-matrices, trackers, snapshots) so it is rebuilt
+//! structure (indexes, θ-matrices, trackers) so it is rebuilt
 //! lazily — recovered tables restart at revision zero, and a stale cache
 //! claiming currency against them would be silently wrong.
 
@@ -99,7 +99,6 @@ pub(crate) fn restore_world(bootstrap: &WorldState, persisted: &PersistedWorld) 
     world.theta_matrices.clear();
     world.trackers.clear();
     world.fully_cleaned.clear();
-    world.snapshots.clear();
     world.violation_indexes.clear();
     world
 }

@@ -34,8 +34,8 @@ use daisy_storage::{ColumnSnapshot, Delta, Footprint, ProvenanceStore, Table, Tu
 
 use crate::accuracy::{estimate_accuracy, CleaningDecision};
 use crate::clean_dc::{repair_dc_violations, DcCleanOutcome};
-use crate::clean_select::clean_select_fd_with;
-use crate::cost::{planned_detection, CostParameters, CostTracker, DetectionStrategy};
+use crate::clean_select::clean_select_fd;
+use crate::cost::{CostParameters, CostTracker};
 use crate::fd_index::FdIndex;
 use crate::index::MaintainedIndex;
 use crate::planner::CleaningPlan;
@@ -43,7 +43,7 @@ use crate::relaxation::FilterTarget;
 use crate::report::{CleaningReport, CleaningStrategy, SessionReport};
 use crate::session::EngineShared;
 use crate::theta::ThetaMatrix;
-use crate::world::{RuleKey, WorldState, SNAPSHOT_MIN_ROWS};
+use crate::world::{RuleKey, WorldState};
 
 /// The outcome of one query: its (cleaned) result plus the cleaning report.
 #[derive(Debug, Clone)]
@@ -59,12 +59,11 @@ pub struct QueryOutcome {
 /// An engine owns a [`WorldState`] — tables plus every derived cleaning
 /// structure — and executes queries against it with cleaning woven into the
 /// plan.  All repairs flow through one write path
-/// (`apply_delta_patching`) that advances
-/// [`Table::revision`] and patches the maintained [`ColumnSnapshot`] via
-/// `absorb_delta`.  To serve many concurrent requests over the same tables,
-/// convert the engine with [`DaisyEngine::into_shared`] and open cheap
-/// copy-on-write [`CleaningSession`](crate::session::CleaningSession)
-/// handles.
+/// (`apply_delta_patching`) that advances [`Table::revision`] and patches
+/// the maintained violation indexes via `absorb_delta`.  To serve many
+/// concurrent requests over the same tables, convert the engine with
+/// [`DaisyEngine::into_shared`] and open cheap copy-on-write
+/// [`CleaningSession`](crate::session::CleaningSession) handles.
 #[derive(Debug)]
 pub struct DaisyEngine {
     config: DaisyConfig,
@@ -268,33 +267,12 @@ impl DaisyEngine {
         &self.config
     }
 
-    /// The cached columnar snapshot of a table, if one is maintained.
-    pub fn snapshot(&self, table: &str) -> Option<&ColumnSnapshot> {
-        self.world.snapshot_ref(table)
-    }
-
-    /// Brings the table's columnar snapshot in line with the table's size
-    /// and current revision: builds it when the table has at least
-    /// [`SNAPSHOT_MIN_ROWS`] rows and the snapshot is absent or stale (an
-    /// out-of-band mutation bumped the revision), drops it below that size.
-    fn refresh_snapshot(&mut self, table_name: &str) -> Result<()> {
-        let table = self.world.catalog.table(table_name)?;
-        if table.len() < SNAPSHOT_MIN_ROWS {
-            self.world.snapshots.remove(table_name);
-            return Ok(());
-        }
-        let current = self
-            .world
-            .snapshots
-            .get(table_name)
-            .is_some_and(|snap| snap.is_current(table));
-        if !current {
-            self.world.snapshots.insert(
-                table_name.to_string(),
-                Arc::new(ColumnSnapshot::build(table)?),
-            );
-        }
-        Ok(())
+    /// A columnar snapshot of a table: always `None`.  The engine keeps no
+    /// second copy of a table — its detection kernels read the tuples, with
+    /// predicates resolved once per pass — and the method remains only for
+    /// callers that still probe for one.
+    pub fn snapshot(&self, _table: &str) -> Option<&ColumnSnapshot> {
+        None
     }
 
     /// Parses and executes a SQL query.
@@ -559,14 +537,7 @@ impl DaisyEngine {
                         .rule(step.rule)
                         .cloned()
                         .ok_or_else(|| DaisyError::Plan("unknown rule in plan".into()))?;
-                    working = self.clean_dc_step(
-                        table_name,
-                        schema,
-                        &rule,
-                        step.detection,
-                        working,
-                        report,
-                    )?;
+                    working = self.clean_dc_step(table_name, schema, &rule, working, report)?;
                 }
             }
         }
@@ -588,7 +559,6 @@ impl DaisyEngine {
             self.touched_rules.insert(key.clone());
             self.record_rule_columns(table_name, &fd.attributes());
         }
-        self.refresh_snapshot(table_name)?;
         // Build (or reuse) the FD group index: the pre-computed statistics.
         // The index is computed over original values (via provenance) so a
         // rule added after other rules already repaired cells still sees the
@@ -622,7 +592,7 @@ impl DaisyEngine {
                 .entry(table_name.to_string())
                 .or_default();
             let table = self.world.catalog.table(table_name)?;
-            clean_select_fd_with(
+            clean_select_fd(
                 &self.ctx,
                 rule,
                 &index,
@@ -631,11 +601,9 @@ impl DaisyEngine {
                 filter_target,
                 self.config.max_relaxation_iterations,
                 provenance,
-                self.world.snapshots.get(table_name).map(Arc::as_ref),
             )?
         };
-        // Apply the delta back to the base table (in-place update), keeping
-        // the columnar snapshot in sync.
+        // Apply the delta back to the base table (in-place update).
         let cells_updated = outcome.delta.len();
         let candidates_written = outcome.delta.total_candidates();
         if !outcome.delta.is_empty() {
@@ -675,7 +643,6 @@ impl DaisyEngine {
         table_name: &str,
         schema: &Arc<Schema>,
         rule: &DenialConstraint,
-        detection: DetectionStrategy,
         answer: Vec<Tuple>,
         report: &mut CleaningReport,
     ) -> Result<Vec<Tuple>> {
@@ -686,16 +653,13 @@ impl DaisyEngine {
             self.reads
                 .record_rows(table_name, answer.iter().map(|t| t.id));
         }
-        self.refresh_snapshot(table_name)?;
         if !self.world.theta_matrices.contains_key(&key) {
             let table = self.world.catalog.table(table_name)?;
-            let matrix = ThetaMatrix::build_with_strategy_snap(
+            let matrix = ThetaMatrix::build(
                 schema,
                 table.tuples(),
                 rule,
                 self.config.theta_blocks_per_side(),
-                detection,
-                self.world.snapshots.get(table_name).map(Arc::as_ref),
             )?;
             let params = CostParameters {
                 n: table.len(),
@@ -754,19 +718,15 @@ impl DaisyEngine {
         );
         report.estimated_accuracy = estimate.accuracy.min(report.estimated_accuracy);
 
-        // The snapshot was refreshed before any borrow of the matrix, so it
-        // reflects exactly the table read here.
         let table = self.world.catalog.table(table_name)?;
-        let snapshot = self.world.snapshots.get(table_name).map(Arc::as_ref);
         let (violations, stats) = if estimate.decision == CleaningDecision::Full {
             report.strategy = CleaningStrategy::FullRemaining;
-            matrix.check_all_with(&self.ctx, schema, table.tuples(), snapshot)?
+            matrix.check_all(&self.ctx, schema, table.tuples())?
         } else {
-            matrix.check_range_with(
+            matrix.check_range(
                 &self.ctx,
                 schema,
                 table.tuples(),
-                snapshot,
                 low.as_ref(),
                 high.as_ref(),
             )?
@@ -830,7 +790,6 @@ impl DaisyEngine {
             self.touched_rules.insert(key.clone());
             self.reads.record_table(table_name);
         }
-        self.refresh_snapshot(table_name)?;
         if !self.world.fd_indexes.contains_key(&key) {
             let provenance = self
                 .world
@@ -851,7 +810,7 @@ impl DaisyEngine {
                 .entry(table_name.to_string())
                 .or_default();
             let table = self.world.catalog.table(table_name)?;
-            clean_select_fd_with(
+            clean_select_fd(
                 &self.ctx,
                 rule,
                 &index,
@@ -860,7 +819,6 @@ impl DaisyEngine {
                 FilterTarget::Other,
                 self.config.max_relaxation_iterations,
                 provenance,
-                self.world.snapshots.get(table_name).map(Arc::as_ref),
             )?
         };
         let repaired = outcome.errors_detected;
@@ -875,11 +833,21 @@ impl DaisyEngine {
     /// the whole table for that rule only, merging the new candidate fixes
     /// with the existing probabilistic data through the provenance store
     /// (the single-execution scenario of Table 7).
+    ///
+    /// A rule without an index plan (one that does not quantify exactly two
+    /// tuples) has no detector; it is rejected with [`DaisyError::Plan`]
+    /// before it is registered.
     pub fn add_rule_incrementally(
         &mut self,
         table_name: &str,
         dc: DenialConstraint,
     ) -> Result<usize> {
+        if dc.index_plan().is_none() {
+            return Err(DaisyError::Plan(format!(
+                "constraint `{}` quantifies {} tuples; incremental cleaning checks two-tuple rules only",
+                dc.name, dc.tuple_count
+            )));
+        }
         let rule = Arc::make_mut(&mut self.world.constraints).add(dc);
         let constraint = self
             .world
@@ -902,21 +870,16 @@ impl DaisyEngine {
                         .schema()
                         .qualify(table_name),
                 );
-                self.refresh_snapshot(table_name)?;
                 // Detection and repair read the table through its shared
                 // handle, released before the write path detaches it.
                 let table = self.world.catalog.shared(table_name)?;
-                let snapshot = self.world.snapshots.get(table_name).map(Arc::as_ref);
-                let mut matrix = ThetaMatrix::build_with_strategy_snap(
+                let mut matrix = ThetaMatrix::build(
                     &schema,
                     table.tuples(),
                     &constraint,
                     self.config.theta_blocks_per_side(),
-                    planned_detection(&constraint),
-                    snapshot,
                 )?;
-                let (violations, _) =
-                    matrix.check_all_with(&self.ctx, &schema, table.tuples(), snapshot)?;
+                let (violations, _) = matrix.check_all(&self.ctx, &schema, table.tuples())?;
                 let by_id: HashMap<TupleId, &Tuple> =
                     crate::index::id_index(&self.ctx, table.tuples());
                 let provenance = self
@@ -983,9 +946,6 @@ impl DaisyEngine {
                 delta.push_append(TupleId::new(base + k as u64), row);
             }
         }
-        // Refresh the snapshot *before* the append so `absorb_delta` can
-        // patch it instead of leaving it stale.
-        self.refresh_snapshot(table_name)?;
         self.apply_delta_patching(table_name, &delta)?;
         if self.record_deltas {
             self.reads
@@ -1107,15 +1067,14 @@ impl DaisyEngine {
         self.world.violation_indexes[&key].detect_delta(&self.ctx, schema, tuples, positions)
     }
 
-    /// Applies a delta to a base table and keeps its columnar snapshot
-    /// *and* maintained violation indexes in sync: both are patched
-    /// cell-by-cell (`O(|delta|)`).
-    /// `absorb_delta` itself refuses the patch — leaving the structure stale
-    /// for the next refresh/rebuild to replace — when it did not reflect
-    /// the pre-delta table.  This is the single write path through which
-    /// engine repairs reach registered tables; both the table and its
-    /// snapshot detach copy-on-write from any concurrent sharer first, so
-    /// other sessions keep observing their consistent pre-delta world.
+    /// Applies a delta to a base table and keeps its maintained violation
+    /// indexes in sync, patched cell-by-cell (`O(|delta|)`).
+    /// `absorb_delta` itself refuses the patch — leaving the index stale
+    /// for the next rebuild to replace — when it did not reflect the
+    /// pre-delta table.  This is the single write path through which
+    /// engine repairs reach registered tables; the table and its indexes
+    /// detach copy-on-write from any concurrent sharer first, so other
+    /// sessions keep observing their consistent pre-delta world.
     ///
     /// When staged-delta recording is on (sessions), the delta is also
     /// appended to the session's overlay log for publication at commit.
@@ -1126,9 +1085,6 @@ impl DaisyEngine {
     ) -> Result<usize> {
         let table = self.world.catalog.table_mut(table_name)?;
         let applied = table.apply_delta(delta)?;
-        if let Some(snap) = self.world.snapshots.get_mut(table_name) {
-            Arc::make_mut(snap).absorb_delta(table, delta)?;
-        }
         for (key, index) in self.world.violation_indexes.iter_mut() {
             if key.0 == table_name {
                 Arc::make_mut(index).absorb_delta(table, delta)?;
@@ -1315,30 +1271,12 @@ mod tests {
         assert!(!prov.is_empty());
     }
 
-    /// Asserts that `snap` holds, cell for cell, what a fresh
-    /// [`ColumnSnapshot::build`] of `table` holds.
-    fn assert_matches_fresh_build(snap: &ColumnSnapshot, table: &Table) {
-        let fresh = ColumnSnapshot::build(table).unwrap();
-        assert!(snap.is_current(table));
-        assert_eq!(snap.len(), fresh.len());
-        for row in 0..fresh.len() {
-            for col in 0..fresh.column_count() {
-                assert_eq!(
-                    snap.value(row, col),
-                    fresh.value(row, col),
-                    "({row}, {col})"
-                );
-            }
-        }
-    }
-
     #[test]
-    fn snapshot_mode_is_transparent_and_patched_in_place() {
-        // The same workload over the five cities rows alone (below the
-        // snapshot threshold: row path) and padded past the threshold with
-        // rows that share no zip and no city with them (snapshot path).
-        // The padding can neither violate a rule nor match a filter, so
-        // every output over the original rows must be the same.
+    fn unrelated_padding_rows_leave_every_output_unchanged() {
+        // The same workload over the five cities rows alone and padded with
+        // rows that share no zip and no city with them.  The padding can
+        // neither violate a rule nor match a filter, so every output over
+        // the original rows must be the same.
         let padded = {
             let mut rows: Vec<Vec<Value>> = cities_table()
                 .tuples()
@@ -1346,8 +1284,7 @@ mod tests {
                 .map(|t| (0..2).map(|c| t.value(c).unwrap()).collect())
                 .collect();
             rows.extend(
-                (0..SNAPSHOT_MIN_ROWS as i64)
-                    .map(|i| vec![Value::Int(20_000 + i), Value::from(format!("town {i}"))]),
+                (0..256i64).map(|i| vec![Value::Int(20_000 + i), Value::from(format!("town {i}"))]),
             );
             Table::from_rows("cities", cities_table().schema().as_ref().clone(), rows).unwrap()
         };
@@ -1360,23 +1297,12 @@ mod tests {
             .unwrap();
             engine.register_table(table);
             engine.add_fd(&FunctionalDependency::new(&["zip"], "city"), "phi");
-            // After every request the snapshot is absent below the
-            // threshold, and patched to a fresh build's contents above it.
-            let check = |engine: &DaisyEngine| {
-                let table = engine.table("cities").unwrap();
-                match engine.snapshot("cities") {
-                    Some(snap) => assert_matches_fresh_build(snap, table),
-                    None => assert!(table.len() < SNAPSHOT_MIN_ROWS),
-                }
-            };
             let first = engine
                 .execute_sql("SELECT zip FROM cities WHERE city = 'Los Angeles'")
                 .unwrap();
-            check(&engine);
             let second = engine
                 .execute_sql("SELECT city FROM cities WHERE zip = 9001")
                 .unwrap();
-            check(&engine);
             let repaired = engine
                 .add_rule_incrementally(
                     "cities",
@@ -1384,7 +1310,6 @@ mod tests {
                         .unwrap(),
                 )
                 .unwrap();
-            check(&engine);
             let original = engine.table("cities").unwrap().tuples()[..5].to_vec();
             (
                 first.result.tuples,
@@ -1392,18 +1317,49 @@ mod tests {
                 repaired,
                 original,
                 engine.provenance("cities").unwrap().dump(),
-                engine.snapshot("cities").is_some(),
             )
         };
-        let (row_1, row_2, row_repaired, row_table, row_prov, row_snap) = run(cities_table());
-        let (col_1, col_2, col_repaired, col_table, col_prov, col_snap) = run(padded);
-        assert!(!row_snap && col_snap);
-        assert!(row_repaired > 0);
-        assert_eq!(row_1, col_1);
-        assert_eq!(row_2, col_2);
-        assert_eq!(row_repaired, col_repaired);
-        assert_eq!(row_table, col_table);
-        assert_eq!(row_prov, col_prov);
+        let small = run(cities_table());
+        let large = run(padded);
+        assert!(small.2 > 0);
+        assert_eq!(small, large);
+    }
+
+    #[test]
+    fn rules_without_an_index_plan_leave_queries_uncleaned() {
+        // A one-tuple and a three-tuple rule over the queried columns: no
+        // detector checks them, so the query answers over the dirty data
+        // and repairs nothing.
+        let mut engine = DaisyEngine::new(DaisyConfig::default().with_worker_threads(2)).unwrap();
+        let table = Table::from_rows(
+            "t",
+            Schema::from_pairs(&[("k", DataType::Int), ("y", DataType::Int)]).unwrap(),
+            (0..6)
+                .map(|i| vec![Value::Int(i), Value::Int(9 - i)])
+                .collect(),
+        )
+        .unwrap();
+        engine.register_table(table.clone());
+        engine.add_constraint_text("one", "t1.y > 5").unwrap();
+        engine
+            .add_constraint_text("three", "t1.k < t2.k & t2.k < t3.k & t1.y < t3.y")
+            .unwrap();
+        let outcome = engine
+            .execute_sql("SELECT k, y FROM t WHERE k >= 0")
+            .unwrap();
+        assert_eq!(outcome.report.errors_repaired, 0);
+        assert_eq!(outcome.report.strategy, CleaningStrategy::NotNeeded);
+        assert_eq!(outcome.result.tuples, table.tuples());
+        assert_eq!(engine.table("t").unwrap().tuples(), table.tuples());
+
+        // Registering such a rule for incremental cleaning is refused up
+        // front, before it joins the constraint set.
+        let rules = engine.constraints().len();
+        let err = engine
+            .add_rule_incrementally("t", DenialConstraint::parse("again", "t1.y > 7").unwrap())
+            .unwrap_err();
+        assert!(matches!(err, DaisyError::Plan(_)), "{err}");
+        assert_eq!(engine.constraints().len(), rules);
     }
 
     /// Ingests `rows` into `cities` and checks the engine against the
@@ -1494,8 +1450,8 @@ mod tests {
 
     #[test]
     fn ingest_batch_larger_than_the_table_matches_the_kernel() {
-        // A snapshot-backed table on a single key with a live index (built
-        // by a first, one-row ingest), then a batch larger than the table:
+        // A table on a single key with a live index (built by a first,
+        // one-row ingest), then a batch larger than the table:
         // the maintained index absorbs it and detection must still match
         // the kernel's rebuild-and-sweep reference.
         let on_key = |count: usize, city: &str| -> Vec<Vec<Value>> {
@@ -1513,7 +1469,7 @@ mod tests {
             Table::from_rows(
                 "cities",
                 cities_table().schema().as_ref().clone(),
-                on_key(SNAPSHOT_MIN_ROWS, "Springfield"),
+                on_key(256, "Springfield"),
             )
             .unwrap(),
         );
@@ -1524,9 +1480,8 @@ mod tests {
             ingest_matches_the_kernel(&mut engine, on_key(1, "Springfield")),
             0
         );
-        assert!(engine.snapshot("cities").is_some());
 
-        let batch = SNAPSHOT_MIN_ROWS + 8;
+        let batch = 256 + 8;
         let mut rows = on_key(batch - 3, "Springfield");
         rows.extend(on_key(3, "Shelbyville"));
         assert!(ingest_matches_the_kernel(&mut engine, rows) > 0);

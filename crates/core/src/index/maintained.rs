@@ -3,29 +3,27 @@
 //!
 //! A [`ViolationIndex`] is built for one detection pass and dropped; every
 //! check over a changed table pays the full `O(n log n)` rebuild.  A
-//! [`MaintainedIndex`] is owned by the world alongside the table's
-//! [`ColumnSnapshot`](daisy_storage::ColumnSnapshot) and **absorbs** each
-//! committed or staged [`Delta`] instead: per delta row it removes the old
+//! [`MaintainedIndex`] is owned by the world per `(table, rule)` and
+//! **absorbs** each committed or staged [`Delta`] instead: per delta row it
+//! removes the old
 //! sorted entries and inserts the new ones by binary search, an
 //! `O(|Δ| · log group)` update.  Combined with **delta-restricted
 //! detection** — enumerating only the `Δ × (T ∪ Δ)` candidate pairs — a
 //! streaming ingest batch is detected in time proportional to the batch,
 //! not the table (the `bench_detection` sustained-ingest axis).
 //!
-//! The structure mirrors the snapshot's maintenance discipline:
+//! Maintenance follows one discipline:
 //!
 //! * entries are keyed by slice **position** (positions are stable: tables
 //!   only grow by appends and mutate cells in place; the wholesale editors
 //!   `replace_tuples` / `tuple_mut` bump the revision, which the guard
 //!   below catches),
 //! * [`MaintainedIndex::absorb_delta`] self-guards on [`Table::revision`]
-//!   exactly like `ColumnSnapshot::absorb_delta` — a delta that does not
-//!   line up with the table leaves the index silently stale, and
-//!   [`MaintainedIndex::is_current`] tells callers to rebuild,
-//! * sweep values are stored as [`Value`]s, not snapshot ordering codes:
-//!   absorbing a delta that interns a novel string would shift every
-//!   dictionary rank and corrupt code-sorted entries, while values order
-//!   identically forever.
+//!   — a delta that does not line up with the table leaves the index
+//!   silently stale, and [`MaintainedIndex::is_current`] tells callers to
+//!   rebuild,
+//! * sweep values are stored as [`Value`]s, which order identically
+//!   forever, so absorbing a delta never re-sorts untouched entries.
 //!
 //! **What a clone shares.**  Every partition and every row's cached
 //! contribution sits behind its own pointer, and the plan-derived shape
@@ -48,10 +46,12 @@ use std::sync::Arc;
 
 use daisy_common::{Result, RuleId, Schema, Value};
 use daisy_exec::ExecContext;
-use daisy_expr::{ComparisonOp, DcPredicate, DenialConstraint, IndexPlan, Violation};
+use daisy_expr::{
+    resolve_predicates, ComparisonOp, DenialConstraint, IndexPlan, ResolvedPredicate, Violation,
+};
 use daisy_storage::{Delta, Table, Tuple};
 
-use super::{canonicalize_violations, resolve_sweep, sweep_candidates, SweepEntry};
+use super::{canonicalize_violations, residual_holds, resolve_sweep, sweep_candidates, SweepEntry};
 
 /// One hash-equality partition of the maintained index.  Entries are kept
 /// sorted by `(sweep value, position)` so membership changes are binary
@@ -59,8 +59,8 @@ use super::{canonicalize_violations, resolve_sweep, sweep_candidates, SweepEntry
 /// serves both binding roles.
 #[derive(Debug, Clone, Default)]
 struct MaintainedPartition {
-    left: Vec<SweepEntry<Value>>,
-    right: Vec<SweepEntry<Value>>,
+    left: Vec<SweepEntry>,
+    right: Vec<SweepEntry>,
 }
 
 /// What one table position contributes to the index — cached so a later
@@ -89,7 +89,8 @@ struct IndexShape {
     /// ([`IndexPlan::maintenance_columns`]); updates outside this set skip
     /// partition maintenance entirely.
     maintenance_cols: HashSet<usize>,
-    residual: Vec<DcPredicate>,
+    /// The residual predicates, resolved once against the build schema.
+    residual: Vec<ResolvedPredicate>,
 }
 
 /// The persistent violation index of one two-tuple denial constraint over
@@ -150,7 +151,7 @@ impl MaintainedIndex {
                 sweep_right,
                 symmetric,
                 maintenance_cols,
-                residual: plan.residual.clone(),
+                residual: resolve_predicates(&plan.residual, schema)?,
             }),
             partitions: HashMap::new(),
             contributions: Vec::with_capacity(table.len()),
@@ -230,8 +231,7 @@ impl MaintainedIndex {
     /// Absorbs one applied delta: appended rows are inserted at the tail
     /// positions, updated rows whose maintenance columns changed are
     /// re-placed (remove old entries, re-read the table, insert new ones).
-    /// Self-guarding like `ColumnSnapshot::absorb_delta`: if the table's
-    /// revision or length does not line up with "this index + exactly this
+    /// Self-guarding: if the table's revision or length does not line up with "this index + exactly this
     /// delta", the index is left untouched (and stale) for
     /// [`MaintainedIndex::is_current`] to report.
     pub fn absorb_delta(&mut self, table: &Table, delta: &Delta) -> Result<()> {
@@ -280,6 +280,8 @@ impl MaintainedIndex {
     /// admit filter `i ∈ Δ ∨ j ∈ Δ` — violations *and* pair count — which
     /// is the byte-identity the differential tests pin.  Output is
     /// canonical ([`canonicalize_violations`](super::canonicalize_violations)).
+    /// The residual predicates were resolved at build, so `_schema` is only
+    /// kept for call-site symmetry with the build.
     ///
     /// Delta rows are enumerated as weighted morsels on `ctx`: each row is
     /// weighted by its partitions' member counts (its candidate fanout), so
@@ -291,14 +293,13 @@ impl MaintainedIndex {
     pub fn detect_delta(
         &self,
         ctx: &ExecContext,
-        schema: &Schema,
+        _schema: &Schema,
         tuples: &[Tuple],
         delta_positions: &[usize],
     ) -> Result<(Vec<Violation>, usize)> {
         let in_delta: HashSet<usize> = delta_positions.iter().copied().collect();
         if ctx.workers() == 1 {
-            let (found, pairs) =
-                self.detect_delta_rows(schema, tuples, delta_positions, &in_delta)?;
+            let (found, pairs) = self.detect_delta_rows(tuples, delta_positions, &in_delta)?;
             return Ok((canonicalize_violations(found), pairs));
         }
         let weights: Vec<u64> = delta_positions
@@ -321,8 +322,7 @@ impl MaintainedIndex {
             .collect();
         let ranges = daisy_exec::weighted_ranges(&weights, ctx.morsel_count(delta_positions.len()));
         let partials = daisy_exec::try_run_tasks(ctx, &ranges, |&(start, end)| {
-            let out =
-                self.detect_delta_rows(schema, tuples, &delta_positions[start..end], &in_delta)?;
+            let out = self.detect_delta_rows(tuples, &delta_positions[start..end], &in_delta)?;
             if let Some(counters) = ctx.morsel_counters() {
                 counters.record_work(out.1 as u64);
             }
@@ -342,7 +342,6 @@ impl MaintainedIndex {
     /// delta order equals the full sequential enumeration.
     fn detect_delta_rows(
         &self,
-        schema: &Schema,
         tuples: &[Tuple],
         delta_positions: &[usize],
         in_delta: &HashSet<usize>,
@@ -362,7 +361,7 @@ impl MaintainedIndex {
                         None => left.as_slice(),
                     };
                     for l in candidates {
-                        self.check(schema, tuples, l.pos, d, &mut found, &mut pairs)?;
+                        self.check(tuples, l.pos, d, &mut found, &mut pairs)?;
                     }
                 }
             }
@@ -383,7 +382,7 @@ impl MaintainedIndex {
                         if in_delta.contains(&r.pos) {
                             continue;
                         }
-                        self.check(schema, tuples, d, r.pos, &mut found, &mut pairs)?;
+                        self.check(tuples, d, r.pos, &mut found, &mut pairs)?;
                     }
                 }
             }
@@ -396,7 +395,6 @@ impl MaintainedIndex {
     /// self-pairs are skipped before the pair counter, residuals after.
     fn check(
         &self,
-        schema: &Schema,
         tuples: &[Tuple],
         i: usize,
         j: usize,
@@ -407,13 +405,9 @@ impl MaintainedIndex {
             return Ok(());
         }
         *pairs += 1;
-        let binding = [&tuples[i], &tuples[j]];
-        for pred in &self.shape.residual {
-            if !pred.eval(schema, &binding)? {
-                return Ok(());
-            }
+        if residual_holds(&self.shape.residual, [&tuples[i], &tuples[j]])? {
+            out.push(Violation::pair(self.shape.rule, tuples[i].id, tuples[j].id));
         }
-        out.push(Violation::pair(self.shape.rule, tuples[i].id, tuples[j].id));
         Ok(())
     }
 
@@ -495,13 +489,13 @@ impl MaintainedIndex {
 
 /// Binary-search insertion keeping the `(value, position)` order the sweep
 /// relies on.
-fn insert_sorted(list: &mut Vec<SweepEntry<Value>>, entry: SweepEntry<Value>) {
+fn insert_sorted(list: &mut Vec<SweepEntry>, entry: SweepEntry) {
     let at = list.partition_point(|e| (&e.value, e.pos) < (&entry.value, entry.pos));
     list.insert(at, entry);
 }
 
 /// Binary-search removal of the entry inserted for `(value, pos)`.
-fn remove_sorted(list: &mut Vec<SweepEntry<Value>>, value: &Value, pos: usize) {
+fn remove_sorted(list: &mut Vec<SweepEntry>, value: &Value, pos: usize) {
     let at = list.partition_point(|e| (&e.value, e.pos) < (value, pos));
     if at < list.len() && list[at].pos == pos && &list[at].value == value {
         list.remove(at);
@@ -512,11 +506,7 @@ fn remove_sorted(list: &mut Vec<SweepEntry<Value>>, value: &Value, pos: usize) {
 /// with: the inverse of [`sweep_candidates`](super::sweep_candidates) —
 /// `probe op r.value` must hold, so `Lt`/`Le` select a suffix and `Gt`/`Ge`
 /// a prefix of the ascending-sorted right list.
-fn right_probes<'a>(
-    right: &'a [SweepEntry<Value>],
-    op: ComparisonOp,
-    probe: &Value,
-) -> &'a [SweepEntry<Value>] {
+fn right_probes<'a>(right: &'a [SweepEntry], op: ComparisonOp, probe: &Value) -> &'a [SweepEntry] {
     match op {
         ComparisonOp::Lt => &right[right.partition_point(|e| e.value <= *probe)..],
         ComparisonOp::Le => &right[right.partition_point(|e| e.value < *probe)..],

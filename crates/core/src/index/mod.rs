@@ -18,7 +18,8 @@
 //!    the sweep attribute and enumerating only the order-compatible pairs
 //!    (an order-statistics prefix/suffix per probe, found by binary search).
 //! 3. **Residual predicates** — everything else (same-tuple atoms, constants,
-//!    cross-tuple `≠`) is evaluated per surviving candidate pair.
+//!    cross-tuple `≠`) is resolved once to column ordinals
+//!    ([`ResolvedPredicate`]) and evaluated per surviving candidate pair.
 //!
 //! For an equality-bearing DC over `n` tuples with `d` distinct keys this
 //! enumerates `O(n·n/d)` candidates after an `O(n log n)` build instead of
@@ -46,10 +47,10 @@ use std::hash::Hash;
 use daisy_common::{DaisyError, Result, RuleId, Schema, TupleId, Value};
 use daisy_exec::ExecContext;
 use daisy_expr::{
-    resolve_predicates, CodedPredicate, ComparisonOp, DcPredicate, DenialConstraint, IndexPlan,
-    Operand, Violation,
+    resolve_predicates, ComparisonOp, DcPredicate, DenialConstraint, IndexPlan, Operand,
+    ResolvedPredicate, Violation,
 };
-use daisy_storage::{ColumnCode, ColumnSnapshot, Tuple};
+use daisy_storage::Tuple;
 
 /// Partitions `items` by a fallible key function, in parallel: keys are
 /// extracted chunk-at-a-time (order preserving, earliest error wins) and
@@ -87,9 +88,9 @@ pub fn id_index<'t>(_ctx: &ExecContext, tuples: &'t [Tuple]) -> HashMap<TupleId,
 }
 
 /// Canonicalises a violation list: each violation's tuple list is sorted,
-/// then the list itself is sorted by tuple ids and de-duplicated.  Both
-/// detection strategies funnel their output through this, which is what
-/// makes their results — and any worker count's results — byte-identical.
+/// then the list itself is sorted by tuple ids and de-duplicated.  Every
+/// detection entry point funnels its output through this, which is what
+/// makes any worker count's results byte-identical.
 pub fn canonicalize_violations(mut violations: Vec<Violation>) -> Vec<Violation> {
     for v in violations.iter_mut() {
         *v = v.canonical();
@@ -99,43 +100,12 @@ pub fn canonicalize_violations(mut violations: Vec<Violation>) -> Vec<Violation>
     violations
 }
 
-/// A sweep value the index kernels can read: the cloned [`Value`] of the
-/// row path or the `Copy` [`ColumnCode`] of the columnar path.  Both share
-/// one total order semantics (code order mirrors value order by
-/// construction), so every kernel algorithm below is written **once**,
-/// generically — the byte-identical guarantee cannot drift between read
-/// paths because there is only one implementation to drift.
-trait SweepValue: Ord + Clone {
-    /// The NULL element (entries without a sweep column hold it).
-    fn null() -> Self;
-    /// `true` for the NULL element.
-    fn is_null_value(&self) -> bool;
-}
-
-impl SweepValue for Value {
-    fn null() -> Self {
-        Value::Null
-    }
-    fn is_null_value(&self) -> bool {
-        self.is_null()
-    }
-}
-
-impl SweepValue for ColumnCode {
-    fn null() -> Self {
-        ColumnCode::Null
-    }
-    fn is_null_value(&self) -> bool {
-        (*self).is_null()
-    }
-}
-
 /// One member of a sweep partition: a tuple position plus its sweep-attribute
-/// value (the NULL element when the plan has no sweep predicate).
+/// value (NULL when the plan has no sweep predicate).
 #[derive(Debug, Clone)]
-struct SweepEntry<V> {
+struct SweepEntry {
     pos: usize,
-    value: V,
+    value: Value,
 }
 
 /// One hash-equality partition, with members sorted on the sweep attribute.
@@ -146,48 +116,30 @@ struct SweepEntry<V> {
 /// plans (same key columns, same sweep column) the member lists coincide
 /// and `right` is `None`, sharing `left` instead of storing a copy.
 #[derive(Debug, Clone)]
-struct SweepPartition<V> {
-    left: Vec<SweepEntry<V>>,
-    right: Option<Vec<SweepEntry<V>>>,
+struct SweepPartition {
+    left: Vec<SweepEntry>,
+    right: Option<Vec<SweepEntry>>,
 }
 
-impl<V> SweepPartition<V> {
-    fn right(&self) -> &[SweepEntry<V>] {
+impl SweepPartition {
+    fn right(&self) -> &[SweepEntry] {
         self.right.as_deref().unwrap_or(&self.left)
     }
 }
 
-/// The candidate-enumeration state of a [`ViolationIndex`]: the row kernel
-/// holds cloned values and name-resolved residual predicates, the coded
-/// kernel holds snapshot ordering codes and pre-resolved
-/// [`CodedPredicate`]s.  Both are instantiations of the same generic
-/// partition/sweep machinery and enumerate the exact same candidate
-/// bindings; only the residual evaluation differs.
-#[derive(Debug, Clone)]
-enum IndexKernel {
-    Rows {
-        partitions: Vec<SweepPartition<Value>>,
-        residual: Vec<DcPredicate>,
-    },
-    Coded {
-        partitions: Vec<SweepPartition<ColumnCode>>,
-        residual: Vec<CodedPredicate>,
-    },
-}
-
 /// The violation index of one two-tuple denial constraint over one tuple
 /// slice: hash partitions on the equality key, each sorted for the
-/// inequality sweep (see the module docs for the algorithm).
+/// inequality sweep, plus the residual predicates resolved once to column
+/// ordinals (see the module docs for the algorithm).
 ///
 /// The index is built against a specific `tuples` slice; detection must be
-/// run with the same slice (positions are slice indices).  When built over
-/// a [`ColumnSnapshot`] (see [`ViolationIndex::build_over_with`]) the same
-/// snapshot must be supplied at detection time.
+/// run with the same slice (positions are slice indices).
 #[derive(Debug, Clone)]
 pub struct ViolationIndex {
     rule: RuleId,
     sweep_op: Option<ComparisonOp>,
-    kernel: IndexKernel,
+    partitions: Vec<SweepPartition>,
+    residual: Vec<ResolvedPredicate>,
 }
 
 impl ViolationIndex {
@@ -216,26 +168,6 @@ impl ViolationIndex {
         plan: &IndexPlan,
         tuples: &[Tuple],
         positions: &[usize],
-    ) -> Result<ViolationIndex> {
-        ViolationIndex::build_over_with(ctx, schema, constraint, plan, tuples, positions, None)
-    }
-
-    /// [`ViolationIndex::build_over`] with an optional columnar read path:
-    /// when `snapshot` is given (and covers exactly the `tuples` slice, row
-    /// `i` = `tuples[i]`), keys, sweep values and residual predicates are
-    /// read as column codes instead of cloned [`Value`]s.  Both paths
-    /// enumerate identical candidate bindings and emit identical
-    /// violations; the snapshot only removes per-read clones and per-pair
-    /// schema lookups.  A snapshot of the wrong length is ignored.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_over_with(
-        ctx: &ExecContext,
-        schema: &Schema,
-        constraint: &DenialConstraint,
-        plan: &IndexPlan,
-        tuples: &[Tuple],
-        positions: &[usize],
-        snapshot: Option<&ColumnSnapshot>,
     ) -> Result<ViolationIndex> {
         let left_cols: Vec<usize> = plan
             .key
@@ -266,29 +198,17 @@ impl ViolationIndex {
             sweep_right,
             symmetric,
         };
-
-        let kernel = match snapshot.filter(|s| s.len() == tuples.len()) {
-            Some(snap) => build_coded_kernel(ctx, schema, plan, snap, positions, &roles)?,
-            None => build_row_kernel(ctx, plan, tuples, positions, &roles)?,
-        };
         Ok(ViolationIndex {
             rule: constraint.id,
             sweep_op,
-            kernel,
+            partitions: build_partitions(ctx, tuples, positions, &roles)?,
+            residual: resolve_predicates(&plan.residual, schema)?,
         })
     }
 
     /// Number of hash-equality partitions that can produce candidate pairs.
     pub fn partition_count(&self) -> usize {
-        match &self.kernel {
-            IndexKernel::Rows { partitions, .. } => partitions.len(),
-            IndexKernel::Coded { partitions, .. } => partitions.len(),
-        }
-    }
-
-    /// `true` when the index reads through a columnar snapshot.
-    pub fn is_coded(&self) -> bool {
-        matches!(self.kernel, IndexKernel::Coded { .. })
+        self.partitions.len()
     }
 
     /// Emits the violating bindings among the candidate pairs admitted by
@@ -296,7 +216,9 @@ impl ViolationIndex {
     /// restricts it to not-yet-checked block pairs).  Returns the violations
     /// in a deterministic discovery order — callers canonicalise with
     /// [`canonicalize_violations`] — plus the number of candidate bindings
-    /// that were residual-checked.
+    /// that were residual-checked.  The residual predicates were resolved
+    /// against the build schema, so `_schema` is only kept for call-site
+    /// symmetry with the build.
     ///
     /// Partitions are scanned in parallel on `ctx`; per-partition results
     /// are merged in partition order, so the output is identical for every
@@ -304,117 +226,58 @@ impl ViolationIndex {
     pub fn sweep_detect<F>(
         &self,
         ctx: &ExecContext,
-        schema: &Schema,
+        _schema: &Schema,
         tuples: &[Tuple],
         admit: F,
     ) -> Result<(Vec<Violation>, usize)>
     where
         F: Fn(usize, usize) -> bool + Sync,
     {
-        self.sweep_detect_with(ctx, schema, tuples, None, admit)
+        self.run_sweep(ctx, tuples, &admit)
     }
 
-    /// [`ViolationIndex::sweep_detect`] with the columnar read path: an
-    /// index built over a snapshot must be swept with the **same** snapshot
-    /// (coded residual predicates read cells from it).  Row-built indexes
-    /// ignore `snapshot`.
-    pub fn sweep_detect_with<F>(
+    /// Drives the partition sweep: sequentially at one worker, otherwise as
+    /// **skew-sharded morsel tasks** — per-probe candidate weights cut the
+    /// flat outer-position space into morsels of roughly equal candidate
+    /// mass ([`daisy_exec::weighted_ranges`]), so one giant hash-equality
+    /// partition is split across several stealable tasks while runs of tiny
+    /// partitions are packed into one.  Task outputs are merged in task
+    /// order, which equals the sequential enumeration order, so violations
+    /// **and** the pair counter are byte-identical for every worker count
+    /// and morsel granularity.
+    fn run_sweep<F>(
         &self,
         ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
-        snapshot: Option<&ColumnSnapshot>,
-        admit: F,
-    ) -> Result<(Vec<Violation>, usize)>
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        // Both arms run the same generic enumeration; only the residual
-        // check per surviving binding differs.
-        match &self.kernel {
-            IndexKernel::Rows {
-                partitions,
-                residual,
-            } => self.run_sweep(ctx, partitions, tuples, &admit, &|i, j| {
-                let binding = [&tuples[i], &tuples[j]];
-                for pred in residual {
-                    if !pred.eval(schema, &binding)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }),
-            IndexKernel::Coded {
-                partitions,
-                residual,
-            } => {
-                let snap = snapshot.ok_or_else(|| {
-                    DaisyError::Plan(
-                        "a snapshot-built violation index must be swept with its snapshot".into(),
-                    )
-                })?;
-                self.run_sweep(ctx, partitions, tuples, &admit, &|i, j| {
-                    Ok(residual.iter().all(|pred| pred.eval(snap, [i, j])))
-                })
-            }
-        }
-    }
-
-    /// Drives the generic partition sweep: sequentially at one worker,
-    /// otherwise as **skew-sharded morsel tasks** — per-probe candidate
-    /// weights cut the flat outer-position space into morsels of roughly
-    /// equal candidate mass ([`daisy_exec::weighted_ranges`]), so one giant
-    /// hash-equality partition is split across several stealable tasks
-    /// while runs of tiny partitions are packed into one.  Task outputs are
-    /// merged in task order, which equals the sequential enumeration order,
-    /// so violations **and** the pair counter are byte-identical for every
-    /// worker count and morsel granularity.
-    fn run_sweep<V, F, R>(
-        &self,
-        ctx: &ExecContext,
-        partitions: &[SweepPartition<V>],
         tuples: &[Tuple],
         admit: &F,
-        residual_holds: &R,
     ) -> Result<(Vec<Violation>, usize)>
     where
-        V: SweepValue + Sync,
         F: Fn(usize, usize) -> bool + Sync,
-        R: Fn(usize, usize) -> Result<bool> + Sync,
     {
         if ctx.workers() == 1 {
             let mut found = Vec::new();
             let mut pairs = 0usize;
-            for part in partitions {
+            for part in &self.partitions {
                 let outer = match self.sweep_op {
                     Some(_) => part.right().len(),
                     None => part.left.len(),
                 };
-                self.scan_partition(
-                    tuples,
-                    part,
-                    0..outer,
-                    admit,
-                    &mut found,
-                    &mut pairs,
-                    residual_holds,
-                )?;
+                self.scan_partition(tuples, part, 0..outer, admit, &mut found, &mut pairs)?;
             }
             return Ok((found, pairs));
         }
-        let tasks = self.skew_tasks(ctx, partitions);
+        let tasks = self.skew_tasks(ctx);
         let partials = daisy_exec::try_run_tasks(ctx, &tasks, |segments| {
             let mut found = Vec::new();
             let mut pairs = 0usize;
             for &(p, start, end) in segments {
                 self.scan_partition(
                     tuples,
-                    &partitions[p],
+                    &self.partitions[p],
                     start..end,
                     admit,
                     &mut found,
                     &mut pairs,
-                    residual_holds,
                 )?;
             }
             if let Some(counters) = ctx.morsel_counters() {
@@ -438,14 +301,10 @@ impl ViolationIndex {
     /// the probe itself), so cuts land where the candidate mass is: a
     /// skewed partition's sweep is split mid-partition across several
     /// stealable tasks instead of pinning one worker.
-    fn skew_tasks<V: SweepValue>(
-        &self,
-        ctx: &ExecContext,
-        partitions: &[SweepPartition<V>],
-    ) -> Vec<Vec<(usize, usize, usize)>> {
+    fn skew_tasks(&self, ctx: &ExecContext) -> Vec<Vec<(usize, usize, usize)>> {
         let mut weights: Vec<u64> = Vec::new();
         let mut owner: Vec<(usize, usize)> = Vec::new();
-        for (p, part) in partitions.iter().enumerate() {
+        for (p, part) in self.partitions.iter().enumerate() {
             match self.sweep_op {
                 Some(op) => {
                     for (o, probe) in part.right().iter().enumerate() {
@@ -486,20 +345,7 @@ impl ViolationIndex {
         schema: &Schema,
         tuples: &[Tuple],
     ) -> Result<(Vec<Violation>, usize)> {
-        self.detect_with(ctx, schema, tuples, None)
-    }
-
-    /// [`ViolationIndex::detect`] with the columnar read path (see
-    /// [`ViolationIndex::sweep_detect_with`]).
-    pub fn detect_with(
-        &self,
-        ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
-        snapshot: Option<&ColumnSnapshot>,
-    ) -> Result<(Vec<Violation>, usize)> {
-        let (violations, pairs) =
-            self.sweep_detect_with(ctx, schema, tuples, snapshot, |_, _| true)?;
+        let (violations, pairs) = self.sweep_detect(ctx, schema, tuples, |_, _| true)?;
         Ok((canonicalize_violations(violations), pairs))
     }
 
@@ -508,33 +354,28 @@ impl ViolationIndex {
     /// sweep predicate (outer = left members), otherwise, per right-role
     /// probe, the order-statistics prefix/suffix of the sorted left-role
     /// members that satisfies the sweep — and residual-checks each admitted
-    /// binding through `residual_holds`.  One implementation serves both
-    /// read paths; `pairs` counts residual-checked bindings identically.
-    /// Restricting `outer` is what lets [`ViolationIndex::skew_tasks`]
-    /// split one skewed partition across several morsels: concatenating
-    /// range scans in order equals the full scan.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_partition<V, F, R>(
+    /// binding.  `pairs` counts residual-checked bindings.  Restricting
+    /// `outer` is what lets [`ViolationIndex::skew_tasks`] split one skewed
+    /// partition across several morsels: concatenating range scans in order
+    /// equals the full scan.
+    fn scan_partition<F>(
         &self,
         tuples: &[Tuple],
-        part: &SweepPartition<V>,
+        part: &SweepPartition,
         outer: std::ops::Range<usize>,
         admit: &F,
         out: &mut Vec<Violation>,
         pairs: &mut usize,
-        residual_holds: &R,
     ) -> Result<()>
     where
-        V: SweepValue,
         F: Fn(usize, usize) -> bool,
-        R: Fn(usize, usize) -> Result<bool>,
     {
         let mut check = |i: usize, j: usize| -> Result<()> {
             if i == j || !admit(i, j) {
                 return Ok(());
             }
             *pairs += 1;
-            if residual_holds(i, j)? {
+            if residual_holds(&self.residual, [&tuples[i], &tuples[j]])? {
                 out.push(Violation::pair(self.rule, tuples[i].id, tuples[j].id));
             }
             Ok(())
@@ -559,7 +400,17 @@ impl ViolationIndex {
     }
 }
 
-/// The resolved column roles shared by both kernel builders.
+/// `true` when every residual predicate holds for the binding `(t1, t2)`.
+fn residual_holds(residual: &[ResolvedPredicate], binding: [&Tuple; 2]) -> Result<bool> {
+    for pred in residual {
+        if !pred.eval(binding)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The resolved column roles of an index build.
 struct BuildRoles<'a> {
     left_cols: &'a [usize],
     right_cols: &'a [usize],
@@ -568,30 +419,21 @@ struct BuildRoles<'a> {
     symmetric: bool,
 }
 
-/// Builds the shared partition/sweep structure of the index, generically
-/// over the key type `K` and sweep-value type `V` — the single
-/// implementation behind both read paths.  `key_of` extracts the (possibly
-/// composite) equality key of a position for one role's columns; `value_of`
-/// reads the sweep attribute.  Key hashing/ordering and sweep ordering
-/// mirror each other across instantiations (`ColumnCode` is constructed to
-/// order exactly like `Value`), so both read paths partition and sort
-/// identically.
-fn build_partitions<K, V, KF, VF>(
+/// Builds the partition/sweep structure of the index over `positions`:
+/// tuples are hash-partitioned on each role's (possibly composite) equality
+/// key and every partition's members are sorted on the sweep attribute.
+fn build_partitions(
     ctx: &ExecContext,
+    tuples: &[Tuple],
     positions: &[usize],
     roles: &BuildRoles<'_>,
-    key_of: KF,
-    value_of: VF,
-) -> Result<Vec<SweepPartition<V>>>
-where
-    K: Eq + Hash + Ord + Clone + Send + Sync,
-    V: SweepValue,
-    KF: Fn(&[usize], usize) -> Result<K> + Sync,
-    VF: Fn(usize, usize) -> Result<V>,
-{
+) -> Result<Vec<SweepPartition>> {
+    let key_of = |cols: &[usize], pos: usize| -> Result<Vec<Value>> {
+        cols.iter().map(|&c| tuples[pos].value(c)).collect()
+    };
     // The group-by yields indices into `positions`; remap them to slice
     // positions right away (lists stay ascending because `positions` is).
-    let remap = |groups: HashMap<K, Vec<usize>>| -> HashMap<K, Vec<usize>> {
+    let remap = |groups: HashMap<Vec<Value>, Vec<usize>>| -> HashMap<Vec<Value>, Vec<usize>> {
         groups
             .into_iter()
             .map(|(k, idxs)| (k, idxs.into_iter().map(|i| positions[i]).collect()))
@@ -610,7 +452,7 @@ where
 
     // Only keys present in both roles can form candidate pairs; sorting
     // the surviving keys keeps the partition order deterministic.
-    let mut keys: Vec<&K> = match &right_groups {
+    let mut keys: Vec<&Vec<Value>> = match &right_groups {
         None => left_groups.keys().collect(),
         Some(right) => left_groups
             .keys()
@@ -619,16 +461,16 @@ where
     };
     keys.sort();
 
-    let entries = |members: &[usize], col: Option<usize>| -> Result<Vec<SweepEntry<V>>> {
+    let entries = |members: &[usize], col: Option<usize>| -> Result<Vec<SweepEntry>> {
         let mut out = Vec::with_capacity(members.len());
         for &pos in members {
             let value = match col {
-                Some(c) => value_of(c, pos)?,
-                None => V::null(),
+                Some(c) => tuples[pos].value(c)?,
+                None => Value::Null,
             };
             // Order comparisons against NULL are never satisfied, so
             // NULL-valued members cannot participate in a sweep.
-            if col.is_some() && value.is_null_value() {
+            if col.is_some() && value.is_null() {
                 continue;
             }
             out.push(SweepEntry { pos, value });
@@ -650,62 +492,13 @@ where
     Ok(partitions)
 }
 
-/// Instantiates the generic build for the row store (the PR 3 path): keys
-/// and sweep values are cloned out of the tuples, residuals are evaluated
-/// by name at detection time.
-fn build_row_kernel(
-    ctx: &ExecContext,
-    plan: &IndexPlan,
-    tuples: &[Tuple],
-    positions: &[usize],
-    roles: &BuildRoles<'_>,
-) -> Result<IndexKernel> {
-    let partitions = build_partitions::<Vec<Value>, Value, _, _>(
-        ctx,
-        positions,
-        roles,
-        |cols, pos| cols.iter().map(|&c| tuples[pos].value(c)).collect(),
-        |col, pos| tuples[pos].value(col),
-    )?;
-    Ok(IndexKernel::Rows {
-        partitions,
-        residual: plan.residual.clone(),
-    })
-}
-
-/// Instantiates the generic build for the columnar read path: keys and
-/// sweep values are snapshot ordering codes (`Copy`, no clones, no per-read
-/// schema lookups) and the residual predicates are pre-resolved
-/// [`CodedPredicate`]s.
-fn build_coded_kernel(
-    ctx: &ExecContext,
-    schema: &Schema,
-    plan: &IndexPlan,
-    snap: &ColumnSnapshot,
-    positions: &[usize],
-    roles: &BuildRoles<'_>,
-) -> Result<IndexKernel> {
-    let partitions = build_partitions::<Vec<ColumnCode>, ColumnCode, _, _>(
-        ctx,
-        positions,
-        roles,
-        |cols, pos| Ok(cols.iter().map(|&c| snap.ordering_code(pos, c)).collect()),
-        |col, pos| Ok(snap.ordering_code(pos, col)),
-    )?;
-    Ok(IndexKernel::Coded {
-        partitions,
-        residual: resolve_predicates(&plan.residual, schema, snap)?,
-    })
-}
-
 /// The contiguous slice of ascending-sorted left-role members whose sweep
-/// value satisfies `value_left op probe` for a right-role probe value —
-/// generic over the sweep-value type, so both read paths share it.
-fn sweep_candidates<'a, V: Ord>(
-    left: &'a [SweepEntry<V>],
+/// value satisfies `value_left op probe` for a right-role probe value.
+fn sweep_candidates<'a>(
+    left: &'a [SweepEntry],
     op: ComparisonOp,
-    probe: &V,
-) -> &'a [SweepEntry<V>] {
+    probe: &Value,
+) -> &'a [SweepEntry] {
     match op {
         ComparisonOp::Lt => &left[..left.partition_point(|e| e.value < *probe)],
         ComparisonOp::Le => &left[..left.partition_point(|e| e.value <= *probe)],
@@ -965,8 +758,7 @@ mod tests {
     }
 
     #[test]
-    fn coded_kernel_matches_row_kernel_and_oracle() {
-        use daisy_storage::ColumnSnapshot;
+    fn nulls_nan_and_a_constant_residual_match_oracle() {
         // Mixed content: equality key with NULLs, sweep with NULLs, a
         // residual with a constant — the full kernel surface.
         let schema = Schema::from_pairs(&[
@@ -1004,44 +796,17 @@ mod tests {
         )
         .unwrap();
         let plan = dc.index_plan().unwrap();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-
-        let row_index =
+        let index =
             ViolationIndex::build(&ctx(), table.schema(), &dc, &plan, table.tuples()).unwrap();
-        assert!(!row_index.is_coded());
-        let coded_index = ViolationIndex::build_over_with(
-            &ctx(),
-            table.schema(),
-            &dc,
-            &plan,
-            table.tuples(),
-            &(0..table.len()).collect::<Vec<_>>(),
-            Some(&snap),
-        )
-        .unwrap();
-        assert!(coded_index.is_coded());
-        assert_eq!(coded_index.partition_count(), row_index.partition_count());
-
-        let (row_found, row_pairs) = row_index
+        let (found, _) = index
             .detect(&ctx(), table.schema(), table.tuples())
             .unwrap();
-        let (coded_found, coded_pairs) = coded_index
-            .detect_with(&ctx(), table.schema(), table.tuples(), Some(&snap))
-            .unwrap();
-        assert_eq!(coded_found, row_found);
-        assert_eq!(coded_pairs, row_pairs, "candidate enumeration must match");
-        assert_eq!(row_found, oracle(&table, &dc));
-        assert!(!row_found.is_empty());
-
-        // A coded index without its snapshot is a usage error, not UB.
-        assert!(coded_index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .is_err());
+        assert_eq!(found, oracle(&table, &dc));
+        assert!(!found.is_empty());
     }
 
     #[test]
-    fn coded_kernel_handles_string_keys_and_subsets() {
-        use daisy_storage::ColumnSnapshot;
+    fn string_keys_and_subsets_match_oracle() {
         let schema = Schema::from_pairs(&[
             ("city", DataType::Str),
             ("salary", DataType::Int),
@@ -1065,28 +830,27 @@ mod tests {
         )
         .unwrap();
         let plan = dc.index_plan().unwrap();
-        let snap = ColumnSnapshot::build(&table).unwrap();
         let positions: Vec<usize> = (0..50).step_by(3).collect();
-        let run = |snapshot: Option<&ColumnSnapshot>| {
-            let index = ViolationIndex::build_over_with(
-                &ctx(),
-                table.schema(),
-                &dc,
-                &plan,
-                table.tuples(),
-                &positions,
-                snapshot,
-            )
+        let index = ViolationIndex::build_over(
+            &ctx(),
+            table.schema(),
+            &dc,
+            &plan,
+            table.tuples(),
+            &positions,
+        )
+        .unwrap();
+        let (found, _) = index
+            .detect(&ctx(), table.schema(), table.tuples())
             .unwrap();
-            index
-                .detect_with(&ctx(), table.schema(), table.tuples(), snapshot)
-                .unwrap()
-        };
-        let (row_found, row_pairs) = run(None);
-        let (coded_found, coded_pairs) = run(Some(&snap));
-        assert_eq!(coded_found, row_found);
-        assert_eq!(coded_pairs, row_pairs);
-        assert!(!coded_found.is_empty());
+        let subset_ids: std::collections::HashSet<_> =
+            positions.iter().map(|&p| table.tuples()[p].id).collect();
+        let expected: Vec<Violation> = oracle(&table, &dc)
+            .into_iter()
+            .filter(|v| v.tuples.iter().all(|t| subset_ids.contains(t)))
+            .collect();
+        assert_eq!(found, expected);
+        assert!(!found.is_empty());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`index`] — the violation-index subsystem: hash-equality partitioning
 //!   plus sort-based inequality sweeps for near-linear general-DC detection,
 //! * [`theta`] — the partitioned cartesian-product matrix and incremental
-//!   partial theta-join used to detect general-DC violations (§4.2), with a
-//!   per-rule choice between pairwise and indexed candidate enumeration,
+//!   partial theta-join used to detect general-DC violations (§4.2),
+//!   enumerating candidates through the violation index,
 //! * [`accuracy`] — Algorithm 2: error estimation, accuracy, and support,
 //! * [`clean_dc`] — the `cleanσ` operator for general DCs with holistic,
 //!   SAT-assisted candidate-range fixes (§4.2),
@@ -57,7 +57,6 @@ pub mod session;
 pub mod theta;
 pub mod world;
 
-pub use cost::{DetectionEstimate, DetectionMode, DetectionStrategy};
 pub use durability::WorldSnapshot;
 pub use engine::{DaisyEngine, QueryOutcome};
 pub use fd_index::FdIndex;

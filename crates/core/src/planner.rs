@@ -8,7 +8,10 @@
 //! * cleaning is pushed **below joins and group-bys** (closer to the data)
 //!   so that errors are fixed before they propagate (`push_down_cleaning`),
 //! * for group-by queries, cleaning always happens before the aggregation,
-//! * rules that do not overlap the query are skipped entirely.
+//! * rules that do not overlap the query are skipped entirely, and so are
+//!   general DCs without an index plan (rules that do not quantify exactly
+//!   two tuples): no detector checks them, the same rules streaming ingest
+//!   skips.
 //!
 //! The plan produced here is descriptive: the engine interprets it, reusing
 //! the physical operators of `daisy-query` and the cleaning operators of
@@ -18,9 +21,7 @@ use daisy_common::{DaisyConfig, Result, RuleId};
 use daisy_expr::{ConstraintSet, FunctionalDependency};
 use daisy_query::{Catalog, Query};
 
-use crate::cost::{planned_detection, DetectionStrategy};
 use crate::relaxation::FilterTarget;
-use crate::world::SNAPSHOT_MIN_ROWS;
 
 /// Where a cleaning step is placed relative to the query operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,19 +47,6 @@ pub struct CleaningStep {
     pub filter_target: FilterTarget,
     /// Where the step sits in the plan.
     pub placement: CleaningPlacement,
-    /// The detection strategy for general-DC steps, from the rule's shape
-    /// ([`planned_detection`]: constraints without an index plan, or
-    /// equality-free ones, are pinned to pairwise here; a surviving `Auto`
-    /// is resolved against key selectivity when the theta matrix is
-    /// built).  FD steps always detect via hash grouping, so the field is
-    /// informational for them.
-    pub detection: DetectionStrategy,
-    /// `true` when the engine will run this step's detection over the
-    /// table's columnar snapshot, i.e. the table has at least
-    /// [`SNAPSHOT_MIN_ROWS`] rows.  The theta build feeds the snapshot into
-    /// the detection cost model: the columnar index build is cheaper,
-    /// which can tip a borderline `Auto` towards the indexed kernel.
-    pub snapshot: bool,
 }
 
 /// The cleaning-aware plan for one query.
@@ -98,7 +86,7 @@ impl CleaningPlan {
                 // through their join keys, so a rule on a joined table whose
                 // attributes include the join key also applies.
                 let overlaps_query = query_attr_refs.iter().any(|a| rule.references(a));
-                if !overlaps_query {
+                if !overlaps_query || rule.index_plan().is_none() {
                     continue;
                 }
                 let fd = rule.as_fd();
@@ -112,8 +100,6 @@ impl CleaningPlan {
                     fd,
                     filter_target,
                     placement,
-                    detection: planned_detection(rule),
-                    snapshot: table.len() >= SNAPSHOT_MIN_ROWS,
                 });
             }
         }
@@ -151,7 +137,7 @@ fn classify_filter(query: &Query, fd: &FunctionalDependency) -> FilterTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_common::{DataType, Schema, Value};
+    use daisy_common::{DataType, Schema};
     use daisy_expr::DenialConstraint;
     use daisy_query::parse_query;
     use daisy_storage::Table;
@@ -239,51 +225,22 @@ mod tests {
     }
 
     #[test]
-    fn steps_carry_shape_refined_detection() {
+    fn rules_without_an_index_plan_get_no_step() {
         let (catalog, mut constraints) = setup();
-        // Equality-free inequality DC: pinned to pairwise.
+        constraints.add(DenialConstraint::parse("single", "t1.revenue > 5").unwrap());
         constraints.add(
-            DenialConstraint::parse("dc", "t1.revenue < t2.revenue & t1.suppkey > t2.suppkey")
-                .unwrap(),
+            DenialConstraint::parse(
+                "triple",
+                "t1.revenue < t2.revenue & t2.revenue < t3.revenue & t1.suppkey < t3.suppkey",
+            )
+            .unwrap(),
         );
         let config = DaisyConfig::default();
         let q = parse_query("SELECT suppkey FROM lineorder WHERE revenue > 5").unwrap();
         let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
-        let dc_step = plan.steps.iter().find(|s| s.fd.is_none()).unwrap();
-        assert_eq!(dc_step.detection, DetectionStrategy::Pairwise);
-        // FD-shaped rules keep their equality key, so Auto survives for the
-        // cost model to resolve against the data.
-        let fd_step = plan.steps.iter().find(|s| s.fd.is_some()).unwrap();
-        assert_eq!(fd_step.detection, DetectionStrategy::Auto);
-    }
-
-    #[test]
-    fn steps_record_the_snapshot_decision() {
-        let (mut catalog, constraints) = setup();
-        let q = parse_query("SELECT suppkey FROM lineorder WHERE orderkey < 100").unwrap();
-        let config = DaisyConfig::default();
-        let plan_with_rows = |catalog: &mut Catalog, rows: usize| {
-            let schema = catalog.table("lineorder").unwrap().schema().clone();
-            let rows = (0..rows as i64)
-                .map(|i| vec![Value::Int(i), Value::Int(i % 7), Value::Int(i)])
-                .collect();
-            catalog.add(Table::from_rows("lineorder", Schema::clone(&schema), rows).unwrap());
-            CleaningPlan::build(&q, &constraints, catalog, &config).unwrap()
-        };
-        // Tables below the size threshold stay on the row path; from the
-        // threshold on, every step reads through the snapshot.
-        for (rows, expected) in [
-            (0, false),
-            (SNAPSHOT_MIN_ROWS - 1, false),
-            (SNAPSHOT_MIN_ROWS, true),
-        ] {
-            let plan = plan_with_rows(&mut catalog, rows);
-            assert!(!plan.steps.is_empty());
-            assert!(
-                plan.steps.iter().all(|s| s.snapshot == expected),
-                "{rows} rows"
-            );
-        }
+        // Only the FD over suppkey remains.
+        assert_eq!(plan.steps.len(), 1);
+        assert!(plan.steps[0].fd.is_some());
     }
 
     #[test]

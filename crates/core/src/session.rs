@@ -17,8 +17,7 @@
 //!   publishes everything back through [`CleaningSession::commit`].
 //!
 //! A session's first write to a table copies the row table (pointers),
-//! then only the rows, provenance entries, snapshot columns and index
-//! partitions it writes; every later write finds them private.  A commit
+//! then only the rows, provenance entries and index partitions it writes; every later write finds them private.  A commit
 //! installs by swapping the root pointer.  **Nothing is freed while the
 //! commit mutex is held**: the version a commit supersedes, a private
 //! world a rebase abandons, superseded outcomes, evicted ring records and
@@ -34,7 +33,7 @@
 //! 1. **validates** — if the shared version still equals the session's base
 //!    version, nothing committed in between: the session's world *is* the
 //!    serial successor state, and installing it is a pointer swap (the
-//!    table revisions and columnar snapshots inside were already advanced
+//!    table revisions and maintained indexes inside were already advanced
 //!    through the engine's `apply_delta_patching`/`absorb_delta` write
 //!    path);
 //! 2. otherwise consults the **commit log** — a bounded ring of recent
@@ -108,7 +107,7 @@ use std::sync::{Arc, Mutex};
 
 use daisy_common::{ColumnId, DaisyConfig, DaisyError, Result, TupleId, Value};
 use daisy_query::Query;
-use daisy_storage::{ColumnSnapshot, Delta, Footprint, ProvenanceStore, Table};
+use daisy_storage::{Delta, Footprint, ProvenanceStore, Table};
 use daisy_wal::{LoggedCommit, PersistedWorld, RealVfs, Vfs, WalStats, WalStore};
 
 use crate::durability::{logged_commit, persisted_world, restore_world, WorldSnapshot};
@@ -239,7 +238,7 @@ impl EngineShared {
     /// checkpoint is loaded, the commit-log suffix is replayed on top, a
     /// torn (unsynced) tail is self-truncated, and any damage to
     /// acknowledged state surfaces as [`DaisyError::CorruptLog`].  Every
-    /// derived structure (indexes, θ-matrices, trackers, snapshots) is
+    /// derived structure (indexes, θ-matrices, trackers) is
     /// dropped and rebuilt lazily against the recovered tables.
     ///
     /// Subsequent commits append to the write-ahead log *before*
@@ -606,12 +605,6 @@ impl CleaningSession {
         self.engine.provenance(table)
     }
 
-    /// The session's private columnar snapshot of a table, if one is
-    /// maintained (see [`DaisyEngine::snapshot`]).
-    pub fn snapshot(&self, table: &str) -> Option<&ColumnSnapshot> {
-        self.engine.snapshot(table)
-    }
-
     /// The per-query cleaning reports accumulated since the last commit.
     pub fn report(&self) -> &SessionReport {
         self.engine.session()
@@ -862,16 +855,16 @@ fn cell_equal(
 /// Rebases a validated session's effects onto the current shared world in
 /// `O(|delta| + |touched rules|)`:
 ///
-/// * staged deltas re-apply through the same table/snapshot/index write
-///   protocol the engine uses (`apply_delta` + `absorb_delta`, for the
-///   columnar snapshot and every maintained violation index alike),
+/// * staged deltas re-apply through the same table/index write protocol
+///   the engine uses (`apply_delta` + `absorb_delta` for every maintained
+///   violation index),
 /// * provenance entries graft cell-by-cell (the session's additions are
 ///   confined to its staged cells),
 /// * derived cleaning state (`FdIndex`, `ThetaMatrix`, cost trackers,
 ///   fully-cleaned marks) swaps in wholesale for the rules only this
 ///   session touched,
-/// * session-built columnar snapshots carry over when their revision still
-///   matches the merged table.
+/// * session-built maintained violation indexes carry over when their
+///   revision still matches the merged table.
 ///
 /// Footprint validation already proved the inputs of all of the above are
 /// identical to what a serial replay would have consumed, so the merged
@@ -902,9 +895,6 @@ fn merge_world(
     for (name, delta) in staged {
         let table = merged.catalog.table_mut(name)?;
         table.apply_delta(delta)?;
-        if let Some(snap) = merged.snapshots.get_mut(name) {
-            Arc::make_mut(snap).absorb_delta(table, delta)?;
-        }
         for (key, index) in merged.violation_indexes.iter_mut() {
             if key.0 == *name {
                 Arc::make_mut(index).absorb_delta(table, delta)?;
@@ -921,13 +911,7 @@ fn merge_world(
                 );
         }
     }
-    for (name, snap) in &session.snapshots {
-        if !merged.snapshots.contains_key(name) && snap.is_current(merged.catalog.table(name)?) {
-            merged.snapshots.insert(name.clone(), Arc::clone(snap));
-        }
-    }
-    // Maintained violation indexes carry over like snapshots: an index the
-    // session built rides along when its revision matches the merged table
+    // An index the session built rides along when its revision matches the merged table
     // (stale ones are dropped on the floor — the next ingest rebuilds).
     for (key, index) in &session.violation_indexes {
         if !merged.violation_indexes.contains_key(key)
@@ -974,11 +958,11 @@ mod tests {
         engine.into_shared()
     }
 
-    /// A core over `t(key, rhs, note)`: 64 keys of four rows each (256 rows,
-    /// the snapshot threshold), the groups of keys 0 and 5 dirty, warmed by one committed request (a
-    /// clean one-row ingest plus a `SELECT` that repairs group 0) so the
-    /// shared world owns a snapshot, a maintained violation index and
-    /// provenance entries — one shared piece per component to check.
+    /// A core over `t(key, rhs, note)`: 64 keys of four rows each (256
+    /// rows), the groups of keys 0 and 5 dirty, warmed by one committed
+    /// request (a clean one-row ingest plus a `SELECT` that repairs group 0)
+    /// so the shared world owns a maintained violation index and provenance
+    /// entries — one shared piece per component to check.
     fn warmed_groups() -> Arc<EngineShared> {
         let schema = Schema::from_pairs(&[
             ("key", DataType::Int),
@@ -1105,35 +1089,6 @@ mod tests {
             assert!(after.cell(tuple, column).is_some());
             assert!(!after.shares_cell_with(before, tuple, column));
         }
-    }
-
-    #[test]
-    fn a_write_detaches_only_the_snapshot_columns_it_touches() {
-        let shared = warmed_groups();
-        let base = root(&shared);
-        let before = &base.snapshots["t"];
-        let mut session = shared.session();
-        session
-            .execute_sql("SELECT key FROM t WHERE key = 5")
-            .unwrap();
-        let written: HashSet<usize> = session
-            .staged()
-            .iter()
-            .flat_map(|(_, d)| d.updates().iter().map(|u| u.column.index()))
-            .collect();
-        assert!(written.contains(&1) && !written.contains(&2));
-        let after = &session.engine.world().snapshots["t"];
-        assert!(after.is_current(session.table("t").unwrap()));
-        for column in 0..3 {
-            assert_eq!(
-                after.shares_column_with(before, column),
-                !written.contains(&column),
-                "column {column}"
-            );
-        }
-        // Integer candidates intern nothing, updates move no row.
-        assert!(after.shares_dictionary_with(before));
-        assert!(after.shares_row_map_with(before));
     }
 
     #[test]

@@ -16,24 +16,19 @@
 //! its result's value range and the unseen part of the dataset (Fig. 1 and
 //! Fig. 2 of the paper).
 //!
-//! Within a check, candidate pairs are enumerated by one of two kernels
-//! (see [`DetectionMode`]): the classic **pairwise** nested loop over each
-//! surviving block pair, or the **indexed** hash-equality / sort-sweep scan
-//! of [`crate::index::ViolationIndex`] restricted to the not-yet-checked
-//! block pairs.  Both kernels share the block bookkeeping (`checked`,
-//! pruning, `support`) and emit identical, canonically ordered violations;
-//! only `pairs_compared` — and the wall-clock time — differs.  The kernel is
-//! picked per matrix from the constraint's shape and the detection cost
-//! model ([`crate::cost::DetectionEstimate`]).
+//! Within a check, candidate pairs are enumerated by the hash-equality /
+//! sort-sweep scan of [`crate::index::ViolationIndex`], restricted to the
+//! not-yet-checked block pairs that survive pruning.  A matrix exists only
+//! for rules with an index plan (two quantified tuples); that shape is the
+//! only choice the engine makes about detection.
 
 use std::collections::{HashMap, HashSet};
 
 use daisy_common::{DaisyError, Result, Schema, Value};
 use daisy_exec::ExecContext;
 use daisy_expr::{DenialConstraint, IndexPlan, Operand, Violation};
-use daisy_storage::{ColumnSnapshot, Tuple};
+use daisy_storage::Tuple;
 
-use crate::cost::{refine_detection, DetectionEstimate, DetectionMode, DetectionStrategy};
 use crate::index::{canonicalize_violations, ViolationIndex};
 
 /// Per-block bounds of one attribute.
@@ -45,13 +40,9 @@ pub struct AttrBounds {
     pub max: Value,
 }
 
-/// Row-path bounds of one attribute over a block's members: min/max under
-/// the total value order, NULLs ignored.
-fn block_bounds_rows(
-    tuples: &[Tuple],
-    members: &[usize],
-    col: usize,
-) -> Result<Option<AttrBounds>> {
+/// Bounds of one attribute over a block's members: min/max under the total
+/// value order, NULLs ignored.
+fn block_bounds(tuples: &[Tuple], members: &[usize], col: usize) -> Result<Option<AttrBounds>> {
     let mut min: Option<Value> = None;
     let mut max: Option<Value> = None;
     for &pos in members {
@@ -74,36 +65,6 @@ fn block_bounds_rows(
     })
 }
 
-/// Columnar bounds: identical extrema computed over ordering codes, decoded
-/// to values only once per block.  Ties keep the earliest member, exactly
-/// like `Value::min_of` / `Value::max_of` do on the row path, so the
-/// decoded bounds are byte-identical.
-fn block_bounds_coded(snap: &ColumnSnapshot, members: &[usize], col: usize) -> Option<AttrBounds> {
-    let mut min: Option<(daisy_storage::ColumnCode, usize)> = None;
-    let mut max: Option<(daisy_storage::ColumnCode, usize)> = None;
-    for &pos in members {
-        let code = snap.ordering_code(pos, col);
-        if code.is_null() {
-            continue;
-        }
-        match &min {
-            Some((m, _)) if m.cmp(&code) != std::cmp::Ordering::Greater => {}
-            _ => min = Some((code, pos)),
-        }
-        match &max {
-            Some((m, _)) if m.cmp(&code) != std::cmp::Ordering::Less => {}
-            _ => max = Some((code, pos)),
-        }
-    }
-    match (min, max) {
-        (Some((_, min_pos)), Some((_, max_pos))) => Some(AttrBounds {
-            min: snap.value(min_pos, col),
-            max: snap.value(max_pos, col),
-        }),
-        _ => None,
-    }
-}
-
 /// One block (partition) of the theta-join matrix.
 #[derive(Debug, Clone)]
 pub struct ThetaBlock {
@@ -122,10 +83,9 @@ pub struct ThetaCheckStats {
     pub blocks_checked: usize,
     /// Block pairs skipped thanks to boundary pruning.
     pub blocks_pruned: usize,
-    /// Candidate tuple pairs actually compared: every pair of a surviving
-    /// block pair under [`DetectionMode::Pairwise`], only the bindings that
-    /// survive the equality partitioning and inequality sweep under
-    /// [`DetectionMode::Indexed`].
+    /// Candidate bindings residual-checked: those of a surviving block
+    /// pair that also survive the equality partitioning and inequality
+    /// sweep.
     pub pairs_compared: usize,
 }
 
@@ -154,83 +114,32 @@ pub struct ThetaMatrix {
     checked: HashSet<(usize, usize)>,
     /// Columns referenced by the constraint.
     dc_columns: Vec<usize>,
-    /// The candidate-enumeration kernel resolved for this matrix.
-    mode: DetectionMode,
-    /// The constraint's index plan (present whenever it quantifies two
-    /// tuples), consumed by the indexed kernel.
-    plan: Option<IndexPlan>,
-    /// Block id per tuple position, used to restrict the indexed kernel to
+    /// The constraint's index plan, which drives candidate enumeration.
+    plan: IndexPlan,
+    /// Block id per tuple position, used to restrict the index sweep to
     /// the not-yet-checked block pairs.
     block_of: Vec<usize>,
-    /// The coded violation index of the last snapshot revision the indexed
-    /// kernel swept, keyed by [`ColumnSnapshot::revision`].  Consecutive
-    /// checks within one request hit the same revision, so the index is
-    /// built once and reused instead of rebuilt per call.
-    index_cache: Option<(u64, ViolationIndex)>,
-    /// How many violation-index builds this matrix has paid for — the
-    /// counter the cache-reuse regression test pins.
-    index_builds: u64,
 }
 
 impl ThetaMatrix {
     /// Builds the matrix over `tuples` with `blocks_per_side` partitions per
-    /// axis, letting the engine's choice pick the detection kernel: the
-    /// constraint's shape first ([`crate::cost::planned_detection`]), then
-    /// the detection cost model over the equality key's selectivity.  The
-    /// partition attribute is the column of the first predicate's left
-    /// operand; it must be numeric for range pruning to be meaningful.
+    /// axis.  The partition attribute is the column of the first
+    /// predicate's left operand; it must be numeric for range pruning to be
+    /// meaningful.  A constraint without an index plan (one that does not
+    /// quantify exactly two tuples) has no matrix: the build returns
+    /// [`DaisyError::Plan`].
     pub fn build(
         schema: &Schema,
         tuples: &[Tuple],
         constraint: &DenialConstraint,
         blocks_per_side: usize,
     ) -> Result<ThetaMatrix> {
-        ThetaMatrix::build_with_strategy(
-            schema,
-            tuples,
-            constraint,
-            blocks_per_side,
-            DetectionStrategy::Auto,
-        )
-    }
-
-    /// Builds the matrix with an explicit [`DetectionStrategy`]: `Pairwise`
-    /// and `Indexed` force their kernel (the latter falling back to pairwise
-    /// when the constraint has no index plan), while `Auto` asks the
-    /// detection cost model using the equality key's selectivity over
-    /// `tuples`.
-    pub fn build_with_strategy(
-        schema: &Schema,
-        tuples: &[Tuple],
-        constraint: &DenialConstraint,
-        blocks_per_side: usize,
-        strategy: DetectionStrategy,
-    ) -> Result<ThetaMatrix> {
-        ThetaMatrix::build_with_strategy_snap(
-            schema,
-            tuples,
-            constraint,
-            blocks_per_side,
-            strategy,
-            None,
-        )
-    }
-
-    /// [`ThetaMatrix::build_with_strategy`] over the columnar read path:
-    /// when `snapshot` covers exactly `tuples` (row `i` = `tuples[i]`), the
-    /// partition sort, the per-block attribute bounds and the `Auto`
-    /// cost-model statistics are computed from column codes instead of
-    /// cloned values, and the cost model accounts for the cheaper columnar
-    /// index build.  A snapshot of the wrong length is ignored.
-    pub fn build_with_strategy_snap(
-        schema: &Schema,
-        tuples: &[Tuple],
-        constraint: &DenialConstraint,
-        blocks_per_side: usize,
-        strategy: DetectionStrategy,
-        snapshot: Option<&ColumnSnapshot>,
-    ) -> Result<ThetaMatrix> {
-        let snapshot = snapshot.filter(|s| s.len() == tuples.len());
+        let plan = constraint.index_plan().ok_or_else(|| {
+            DaisyError::Plan(format!(
+                "constraint `{}` quantifies {} tuples; theta detection binds exactly two",
+                constraint.name, constraint.tuple_count
+            ))
+        })?;
         let dc_columns: Vec<usize> = constraint
             .attributes()
             .iter()
@@ -251,26 +160,14 @@ impl ThetaMatrix {
             })?;
         let partition_column = schema.index_of(&partition_attr)?;
 
-        // Sort tuple positions by the partition attribute and slice into
-        // equal-size blocks.  The columnar sort compares `Copy` ordering
-        // codes; both comparators realise the same total order, and the
-        // sort is stable, so the resulting block layout is identical.
+        // Sort tuple positions by the partition attribute (stable) and slice
+        // into equal-size blocks.
+        let keys: Vec<Value> = tuples
+            .iter()
+            .map(|t| t.value(partition_column))
+            .collect::<Result<_>>()?;
         let mut order: Vec<usize> = (0..tuples.len()).collect();
-        match snapshot {
-            Some(snap) => {
-                let keys: Vec<daisy_storage::ColumnCode> = (0..tuples.len())
-                    .map(|pos| snap.ordering_code(pos, partition_column))
-                    .collect();
-                order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-            }
-            None => {
-                let keys: Vec<Value> = tuples
-                    .iter()
-                    .map(|t| t.value(partition_column))
-                    .collect::<Result<_>>()?;
-                order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-            }
-        }
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
 
         let blocks_per_side = blocks_per_side.max(1);
         let ranges = daisy_exec::chunk_ranges(order.len(), blocks_per_side);
@@ -279,11 +176,7 @@ impl ThetaMatrix {
             let members: Vec<usize> = order[start..end].to_vec();
             let mut bounds: HashMap<usize, AttrBounds> = HashMap::new();
             for &col in &dc_columns {
-                let attr_bounds = match snapshot {
-                    Some(snap) => block_bounds_coded(snap, &members, col),
-                    None => block_bounds_rows(tuples, &members, col)?,
-                };
-                if let Some(b) = attr_bounds {
+                if let Some(b) = block_bounds(tuples, &members, col)? {
                     bounds.insert(col, b);
                 }
             }
@@ -296,57 +189,15 @@ impl ThetaMatrix {
                 block_of[pos] = b;
             }
         }
-        let plan = constraint.index_plan();
-        let mode = match refine_detection(constraint, strategy) {
-            DetectionStrategy::Pairwise => DetectionMode::Pairwise,
-            DetectionStrategy::Indexed => DetectionMode::Indexed,
-            DetectionStrategy::Auto => {
-                // `refine_detection` only leaves `Auto` standing when the
-                // plan has an equality key; measure its selectivity and let
-                // the cost model decide.  Both statistics paths count the
-                // same composite keys; the snapshot one just skips the
-                // per-cell clones, and its availability discounts the
-                // projected index-build cost.
-                let key_plan = plan.as_ref().expect("Auto implies an index plan");
-                let key_columns: Vec<usize> = key_plan
-                    .key
-                    .iter()
-                    .map(|(l, _)| schema.index_of(l))
-                    .collect::<Result<_>>()?;
-                let key_stats = match snapshot {
-                    Some(snap) => snap.key_statistics(&key_columns),
-                    None => daisy_storage::key_statistics(tuples, &key_columns)?,
-                };
-                DetectionEstimate::new(tuples.len(), key_stats)
-                    .with_columnar(snapshot.is_some())
-                    .recommend()
-            }
-        };
-
         Ok(ThetaMatrix {
             constraint: constraint.clone(),
             partition_column,
             blocks,
             checked: HashSet::new(),
             dc_columns,
-            mode,
             plan,
             block_of,
-            index_cache: None,
-            index_builds: 0,
         })
-    }
-
-    /// The candidate-enumeration kernel this matrix resolved to.
-    pub fn detection_mode(&self) -> DetectionMode {
-        self.mode
-    }
-
-    /// How many violation-index builds the indexed kernel has paid for.
-    /// Checks at an unchanged snapshot revision reuse the cached index, so
-    /// this counter advances once per revision, not once per call.
-    pub fn index_builds(&self) -> u64 {
-        self.index_builds
     }
 
     /// Number of blocks per side.
@@ -432,22 +283,8 @@ impl ThetaMatrix {
         schema: &Schema,
         tuples: &[Tuple],
     ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
-        self.check_all_with(ctx, schema, tuples, None)
-    }
-
-    /// [`ThetaMatrix::check_all`] over the columnar read path: when
-    /// `snapshot` covers exactly `tuples`, the indexed kernel builds and
-    /// sweeps its violation index on column codes.  Results are
-    /// byte-identical either way; mismatched snapshots are ignored.
-    pub fn check_all_with(
-        &mut self,
-        ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
-        snapshot: Option<&ColumnSnapshot>,
-    ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
         let rows: Vec<usize> = (0..self.blocks.len()).collect();
-        self.check_blocks(ctx, schema, tuples, snapshot, &rows)
+        self.check_blocks(ctx, schema, tuples, &rows)
     }
 
     /// Incrementally checks the sub-matrix relevant to a query whose result
@@ -461,52 +298,28 @@ impl ThetaMatrix {
         low: Option<&Value>,
         high: Option<&Value>,
     ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
-        self.check_range_with(ctx, schema, tuples, None, low, high)
+        let rows = self.blocks_overlapping(low, high);
+        self.check_blocks(ctx, schema, tuples, &rows)
     }
 
-    /// [`ThetaMatrix::check_range`] over the columnar read path (see
-    /// [`ThetaMatrix::check_all_with`]).
-    pub fn check_range_with(
-        &mut self,
-        ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
-        snapshot: Option<&ColumnSnapshot>,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
-        let rows: Vec<usize> = (0..self.blocks.len())
-            .filter(|&i| {
-                let Some(bounds) = self.blocks[i].bounds.get(&self.partition_column) else {
-                    return false;
-                };
-                low.is_none_or(|l| &bounds.max >= l) && high.is_none_or(|h| &bounds.min <= h)
-            })
-            .collect();
-        self.check_blocks(ctx, schema, tuples, snapshot, &rows)
-    }
-
-    /// Checks the not-yet-checked block pairs reachable from `rows`,
-    /// partitioned over the execution context's workers.
+    /// Checks the not-yet-checked block pairs reachable from `rows`: one
+    /// hash-equality / sort-sweep pass of a [`ViolationIndex`] over the
+    /// tuples of the block pairs that survive pruning, admitting only
+    /// bindings whose blocks form one of those pairs.  The index is built
+    /// per call over the active blocks only, so it always reads the
+    /// expected values earlier repairs left behind, and a range check
+    /// against a mostly-checked matrix pays for its submatrix.
     ///
-    /// The pair keys are collected in deterministic row-major order and
-    /// handed to the resolved detection kernel.  The pairwise kernel splits
-    /// them into even contiguous partitions and prunes/checks each
-    /// independently; the indexed kernel builds a
-    /// [`ViolationIndex`] over `tuples` and sweeps it, admitting only
-    /// bindings that fall in a surviving block pair.  Either way,
-    /// per-partition violations are concatenated in partition order and then
-    /// canonicalised by [`canonicalize_violations`], and per-partition
-    /// [`ThetaCheckStats`] are merged, so the output is byte-identical for
-    /// every worker count — and for either kernel.  Already-checked pairs
-    /// (`checked` is global state shared between incremental and full calls)
-    /// are never re-checked.
+    /// The sweep merges its morsels in order and the violations are
+    /// canonicalised by [`canonicalize_violations`], so the output is
+    /// byte-identical for every worker count.  Already-checked pairs
+    /// (`checked` is global state shared between incremental and full
+    /// calls) are never re-checked.
     fn check_blocks(
         &mut self,
         ctx: &ExecContext,
         schema: &Schema,
         tuples: &[Tuple],
-        snapshot: Option<&ColumnSnapshot>,
         rows: &[usize],
     ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
         let mut keys: Vec<(usize, usize)> = Vec::new();
@@ -521,78 +334,6 @@ impl ThetaMatrix {
             }
         }
 
-        let snapshot = snapshot.filter(|s| s.len() == tuples.len());
-        let (violations, stats) = match self.mode {
-            DetectionMode::Pairwise => self.check_keys_pairwise(ctx, schema, tuples, &keys)?,
-            DetectionMode::Indexed => {
-                self.check_keys_indexed(ctx, schema, tuples, snapshot, &keys)?
-            }
-        };
-        self.checked.extend(keys);
-        Ok((canonicalize_violations(violations), stats))
-    }
-
-    /// The pairwise kernel: every tuple pair of every surviving block pair.
-    fn check_keys_pairwise(
-        &self,
-        ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
-        keys: &[(usize, usize)],
-    ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
-        let this: &ThetaMatrix = self;
-        let partials: Vec<(Vec<Violation>, ThetaCheckStats)> =
-            daisy_exec::par_flat_map_chunks(ctx, keys, |chunk| {
-                let mut stats = ThetaCheckStats::default();
-                let mut found: Vec<Violation> = Vec::new();
-                for &(a, b) in chunk {
-                    if !this.blocks_can_violate(a, b) {
-                        stats.blocks_pruned += 1;
-                        continue;
-                    }
-                    stats.blocks_checked += 1;
-                    found.extend(this.check_block_pair(schema, tuples, a, b, &mut stats)?);
-                }
-                Ok::<_, DaisyError>(vec![(found, stats)])
-            })?;
-
-        let mut stats = ThetaCheckStats::default();
-        let mut violations: Vec<Violation> = Vec::new();
-        for (found, partial) in partials {
-            violations.extend(found);
-            stats.merge(&partial);
-        }
-        Ok((violations, stats))
-    }
-
-    /// The indexed kernel: one hash-equality / sort-sweep pass over the
-    /// tuples of the surviving block pairs, admitting only bindings whose
-    /// blocks form one of those pairs.
-    ///
-    /// On the columnar path the index is **cached per snapshot revision**:
-    /// a snapshot is immutable between table revisions, so consecutive
-    /// checks within one request (range check, then the rest; or one check
-    /// per cleaning step) sweep the same build instead of rebuilding it
-    /// per call — the admit predicate filters candidate bindings *before*
-    /// the pair counter, so sweeping the full cached index emits exactly
-    /// the violations and statistics of a fresh per-subset build.  The row
-    /// path has no revision to validate against and keeps the per-call
-    /// build over only the blocks still under consideration; either way
-    /// the kernel always sees fresh expected values after earlier repairs
-    /// turned cells probabilistic (stale snapshots are filtered out by the
-    /// caller).
-    fn check_keys_indexed(
-        &mut self,
-        ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
-        snapshot: Option<&ColumnSnapshot>,
-        keys: &[(usize, usize)],
-    ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
-        let plan = self
-            .plan
-            .clone()
-            .ok_or_else(|| DaisyError::Plan("indexed detection requires an index plan".into()))?;
         let mut stats = ThetaCheckStats::default();
         // The admit predicate runs once per candidate binding, so the
         // surviving-pair membership test must be a plain array index: a
@@ -600,105 +341,44 @@ impl ThetaMatrix {
         // pair, not a hash lookup.
         let side = self.blocks.len();
         let mut allowed = vec![false; side * side];
-        let mut survivors = 0usize;
-        for &(a, b) in keys {
+        let mut active = vec![false; side];
+        for &(a, b) in &keys {
             if self.blocks_can_violate(a, b) {
                 stats.blocks_checked += 1;
                 allowed[a * side + b] = true;
-                survivors += 1;
+                active[a] = true;
+                active[b] = true;
             } else {
                 stats.blocks_pruned += 1;
             }
         }
-        if survivors == 0 {
+        if stats.blocks_checked == 0 {
+            self.checked.extend(keys);
             return Ok((Vec::new(), stats));
         }
-        let row_index;
-        let index: &ViolationIndex = match snapshot {
-            Some(snap) => {
-                let current = self
-                    .index_cache
-                    .as_ref()
-                    .is_some_and(|(rev, _)| *rev == snap.revision());
-                if !current {
-                    let all: Vec<usize> = (0..tuples.len()).collect();
-                    let built = ViolationIndex::build_over_with(
-                        ctx,
-                        schema,
-                        &self.constraint,
-                        &plan,
-                        tuples,
-                        &all,
-                        Some(snap),
-                    )?;
-                    self.index_builds += 1;
-                    self.index_cache = Some((snap.revision(), built));
-                }
-                &self.index_cache.as_ref().expect("just cached").1
-            }
-            None => {
-                // Only tuples of a block participating in some surviving
-                // pair can appear in an admitted binding; index just those.
-                let active_blocks: HashSet<usize> = keys
-                    .iter()
-                    .filter(|&&(a, b)| allowed[a * side + b])
-                    .flat_map(|&(a, b)| [a, b])
-                    .collect();
-                let mut positions: Vec<usize> = active_blocks
-                    .iter()
-                    .flat_map(|&b| self.blocks[b].members.iter().copied())
-                    .collect();
-                positions.sort_unstable();
-                row_index = ViolationIndex::build_over(
-                    ctx,
-                    schema,
-                    &self.constraint,
-                    &plan,
-                    tuples,
-                    &positions,
-                )?;
-                self.index_builds += 1;
-                &row_index
-            }
-        };
+        // Only tuples of a block in some surviving pair can appear in an
+        // admitted binding; index just those.
+        let mut positions: Vec<usize> = (0..side)
+            .filter(|&b| active[b])
+            .flat_map(|b| self.blocks[b].members.iter().copied())
+            .collect();
+        positions.sort_unstable();
+        let index = ViolationIndex::build_over(
+            ctx,
+            schema,
+            &self.constraint,
+            &self.plan,
+            tuples,
+            &positions,
+        )?;
         let block_of = &self.block_of;
-        let allowed = &allowed;
-        let (violations, pairs) =
-            index.sweep_detect_with(ctx, schema, tuples, snapshot, |i, j| {
-                let (a, b) = (block_of[i], block_of[j]);
-                allowed[a.min(b) * side + a.max(b)]
-            })?;
+        let (violations, pairs) = index.sweep_detect(ctx, schema, tuples, |i, j| {
+            let (a, b) = (block_of[i], block_of[j]);
+            allowed[a.min(b) * side + a.max(b)]
+        })?;
         stats.pairs_compared = pairs;
-        Ok((violations, stats))
-    }
-
-    fn check_block_pair(
-        &self,
-        schema: &Schema,
-        tuples: &[Tuple],
-        a: usize,
-        b: usize,
-        stats: &mut ThetaCheckStats,
-    ) -> Result<Vec<Violation>> {
-        let mut out = Vec::new();
-        let members_a = &self.blocks[a].members;
-        let members_b = &self.blocks[b].members;
-        for &pa in members_a {
-            for &pb in members_b {
-                if a == b && pb <= pa {
-                    continue; // prune the symmetric half inside the diagonal
-                }
-                stats.pairs_compared += 1;
-                let t1 = &tuples[pa];
-                let t2 = &tuples[pb];
-                if self.constraint.violated_by(schema, &[t1, t2])? {
-                    out.push(Violation::pair(self.constraint.id, t1.id, t2.id));
-                } else if self.constraint.violated_by(schema, &[t2, t1])? {
-                    out.push(Violation::pair(self.constraint.id, t2.id, t1.id));
-                }
-            }
-        }
-        Ok(out)
+        self.checked.extend(keys);
+        Ok((canonicalize_violations(violations), stats))
     }
 
     /// Estimates, per row block, the number of violations its tuples
@@ -886,297 +566,111 @@ mod tests {
         assert!(stats.blocks_pruned > 0);
     }
 
-    #[test]
-    fn forced_strategies_find_identical_violations() {
-        // An equality-bearing DC so the indexed kernel actually partitions:
-        // same "department" (salary % 4), inverted salary/tax.
+    /// Brute-force reference: every ordered pair of distinct tuples,
+    /// canonicalised.
+    fn oracle(table: &Table, constraint: &DenialConstraint) -> Vec<Violation> {
+        let mut expected = Vec::new();
+        for a in table.tuples() {
+            for b in table.tuples() {
+                if a.id != b.id && constraint.violated_by(table.schema(), &[a, b]).unwrap() {
+                    expected.push(Violation::pair(constraint.id, a.id, b.id));
+                }
+            }
+        }
+        canonicalize_violations(expected)
+    }
+
+    fn dept_table(rows: usize, row: impl Fn(i64) -> [i64; 3]) -> Table {
         let schema = Schema::from_pairs(&[
             ("dept", DataType::Int),
             ("salary", DataType::Int),
             ("tax", DataType::Float),
         ])
         .unwrap();
-        let rows: Vec<Vec<Value>> = (0..90)
+        let rows: Vec<Vec<Value>> = (0..rows as i64)
             .map(|i| {
+                let [dept, salary, tax] = row(i);
                 vec![
-                    Value::Int(i % 4),
-                    Value::Int(1000 + i * 10),
-                    Value::Float(((i * 37) % 90) as f64 / 100.0),
+                    Value::Int(dept),
+                    Value::Int(salary),
+                    Value::Float(tax as f64 / 100.0),
                 ]
             })
             .collect();
-        let table = Table::from_rows("emp", schema, rows).unwrap();
-        let dc = DenialConstraint::parse(
+        Table::from_rows("emp", schema, rows).unwrap()
+    }
+
+    fn dept_dc() -> DenialConstraint {
+        DenialConstraint::parse(
             "phi",
             "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
         )
-        .unwrap();
-        let run = |strategy: DetectionStrategy| {
-            // 3 blocks per side deliberately misalign block boundaries with
-            // the dept groups, so the pairwise kernel must cross-check
-            // adjacent blocks while the indexed kernel still partitions
-            // exactly on dept.
-            let mut matrix =
-                ThetaMatrix::build_with_strategy(table.schema(), table.tuples(), &dc, 3, strategy)
-                    .unwrap();
-            matrix
-                .check_all(&ctx(), table.schema(), table.tuples())
-                .unwrap()
-        };
-        let (pairwise, pairwise_stats) = run(DetectionStrategy::Pairwise);
-        let (indexed, indexed_stats) = run(DetectionStrategy::Indexed);
-        assert!(!pairwise.is_empty());
-        assert_eq!(pairwise, indexed);
-        // Block bookkeeping is shared; only the candidate count shrinks.
-        assert_eq!(pairwise_stats.blocks_checked, indexed_stats.blocks_checked);
-        assert_eq!(pairwise_stats.blocks_pruned, indexed_stats.blocks_pruned);
-        assert!(indexed_stats.pairs_compared < pairwise_stats.pairs_compared);
+        .unwrap()
     }
 
     #[test]
-    fn snapshot_read_path_is_byte_identical_with_rows() {
-        use daisy_storage::ColumnSnapshot;
-        let schema = Schema::from_pairs(&[
-            ("dept", DataType::Int),
-            ("salary", DataType::Int),
-            ("tax", DataType::Float),
-        ])
-        .unwrap();
-        let rows: Vec<Vec<Value>> = (0..120)
-            .map(|i| {
-                vec![
-                    if i % 17 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(i % 5)
-                    },
-                    Value::Int(1000 + (i * 29) % 700),
-                    Value::Float(((i * 37) % 120) as f64 / 100.0),
-                ]
-            })
-            .collect();
-        let table = Table::from_rows("emp", schema, rows).unwrap();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        let dc = DenialConstraint::parse(
-            "phi",
-            "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
-        )
-        .unwrap();
-        let run = |snapshot: Option<&ColumnSnapshot>| {
-            let mut matrix = ThetaMatrix::build_with_strategy_snap(
-                table.schema(),
-                table.tuples(),
-                &dc,
-                4,
-                DetectionStrategy::Indexed,
-                snapshot,
-            )
+    fn equality_key_detection_matches_oracle() {
+        // Same "department" (i % 4), inverted salary/tax.  3 blocks per
+        // side deliberately misalign block boundaries with the dept groups,
+        // so adjacent blocks must be cross-checked while the index still
+        // partitions exactly on dept.
+        let table = dept_table(90, |i| [i % 4, 1000 + i * 10, (i * 37) % 90]);
+        let dc = dept_dc();
+        let mut matrix = ThetaMatrix::build(table.schema(), table.tuples(), &dc, 3).unwrap();
+        let (found, stats) = matrix
+            .check_all(&ctx(), table.schema(), table.tuples())
             .unwrap();
-            // Exercise the incremental flow too: a range, then the rest.
-            let (first, s1) = matrix
-                .check_range_with(
-                    &ctx(),
-                    table.schema(),
-                    table.tuples(),
-                    snapshot,
-                    None,
-                    Some(&Value::Int(2)),
-                )
-                .unwrap();
-            let (second, s2) = matrix
-                .check_all_with(&ctx(), table.schema(), table.tuples(), snapshot)
-                .unwrap();
-            (first, s1, second, s2)
-        };
-        let (rf, rs1, rsec, rs2) = run(None);
-        let (cf, cs1, csec, cs2) = run(Some(&snap));
-        assert_eq!(rf, cf);
-        assert_eq!(rsec, csec);
-        assert_eq!(rs1, cs1, "first-pass statistics must match");
-        assert_eq!(rs2, cs2, "second-pass statistics must match");
-        assert!(!rf.is_empty() || !rsec.is_empty());
+        assert!(!found.is_empty());
+        assert_eq!(found, oracle(&table, &dc));
+        // The equality key shrinks the candidates far below all pairs.
+        assert!(stats.pairs_compared < 90 * 89 / 2);
     }
 
     #[test]
-    fn unchanged_revision_reuses_the_cached_index() {
-        use daisy_storage::ColumnSnapshot;
-        // Regression: consecutive indexed checks in one request used to
-        // rebuild the violation index per call even though the snapshot
-        // revision never moved between them.
-        let schema = Schema::from_pairs(&[
-            ("dept", DataType::Int),
-            ("salary", DataType::Int),
-            ("tax", DataType::Float),
-        ])
-        .unwrap();
-        let rows: Vec<Vec<Value>> = (0..80)
-            .map(|i| {
-                vec![
-                    Value::Int(i % 4),
-                    Value::Int(1000 + (i * 29) % 600),
-                    Value::Float(((i * 37) % 80) as f64 / 100.0),
-                ]
-            })
-            .collect();
-        let table = Table::from_rows("emp", schema, rows).unwrap();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        let dc = DenialConstraint::parse(
-            "phi",
-            "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
-        )
-        .unwrap();
-        let mut matrix = ThetaMatrix::build_with_strategy_snap(
-            table.schema(),
-            table.tuples(),
-            &dc,
-            4,
-            DetectionStrategy::Indexed,
-            Some(&snap),
-        )
-        .unwrap();
-        assert_eq!(matrix.index_builds(), 0);
-        let (first, _) = matrix
-            .check_range_with(
+    fn incremental_halves_cover_the_full_check() {
+        let table = dept_table(70, |i| [i % 3, (i * 13) % 500, (i * 7) % 70 * 100]);
+        let dc = dept_dc();
+        let mut matrix = ThetaMatrix::build(table.schema(), table.tuples(), &dc, 4).unwrap();
+        // The partition attribute is `dept` (first predicate): split the
+        // domain, check the halves, and make sure nothing is re-checked.
+        let (first, s1) = matrix
+            .check_range(
                 &ctx(),
                 table.schema(),
                 table.tuples(),
-                Some(&snap),
                 None,
                 Some(&Value::Int(1)),
             )
             .unwrap();
-        assert_eq!(matrix.index_builds(), 1);
-        let (second, _) = matrix
-            .check_all_with(&ctx(), table.schema(), table.tuples(), Some(&snap))
-            .unwrap();
-        assert_eq!(
-            matrix.index_builds(),
-            1,
-            "an unchanged snapshot revision must reuse the cached index"
-        );
-        // The cached sweep finds exactly what a pairwise matrix finds.
-        let mut pairwise = ThetaMatrix::build_with_strategy(
-            table.schema(),
-            table.tuples(),
-            &dc,
-            4,
-            DetectionStrategy::Pairwise,
-        )
-        .unwrap();
-        let (expected, _) = pairwise
-            .check_all(&ctx(), table.schema(), table.tuples())
+        let (second, s2) = matrix
+            .check_range(
+                &ctx(),
+                table.schema(),
+                table.tuples(),
+                Some(&Value::Int(1)),
+                None,
+            )
             .unwrap();
         let combined = canonicalize_violations(first.into_iter().chain(second).collect());
-        assert_eq!(combined, expected);
         assert!(!combined.is_empty());
+        assert_eq!(combined, oracle(&table, &dc));
+        let mut stats = s1;
+        stats.merge(&s2);
+        assert_eq!(stats.blocks_checked + stats.blocks_pruned, 4 * 5 / 2);
+        assert!((matrix.support() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn incremental_checks_agree_across_strategies() {
-        let schema = Schema::from_pairs(&[
-            ("dept", DataType::Int),
-            ("salary", DataType::Int),
-            ("tax", DataType::Float),
-        ])
-        .unwrap();
-        let rows: Vec<Vec<Value>> = (0..70)
-            .map(|i| {
-                vec![
-                    Value::Int(i % 3),
-                    Value::Int((i * 13) % 500),
-                    Value::Float(((i * 7) % 70) as f64),
-                ]
-            })
-            .collect();
-        let table = Table::from_rows("emp", schema, rows).unwrap();
-        let dc = DenialConstraint::parse(
-            "phi",
-            "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
-        )
-        .unwrap();
-        let run = |strategy: DetectionStrategy| {
-            let mut matrix =
-                ThetaMatrix::build_with_strategy(table.schema(), table.tuples(), &dc, 4, strategy)
-                    .unwrap();
-            // The partition attribute is `dept` (first predicate): split the
-            // domain, check the halves, and make sure nothing is re-checked.
-            let (first, s1) = matrix
-                .check_range(
-                    &ctx(),
-                    table.schema(),
-                    table.tuples(),
-                    None,
-                    Some(&Value::Int(1)),
-                )
-                .unwrap();
-            let (second, s2) = matrix
-                .check_range(
-                    &ctx(),
-                    table.schema(),
-                    table.tuples(),
-                    Some(&Value::Int(1)),
-                    None,
-                )
-                .unwrap();
-            let mut stats = s1;
-            stats.merge(&s2);
-            (
-                canonicalize_violations(first.into_iter().chain(second).collect()),
-                stats,
-            )
-        };
-        let (pairwise, _) = run(DetectionStrategy::Pairwise);
-        let (indexed, _) = run(DetectionStrategy::Indexed);
-        assert!(!pairwise.is_empty());
-        assert_eq!(pairwise, indexed);
-    }
-
-    #[test]
-    fn auto_mode_resolves_from_key_selectivity() {
-        let schema = Schema::from_pairs(&[("k", DataType::Int), ("a", DataType::Int)]).unwrap();
-        let selective: Vec<Vec<Value>> = (0..400)
-            .map(|i| vec![Value::Int(i % 100), Value::Int(i)])
-            .collect();
-        let table = Table::from_rows("t", schema.clone(), selective).unwrap();
-        let with_eq = DenialConstraint::parse("phi", "t1.k = t2.k & t1.a < t2.a").unwrap();
-        let matrix = ThetaMatrix::build_with_strategy(
-            table.schema(),
-            table.tuples(),
-            &with_eq,
-            4,
-            DetectionStrategy::Auto,
-        )
-        .unwrap();
-        assert_eq!(matrix.detection_mode(), DetectionMode::Indexed);
-
-        // Tiny inputs and equality-free constraints stay pairwise.
-        let tiny = Table::from_rows(
-            "t",
-            schema,
-            (0..10)
-                .map(|i| vec![Value::Int(i), Value::Int(i)])
-                .collect(),
-        )
-        .unwrap();
-        let matrix = ThetaMatrix::build_with_strategy(
-            tiny.schema(),
-            tiny.tuples(),
-            &with_eq,
-            2,
-            DetectionStrategy::Auto,
-        )
-        .unwrap();
-        assert_eq!(matrix.detection_mode(), DetectionMode::Pairwise);
-        let no_eq = DenialConstraint::parse("phi", "t1.a < t2.a & t1.k > t2.k").unwrap();
-        let matrix = ThetaMatrix::build_with_strategy(
-            table.schema(),
-            table.tuples(),
-            &no_eq,
-            4,
-            DetectionStrategy::Auto,
-        )
-        .unwrap();
-        assert_eq!(matrix.detection_mode(), DetectionMode::Pairwise);
+    fn rules_without_an_index_plan_have_no_matrix() {
+        let table = salary_table(&[(1000, 0.1), (3000, 0.2)]);
+        for text in [
+            "t1.salary > 5",
+            "t1.salary < t2.salary & t2.salary < t3.salary & t1.tax < t3.tax",
+        ] {
+            let dc = DenialConstraint::parse("c", text).unwrap();
+            let err = ThetaMatrix::build(table.schema(), table.tuples(), &dc, 2).unwrap_err();
+            assert!(matches!(err, DaisyError::Plan(_)), "{text}: {err}");
+        }
     }
 
     #[test]

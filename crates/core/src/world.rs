@@ -5,8 +5,8 @@
 //! computation runs against: the catalog of (gradually probabilistic)
 //! tables, the registered constraints, and the per-`(table, rule)` derived
 //! structures the engine maintains incrementally — FD group indexes, theta
-//! matrices with their incremental checked-block bookkeeping, provenance
-//! stores, cost trackers and columnar snapshots.
+//! matrices with their incremental checked-block bookkeeping, maintained
+//! violation indexes, provenance stores and cost trackers.
 //!
 //! A world is **a set of root pointers over immutable, shared pieces**.
 //! `WorldState::clone` copies the maps below and bumps reference counts —
@@ -18,8 +18,7 @@
 //! |---|---|---|
 //! | table (`Arc<Table>` in the catalog) | the table | the row *table* — one `(id, cells pointer, lineage)` record per row, no cell — then the cells of each row it updates ([`Cells`](daisy_storage::Cells)), once per row; the id index only for appends |
 //! | provenance ([`ProvenanceStore`] handle) | the key map and every entry | the key map (pointers) and the entry recorded — *inside the recording call*; a pass that records nothing leaves the handle pointer-equal |
-//! | snapshot (`Arc<ColumnSnapshot>`) | every column, the dictionary, the row map | the columns a delta's updates touch; the dictionary only for a novel string; the row map and every column for appends |
-//! | violation index (`Arc<MaintainedIndex>`) | every partition, every row's contribution, the plan shape | the two pointer tables, then only the partitions a delta row leaves or enters |
+//! //! | violation index (`Arc<MaintainedIndex>`) | every partition, every row's contribution, the plan shape | the two pointer tables, then only the partitions a delta row leaves or enters |
 //! | FD index, θ-matrix (`Arc`) | the whole structure | FD indexes are immutable once built; a θ-matrix is copied by the first check that marks blocks |
 //! | constraints (`Arc<ConstraintSet>`) | the set | the set, when a rule is registered |
 //!
@@ -27,7 +26,7 @@
 //!
 //! 1. **Detach inside the first write, never in order to read.**  Code that
 //!    might record or patch takes the handle (`&mut ProvenanceStore`, the
-//!    `Arc` of a snapshot or index) and lets the write itself detach; it
+//!    `Arc` of an index) and lets the write itself detach; it
 //!    does not call [`Arc::make_mut`] up front "to have a `&mut`".  A
 //!    request that changes nothing leaves every piece pointer-equal, which
 //!    is what lets the durable commit path skip unchanged stores without a
@@ -47,17 +46,12 @@ use std::sync::Arc;
 
 use daisy_expr::ConstraintSet;
 use daisy_query::Catalog;
-use daisy_storage::{ColumnSnapshot, ProvenanceStore};
+use daisy_storage::ProvenanceStore;
 
 use crate::cost::CostTracker;
 use crate::fd_index::FdIndex;
 use crate::index::MaintainedIndex;
 use crate::theta::ThetaMatrix;
-
-/// Tables with at least this many rows carry a maintained columnar
-/// snapshot; smaller ones never recoup its build, and their cleaning
-/// kernels read the tuples.
-pub const SNAPSHOT_MIN_ROWS: usize = 256;
 
 /// The key under which per-rule derived structures are cached: the table
 /// name plus the raw rule id.
@@ -88,19 +82,10 @@ pub struct WorldState {
     pub(crate) trackers: HashMap<RuleKey, CostTracker>,
     /// (table, rule) pairs already cleaned in full.
     pub(crate) fully_cleaned: HashSet<RuleKey>,
-    /// Maintained columnar snapshots per table.
-    pub(crate) snapshots: HashMap<String, Arc<ColumnSnapshot>>,
     /// Maintained violation indexes per (table, rule), absorbed delta by
-    /// delta like the snapshots and rebuilt when stale — the streaming
+    /// delta and rebuilt when stale — the streaming
     /// ingest path detects against these instead of rebuilding per batch.
     pub(crate) violation_indexes: HashMap<RuleKey, Arc<MaintainedIndex>>,
-}
-
-impl WorldState {
-    /// The columnar snapshot of `table`, if one is maintained.
-    pub(crate) fn snapshot_ref(&self, table: &str) -> Option<&ColumnSnapshot> {
-        self.snapshots.get(table).map(Arc::as_ref)
-    }
 }
 
 #[cfg(test)]

@@ -25,23 +25,12 @@ pub enum ComparisonOp {
 
 impl ComparisonOp {
     /// Evaluates the operator over two values using the total value order.
-    pub fn eval(self, left: &Value, right: &Value) -> bool {
-        self.eval_parts(left.is_null(), right.is_null(), || left.total_cmp(right))
-    }
-
-    /// The shared evaluation core of the row path and the columnar path:
-    /// NULL handling from the operands' null flags, then the ordering (only
-    /// computed when both operands are non-NULL).
     ///
     /// Comparisons against NULL are false, except `≠` which follows the
     /// "dirty data is still data" convention: NULL ≠ v holds when v is
     /// non-NULL so that FD violations involving a NULL rhs are detectable.
-    /// Routing both read paths through this one function is what keeps
-    /// their results byte-identical.
-    pub fn eval_parts<F>(self, left_null: bool, right_null: bool, ord: F) -> bool
-    where
-        F: FnOnce() -> std::cmp::Ordering,
-    {
+    pub fn eval(self, left: &Value, right: &Value) -> bool {
+        let (left_null, right_null) = (left.is_null(), right.is_null());
         if left_null || right_null {
             return match self {
                 ComparisonOp::Neq => left_null != right_null,
@@ -49,7 +38,7 @@ impl ComparisonOp {
                 _ => false,
             };
         }
-        let ord = ord();
+        let ord = left.total_cmp(right);
         match self {
             ComparisonOp::Eq => ord == std::cmp::Ordering::Equal,
             ComparisonOp::Neq => ord != std::cmp::Ordering::Equal,

@@ -281,7 +281,8 @@ impl Cell {
     }
 
     /// [`Cell::expected_value`] without the clone — what the per-row
-    /// predicate kernels and the snapshot encoder read.
+    /// predicate kernels, resolved DC predicates and the snapshot encoder
+    /// read.
     pub fn expected_ref(&self) -> &Value {
         match self {
             Cell::Determinate(v) => v,

@@ -18,9 +18,9 @@
 //! * [`statistics::TableStatistics`] — the pre-computed group-by statistics
 //!   Daisy uses to prune error checks and drive its cost model,
 //! * [`snapshot::ColumnSnapshot`] — a typed, dictionary-encoded columnar
-//!   view of a table's expected values, versioned by the table revision
-//!   and maintained incrementally from [`delta::Delta`]s; the read path of
-//!   the violation-detection kernels,
+//!   copy of a table's expected values, versioned by the table revision
+//!   and maintained incrementally from [`delta::Delta`]s (no engine path
+//!   reads it),
 //! * [`footprint::Footprint`] — per-session read/write sets at table /
 //!   column / tuple-interval granularity, the conflict test of the
 //!   optimistic commit protocol,
@@ -47,10 +47,8 @@ pub use cell::{Candidate, CandidateValue, Cell};
 pub use delta::{CellUpdate, Delta, RowAppend};
 pub use footprint::{Footprint, RowSet, TableFootprint};
 pub use provenance::{CellProvenance, ProvenanceStore, RuleEvidence};
-pub use snapshot::{ColumnCode, ColumnSnapshot, ConstProbe, StringDictionary};
-pub use statistics::{
-    key_statistics, ColumnStatistics, FdGroupStatistics, KeyStatistics, TableStatistics,
-};
+pub use snapshot::{ColumnCode, ColumnSnapshot, StringDictionary};
+pub use statistics::{ColumnStatistics, FdGroupStatistics, TableStatistics};
 pub use table::Table;
 pub use tuple::{Cells, Tuple};
 pub use worlds::{

@@ -1,16 +1,17 @@
-//! Columnar snapshots: the typed, dictionary-encoded read path of the
-//! detection kernels.
+//! Columnar snapshots: a typed, dictionary-encoded copy of a table's
+//! expected values.
 //!
-//! The hot cleaning kernels (theta checks, the violation index, FD keying)
-//! are dominated by reads: extract a value, hash it, compare it.  Doing that
-//! through `Vec<Tuple>` means cloning a dynamically typed [`Value`] out of a
-//! [`Cell`](crate::cell::Cell) per read and resolving column names through
-//! the schema per predicate.  A [`ColumnSnapshot`] materialises the
-//! *expected* value of every cell into per-column typed arrays —
-//! `Vec<Option<i64>>`, `Vec<Option<f64>>`, `Vec<Option<bool>>`, and
-//! dictionary-encoded strings — so kernels read [`ColumnCode`]s: `Copy`
-//! scalars whose equality, hash and total order mirror [`Value`]'s exactly
-//! (NULL sorts first, NaN sorts last, ints and floats coerce numerically).
+//! A [`ColumnSnapshot`] materialises the *expected* value of every cell
+//! into per-column typed arrays — `Vec<Option<i64>>`, `Vec<Option<f64>>`,
+//! `Vec<Option<bool>>`, and dictionary-encoded strings — read as
+//! [`ColumnCode`]s: `Copy` scalars whose equality, hash and total order
+//! mirror [`Value`]'s exactly (NULL sorts first, NaN sorts last, ints and
+//! floats coerce numerically).
+//!
+//! No engine path reads a snapshot: the detection kernels read the tuples,
+//! with predicates resolved once per pass, which measured as fast without
+//! keeping a second copy of the table.  The type remains for callers that
+//! time its build and delta maintenance.
 //!
 //! A snapshot holds expected values only.  The candidate sets of relaxed
 //! cells stay in the table's tuples, where query filters and joins read
@@ -25,8 +26,8 @@
 //! columns stay untouched.
 //!
 //! **Delta maintenance.**  A snapshot records the [`Table::revision`] it
-//! reflects.  After the engine applies a [`Delta`] to the base table it
-//! calls [`ColumnSnapshot::absorb_delta`], which re-reads just the touched
+//! reflects.  After a [`Delta`] is applied to the base table,
+//! [`ColumnSnapshot::absorb_delta`] re-reads just the touched
 //! cells and patches the affected columns and dictionary in place —
 //! `O(|delta|)`, not `O(table)`.  Any table mutation that bypasses this
 //! protocol leaves the revision behind and [`ColumnSnapshot::is_current`]
@@ -49,7 +50,6 @@ use std::sync::Arc;
 use daisy_common::{DaisyError, Result, TupleId, Value};
 
 use crate::delta::Delta;
-use crate::statistics::KeyStatistics;
 use crate::table::Table;
 use crate::tuple::Tuple;
 
@@ -153,40 +153,6 @@ impl Hash for ColumnCode {
     }
 }
 
-/// A constant operand resolved against a snapshot's dictionary, for
-/// comparing predicate constants to [`ColumnCode`] cells.
-///
-/// Strings absent from the dictionary cannot be encoded exactly; the probe
-/// then carries the *insertion rank* the string would get and remembers that
-/// equality can never hold (`exact == false`), so order comparisons stay
-/// byte-identical with the row path.  Probes are only valid until the next
-/// dictionary mutation — resolve them per detection pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstProbe {
-    code: ColumnCode,
-    exact: bool,
-}
-
-impl ConstProbe {
-    /// `true` when the constant is NULL.
-    pub fn is_null(self) -> bool {
-        self.code.is_null()
-    }
-
-    /// Compares a cell code against the constant, mirroring
-    /// `cell.total_cmp(constant)` on the underlying values.
-    pub fn cmp_cell(self, cell: ColumnCode) -> Ordering {
-        let ord = cell.total_cmp(self.code);
-        if !self.exact && ord == Ordering::Equal {
-            // The constant sorts at its insertion rank but equals no
-            // dictionary string; a cell at that rank is strictly greater.
-            Ordering::Greater
-        } else {
-            ord
-        }
-    }
-}
-
 /// The shared, sorted string dictionary of a snapshot.
 ///
 /// Codes are insertion-ordered and stable; `rank[code]` gives the string's
@@ -238,13 +204,6 @@ impl StringDictionary {
         self.lookup.get(s).copied()
     }
 
-    /// The rank a string would occupy if inserted now: the number of
-    /// interned strings strictly smaller than it.
-    pub fn insertion_rank(&self, s: &str) -> u32 {
-        self.sorted
-            .partition_point(|&code| self.strings[code as usize].as_str() < s) as u32
-    }
-
     /// Number of rank-maintenance events so far (full rebuilds plus
     /// incremental shifts from novel-string interns).  Lets callers assert
     /// that absorbing a delta with many novel strings pays one batched
@@ -261,7 +220,9 @@ impl StringDictionary {
         }
         self.rank_rebuilds += 1;
         let code = self.strings.len() as u32;
-        let at = self.insertion_rank(s) as usize;
+        let at = self
+            .sorted
+            .partition_point(|&code| self.strings[code as usize].as_str() < s);
         for &shifted in &self.sorted[at..] {
             self.rank[shifted as usize] += 1;
         }
@@ -611,68 +572,6 @@ impl ColumnSnapshot {
         self.columns[column].value(row, &self.dict)
     }
 
-    /// Encodes a value into an ordering code, when one exists: strings must
-    /// already be interned (a string absent from the dictionary equals no
-    /// snapshot cell, so `None` means "matches nothing").
-    pub fn encode_ordering(&self, value: &Value) -> Option<ColumnCode> {
-        match value {
-            Value::Null => Some(ColumnCode::Null),
-            Value::Bool(b) => Some(ColumnCode::Bool(*b)),
-            Value::Int(i) => Some(ColumnCode::Int(*i)),
-            Value::Float(f) => Some(ColumnCode::Float(*f)),
-            Value::Str(s) => self
-                .dict
-                .code_of(s)
-                .map(|code| ColumnCode::Str(self.dict.rank(code))),
-        }
-    }
-
-    /// Resolves a predicate constant into a [`ConstProbe`] comparable to
-    /// this snapshot's cell codes.  Valid until the dictionary next mutates.
-    pub fn probe_value(&self, value: &Value) -> ConstProbe {
-        match value {
-            Value::Str(s) => match self.dict.code_of(s) {
-                Some(code) => ConstProbe {
-                    code: ColumnCode::Str(self.dict.rank(code)),
-                    exact: true,
-                },
-                None => ConstProbe {
-                    code: ColumnCode::Str(self.dict.insertion_rank(s)),
-                    exact: false,
-                },
-            },
-            other => ConstProbe {
-                code: match other {
-                    Value::Null => ColumnCode::Null,
-                    Value::Bool(b) => ColumnCode::Bool(*b),
-                    Value::Int(i) => ColumnCode::Int(*i),
-                    Value::Float(f) => ColumnCode::Float(*f),
-                    Value::Str(_) => unreachable!("handled above"),
-                },
-                exact: true,
-            },
-        }
-    }
-
-    /// Exact composite-key statistics over the snapshot — the columnar
-    /// counterpart of [`crate::statistics::key_statistics`], producing
-    /// identical counts because code equality mirrors value equality.
-    pub fn key_statistics(&self, columns: &[usize]) -> KeyStatistics {
-        let mut counts: HashMap<Vec<ColumnCode>, usize> = HashMap::new();
-        for row in 0..self.rows {
-            let key: Vec<ColumnCode> = columns
-                .iter()
-                .map(|&c| self.ordering_code(row, c))
-                .collect();
-            *counts.entry(key).or_insert(0) += 1;
-        }
-        KeyStatistics {
-            rows: self.rows,
-            distinct: counts.len(),
-            max_group: counts.values().copied().max().unwrap_or(0),
-        }
-    }
-
     /// Patches the snapshot after `delta` was applied to `table`: appended
     /// rows extend the columns, touched cells are re-read and their expected
     /// value overwritten, and novel strings enter the dictionary, batched.
@@ -897,70 +796,6 @@ mod tests {
         // Re-interning is a lookup.
         assert_eq!(dict.intern("banana"), b);
         assert_eq!(dict.len(), 4);
-        // Insertion ranks for absent strings fall between neighbours.
-        assert_eq!(dict.insertion_rank("aaa"), 0);
-        assert_eq!(dict.insertion_rank("blueberry"), 3);
-        assert_eq!(dict.insertion_rank("zzz"), 4);
-    }
-
-    #[test]
-    fn const_probes_match_row_semantics_for_absent_strings() {
-        let table = mixed_table();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        let city = 1usize;
-        for (probe_str, row, expected) in [
-            ("Los Angeles", 0usize, Ordering::Equal),
-            ("Kyoto", 0, Ordering::Greater), // "Los Angeles" > "Kyoto"
-            ("Zurich", 0, Ordering::Less),
-            ("Aachen!", 2, Ordering::Less), // "Aachen" < "Aachen!"
-        ] {
-            let probe = snap.probe_value(&Value::from(probe_str));
-            assert_eq!(
-                probe.cmp_cell(snap.ordering_code(row, city)),
-                expected,
-                "probe `{probe_str}` vs row {row}"
-            );
-        }
-        // Absent strings equal nothing, even at their own insertion rank.
-        let probe = snap.probe_value(&Value::from("Berlin"));
-        for row in 0..snap.len() {
-            if snap.ordering_code(row, city).is_null() {
-                continue;
-            }
-            assert_ne!(
-                probe.cmp_cell(snap.ordering_code(row, city)),
-                Ordering::Equal
-            );
-        }
-        assert!(snap.probe_value(&Value::Null).is_null());
-    }
-
-    #[test]
-    fn encode_ordering_round_trips_table_values() {
-        let table = mixed_table();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        for (row, tuple) in table.tuples().iter().enumerate() {
-            for col in 0..snap.column_count() {
-                let v = tuple.value(col).unwrap();
-                let encoded = snap.encode_ordering(&v).expect("table value must encode");
-                assert_eq!(encoded, snap.ordering_code(row, col));
-            }
-        }
-        assert!(snap.encode_ordering(&Value::from("not in dict")).is_none());
-        assert_eq!(
-            snap.encode_ordering(&Value::Int(123456)),
-            Some(ColumnCode::Int(123456))
-        );
-    }
-
-    #[test]
-    fn key_statistics_match_the_row_path() {
-        let table = mixed_table();
-        let snap = ColumnSnapshot::build(&table).unwrap();
-        for cols in [vec![0usize], vec![1], vec![0, 1], vec![0, 1, 2]] {
-            let row_stats = crate::statistics::key_statistics(table.tuples(), &cols).unwrap();
-            assert_eq!(snap.key_statistics(&cols), row_stats, "columns {cols:?}");
-        }
     }
 
     #[test]
@@ -1192,7 +1027,6 @@ mod tests {
         let table = Table::new("t", schema);
         let snap = ColumnSnapshot::build(&table).unwrap();
         assert!(snap.is_empty());
-        assert_eq!(snap.key_statistics(&[0]).distinct, 0);
         assert!(snap.is_current(&table));
     }
 }

@@ -219,50 +219,6 @@ impl TableStatistics {
     }
 }
 
-/// Distribution statistics of a (possibly composite) grouping key over a
-/// tuple slice — the selectivity input of the detection-strategy cost model:
-/// many distinct keys mean small hash partitions, which is exactly when
-/// index-based violation detection beats pairwise enumeration.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KeyStatistics {
-    /// Number of tuples examined.
-    pub rows: usize,
-    /// Number of distinct key values.
-    pub distinct: usize,
-    /// Size of the largest key group.
-    pub max_group: usize,
-}
-
-impl KeyStatistics {
-    /// Mean key-group size (`rows / distinct`); 0 for empty inputs.
-    pub fn mean_group(&self) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            self.rows as f64 / self.distinct as f64
-        }
-    }
-}
-
-/// Computes [`KeyStatistics`] for the composite key formed by `columns`
-/// (exact multi-column keys, not the string-concatenated encoding, so the
-/// counts match hash-equality partitioning exactly).
-pub fn key_statistics(tuples: &[crate::tuple::Tuple], columns: &[usize]) -> Result<KeyStatistics> {
-    let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
-    for tuple in tuples {
-        let key: Vec<Value> = columns
-            .iter()
-            .map(|&c| tuple.value(c))
-            .collect::<Result<_>>()?;
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    Ok(KeyStatistics {
-        rows: tuples.len(),
-        distinct: counts.len(),
-        max_group: counts.values().copied().max().unwrap_or(0),
-    })
-}
-
 /// Builds the composite grouping key for (possibly multi-attribute) lhs.
 pub fn composite_key(tuple: &crate::tuple::Tuple, indices: &[usize]) -> Result<Value> {
     if indices.len() == 1 {
@@ -370,24 +326,6 @@ mod tests {
         assert_eq!(fd.group_count(), 3);
         assert_eq!(fd.dirty_group_count(), 1);
         assert_eq!(fd.estimated_errors(), 2);
-    }
-
-    #[test]
-    fn key_statistics_count_exact_composite_groups() {
-        let table = cities();
-        let stats = key_statistics(table.tuples(), &[0]).unwrap();
-        assert_eq!(stats.rows, 6);
-        assert_eq!(stats.distinct, 3);
-        assert_eq!(stats.max_group, 3);
-        assert!((stats.mean_group() - 2.0).abs() < 1e-12);
-        // Composite (zip, city) keys are almost unique here.
-        let stats = key_statistics(table.tuples(), &[0, 1]).unwrap();
-        assert_eq!(stats.distinct, 5);
-        assert_eq!(stats.max_group, 2);
-        // Empty inputs are well-defined.
-        let empty = key_statistics(&[], &[0]).unwrap();
-        assert_eq!(empty.distinct, 0);
-        assert_eq!(empty.mean_group(), 0.0);
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub struct Table {
     index: Arc<HashMap<TupleId, usize>>,
     next_id: u64,
     /// Monotone mutation counter.  Bumped by every operation that can change
-    /// tuple contents or membership; derived read structures (the columnar
-    /// snapshot in particular) record the revision they were built at and
+    /// tuple contents or membership; derived read structures (the
+    /// maintained violation indexes in particular) record the revision they
+    /// were built at and
     /// treat a mismatch as "stale".  Skipped by serde like the id index:
     /// both are rehydrated together (see [`Table::from_serde_parts`]).
     #[serde(skip)]
@@ -201,7 +202,7 @@ impl Table {
     }
 
     /// The slice position of a tuple id, if present.  Positional structures
-    /// (snapshots, maintained violation indexes) use this to translate the
+    /// (maintained violation indexes, snapshots) use this to translate the
     /// tuple ids of a [`Delta`] into the rows they maintain.
     pub fn position_of(&self, id: TupleId) -> Option<usize> {
         self.index.get(&id).copied()

@@ -716,7 +716,7 @@ impl LoggedCommit {
 
 /// A full world as checkpoints store it: the tables plus per-table
 /// provenance at one commit version.  Derived cleaning structures (indexes,
-/// snapshots, matrices) are *not* persisted — they rebuild lazily and
+/// matrices, cost trackers) are *not* persisted — they rebuild lazily and
 /// deterministically from tables + provenance.
 #[derive(Debug, Clone)]
 pub struct PersistedWorld {

@@ -3,8 +3,8 @@
 //! 2-key cleaning `SELECT`, commit — must allocate (about) the same number
 //! of times whether the table it touches has 300 rows or 3 000.
 //!
-//! Versions of the world share rows, provenance entries, snapshot columns
-//! and index partitions, so opening a session, its first write and the
+//! Versions of the world share rows, provenance entries and index
+//! partitions, so opening a session, its first write and the
 //! retirement of the version it supersedes copy a fixed number of pointer
 //! tables, not one heap object per row.  A row-by-row copy of the 3 000-row
 //! table alone would add 3 000 allocations, which is what the bound below
@@ -114,7 +114,7 @@ fn request(shared: &std::sync::Arc<EngineShared>, fresh_key: i64, low_key: i64) 
 }
 
 /// Allocations of the second request against a `rows`-row `hot` (the first
-/// builds the snapshot, the FD index and the maintained violation index).
+/// builds the FD index and the maintained violation index).
 fn allocations_of_one_request(rows: usize) -> usize {
     let mut engine = DaisyEngine::new(
         DaisyConfig::default()
@@ -146,8 +146,8 @@ fn a_request_allocates_the_same_on_a_300_and_a_3000_row_table() {
     let large = allocations_of_one_request(3_000);
     println!("allocations per request: {small} at 300 rows, {large} at 3 000 rows");
     assert!(small > 0, "the counting allocator is not installed");
-    // A copy of the larger table, its provenance store, one snapshot column
-    // of strings or its index contributions would each add ≥ 2 700.
+    // A copy of the larger table, its provenance store or its index
+    // contributions would each add ≥ 2 700.
     assert!(
         large < small + 400,
         "a request on 3 000 rows allocates {large} times against {small} on 300 rows: \

@@ -4,14 +4,16 @@
 //! For random tables and random denial constraints mixing equality,
 //! inequality and residual predicates, the hash-equality / sort-sweep
 //! violation index must find exactly the violation set of a brute-force
-//! quadratic scan — in full checks and in incremental (range) checks, and
-//! identically to the pairwise theta kernel; and the engine, which picks
-//! its kernel and read path itself, must repair exactly what the oracle's
-//! violations call for, and across a range request exactly what the
-//! pairwise kernel repairs.
+//! quadratic scan — in full checks and in incremental (range) checks over
+//! the theta matrix's blocks; and the engine must repair exactly what the
+//! oracle's violations call for, in a whole-table request and across a
+//! range request followed by the rest.
+
+mod common;
 
 use proptest::prelude::*;
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use daisy::common::{DaisyConfig, DataType, Schema, Value};
@@ -19,10 +21,12 @@ use daisy::core::accuracy::{estimate_accuracy, CleaningDecision};
 use daisy::core::clean_dc::repair_dc_violations;
 use daisy::core::index::id_index;
 use daisy::core::theta::ThetaMatrix;
-use daisy::core::{DaisyEngine, DetectionStrategy};
+use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::expr::{ComparisonOp, DcPredicate, DenialConstraint, Operand, Violation};
-use daisy::storage::{ColumnSnapshot, ProvenanceStore, Table};
+use daisy::storage::{ProvenanceStore, Table};
+
+use common::matrix_check_oracle;
 
 /// Builds a three-column table: `a` is a low-cardinality grouping column,
 /// `b` a numeric column, `c` a float column with occasional NULLs so the
@@ -97,15 +101,8 @@ fn oracle(table: &Table, dc: &DenialConstraint) -> Vec<Violation> {
     expected
 }
 
-fn check_all(
-    table: &Table,
-    dc: &DenialConstraint,
-    strategy: DetectionStrategy,
-    blocks: usize,
-) -> Vec<Violation> {
-    let mut matrix =
-        ThetaMatrix::build_with_strategy(table.schema(), table.tuples(), dc, blocks, strategy)
-            .unwrap();
+fn check_all(table: &Table, dc: &DenialConstraint, blocks: usize) -> Vec<Violation> {
+    let mut matrix = ThetaMatrix::build(table.schema(), table.tuples(), dc, blocks).unwrap();
     let (violations, _) = matrix
         .check_all(&ExecContext::new(2), table.schema(), table.tuples())
         .unwrap();
@@ -113,13 +110,16 @@ fn check_all(
 }
 
 /// The engine's incremental flow on table `t` — `SELECT … WHERE a <=
-/// split`, then the whole table — replayed on the pairwise theta kernel
-/// with the block layout and accuracy threshold of `config`: per request, the range check over the
-/// blocks the answer spans on the partition attribute `a` (the full check
-/// when the accuracy estimate asks for it), then the repair, on one matrix
-/// whose checked block pairs carry over to the next request.  Returns
-/// each request's error count and the table and provenance after it.
-fn pairwise_range_then_full(
+/// split`, then the whole table — replayed against the brute-force matrix
+/// oracle with the block layout and accuracy threshold of `config`: per
+/// request, the oracle over the blocks the answer spans on the partition
+/// attribute `a` (every block when the accuracy estimate asks for the full
+/// check), then the repair of what the oracle found.  The matrix runs the
+/// same checks alongside, so its checked bookkeeping — which the accuracy
+/// estimate reads — carries over to the next request, and each of its
+/// checks must find what the oracle finds.  Returns each request's error
+/// count and the table and provenance after it.
+fn oracle_range_then_full(
     config: &DaisyConfig,
     table: &Table,
     dc: &DenialConstraint,
@@ -127,14 +127,9 @@ fn pairwise_range_then_full(
 ) -> Vec<(usize, Table, ProvenanceStore)> {
     let ctx = ExecContext::new(2);
     let schema = Arc::new(table.schema().qualify("t"));
-    let mut matrix = ThetaMatrix::build_with_strategy(
-        &schema,
-        table.tuples(),
-        dc,
-        config.theta_blocks_per_side(),
-        DetectionStrategy::Pairwise,
-    )
-    .unwrap();
+    let mut matrix =
+        ThetaMatrix::build(&schema, table.tuples(), dc, config.theta_blocks_per_side()).unwrap();
+    let mut checked = HashSet::new();
     let mut current = table.clone();
     let mut provenance = ProvenanceStore::default();
     let mut after = Vec::new();
@@ -158,13 +153,22 @@ fn pairwise_range_then_full(
             high.as_ref(),
             config.accuracy_threshold,
         );
-        let (violations, _) = if estimate.decision == CleaningDecision::Full {
-            matrix.check_all(&ctx, &schema, current.tuples()).unwrap()
+        let (rows, (found, _)) = if estimate.decision == CleaningDecision::Full {
+            let rows: Vec<usize> = (0..matrix.block_count()).collect();
+            (
+                rows,
+                matrix.check_all(&ctx, &schema, current.tuples()).unwrap(),
+            )
         } else {
-            matrix
+            let rows = matrix.blocks_overlapping(low.as_ref(), high.as_ref());
+            let checked = matrix
                 .check_range(&ctx, &schema, current.tuples(), low.as_ref(), high.as_ref())
-                .unwrap()
+                .unwrap();
+            (rows, checked)
         };
+        let violations =
+            matrix_check_oracle(&matrix, &schema, current.tuples(), &rows, &mut checked);
+        assert_eq!(found, violations);
         let by_id = id_index(&ctx, current.tuples());
         let repair =
             repair_dc_violations(&ctx, &schema, dc, &violations, &by_id, &mut provenance).unwrap();
@@ -179,8 +183,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Full detection: for a random table and a random mixed-predicate DC,
-    /// the indexed kernel and the pairwise kernel both find exactly the
-    /// brute-force violation set.
+    /// the theta matrix finds exactly the brute-force violation set at any
+    /// block count.
     #[test]
     fn indexed_full_detection_matches_pairwise_oracle(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 2..70),
@@ -191,10 +195,8 @@ proptest! {
         let predicates: Vec<DcPredicate> = specs.iter().map(predicate_from_spec).collect();
         let dc = DenialConstraint::new("dc", 2, predicates);
         let expected = oracle(&table, &dc);
-        let indexed = check_all(&table, &dc, DetectionStrategy::Indexed, blocks);
+        let indexed = check_all(&table, &dc, blocks);
         prop_assert_eq!(&indexed, &expected);
-        let pairwise = check_all(&table, &dc, DetectionStrategy::Pairwise, blocks);
-        prop_assert_eq!(&pairwise, &expected);
     }
 
     /// Equality-bearing DCs — the case the index is built for — with a
@@ -212,82 +214,19 @@ proptest! {
         predicates.extend(tail.iter().map(predicate_from_spec));
         let dc = DenialConstraint::new("dc", 2, predicates);
         let expected = oracle(&table, &dc);
-        let indexed = check_all(&table, &dc, DetectionStrategy::Indexed, 4);
+        let indexed = check_all(&table, &dc, 4);
         prop_assert_eq!(indexed, expected);
     }
 
-    /// Columnar read path: for random tables (with NULLs) and random
-    /// mixed-predicate DCs, detection through a `ColumnSnapshot` finds
-    /// byte-identical violations — and identical candidate-pair counts —
-    /// to the row path, under both kernels, full and incremental.
+    /// End-to-end engine over random tables of up to 300 rows.  A
+    /// whole-table cleaning query repairs exactly what repairing the
+    /// brute-force oracle's violations produces — same answer, repaired
+    /// table, provenance and error count — and the incremental flow (a
+    /// range query on the partition attribute, then the whole table)
+    /// repairs exactly what the same two requests repair from the matrix
+    /// oracle's violations.
     #[test]
-    fn snapshot_read_path_matches_row_path(
-        rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 2..70),
-        specs in prop::collection::vec((0usize..6, 0usize..3, 0usize..3, 0usize..5), 1..4),
-        blocks in 1usize..6,
-        split in 0i64..6,
-    ) {
-        let table = table_from_rows(&rows);
-        let snapshot = ColumnSnapshot::build(&table).unwrap();
-        let predicates: Vec<DcPredicate> = specs.iter().map(predicate_from_spec).collect();
-        let dc = DenialConstraint::new("dc", 2, predicates);
-        let expected = oracle(&table, &dc);
-        for strategy in [DetectionStrategy::Indexed, DetectionStrategy::Pairwise] {
-            let run = |snap: Option<&ColumnSnapshot>| {
-                let mut matrix = ThetaMatrix::build_with_strategy_snap(
-                    table.schema(),
-                    table.tuples(),
-                    &dc,
-                    blocks,
-                    strategy,
-                    snap,
-                )
-                .unwrap();
-                let ctx = ExecContext::new(2);
-                let full = matrix
-                    .check_all_with(&ctx, table.schema(), table.tuples(), snap)
-                    .unwrap();
-                // A fresh matrix for the incremental flow.
-                let mut matrix = ThetaMatrix::build_with_strategy_snap(
-                    table.schema(),
-                    table.tuples(),
-                    &dc,
-                    blocks,
-                    strategy,
-                    snap,
-                )
-                .unwrap();
-                let first = matrix
-                    .check_range_with(&ctx, table.schema(), table.tuples(), snap, None, Some(&Value::Int(split)))
-                    .unwrap();
-                let second = matrix
-                    .check_range_with(&ctx, table.schema(), table.tuples(), snap, Some(&Value::Int(split)), None)
-                    .unwrap();
-                (full, first, second)
-            };
-            let (row_full, row_first, row_second) = run(None);
-            let (col_full, col_first, col_second) = run(Some(&snapshot));
-            prop_assert_eq!(&row_full.0, &expected);
-            prop_assert_eq!(&col_full.0, &expected);
-            prop_assert_eq!(col_full.1, row_full.1);
-            prop_assert_eq!(&col_first.0, &row_first.0);
-            prop_assert_eq!(col_first.1, row_first.1);
-            prop_assert_eq!(&col_second.0, &row_second.0);
-            prop_assert_eq!(col_second.1, row_second.1);
-        }
-    }
-
-    /// End-to-end engine over random tables of up to 300 rows, in every
-    /// mode the engine picks for itself: small tables on the row path and
-    /// the pairwise kernel, large ones with a snapshot and whichever kernel
-    /// the cost model picks.  A whole-table cleaning query repairs exactly
-    /// what repairing the brute-force oracle's violations produces — same
-    /// answer, repaired table, provenance and error count — and the
-    /// incremental flow (a range query on the partition attribute, then
-    /// the whole table) repairs exactly what the same two requests repair
-    /// on the pairwise theta kernel.
-    #[test]
-    fn engine_sessions_agree_across_snapshot_and_detection_modes(
+    fn engine_repairs_match_the_full_and_range_oracles(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 8..50),
         copies in 1i64..7,
         split in 0i64..6,
@@ -326,14 +265,13 @@ proptest! {
         let mut expected = table.clone();
         expected.apply_delta(&repair.delta).unwrap();
 
-        prop_assert_eq!(whole.snapshot("t").is_some(), tiled.len() >= 256);
         prop_assert_eq!(outcome.report.errors_repaired, repair.errors_detected);
         prop_assert_eq!(&outcome.result.tuples[..], expected.tuples());
         prop_assert_eq!(whole.table("t").unwrap().tuples(), expected.tuples());
         prop_assert_eq!(whole.provenance("t").unwrap().dump(), provenance.dump());
 
         let mut incremental = engine();
-        let reference = pairwise_range_then_full(&config, &table, &dc, split);
+        let reference = oracle_range_then_full(&config, &table, &dc, split);
         let range = format!("SELECT a, b, c FROM t WHERE a <= {split}");
         let mut answer = Vec::new();
         for (sql, (errors, table, provenance)) in
@@ -349,8 +287,9 @@ proptest! {
     }
 
     /// Incremental detection: two successive range checks (sharing the
-    /// matrix's `checked` bookkeeping) produce identical per-call violation
-    /// sets and statistics under both kernels.
+    /// matrix's `checked` bookkeeping) each find exactly what the
+    /// brute-force matrix oracle finds over the same not-yet-checked block
+    /// pairs.
     #[test]
     fn indexed_incremental_detection_matches_pairwise(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 2..70),
@@ -360,32 +299,18 @@ proptest! {
         let table = table_from_rows(&rows);
         let predicates: Vec<DcPredicate> = specs.iter().map(predicate_from_spec).collect();
         let dc = DenialConstraint::new("dc", 2, predicates);
-        let run = |strategy: DetectionStrategy| {
-            let mut matrix = ThetaMatrix::build_with_strategy(
-                table.schema(),
-                table.tuples(),
-                &dc,
-                4,
-                strategy,
-            )
-            .unwrap();
-            let ctx = ExecContext::new(3);
-            let first = matrix
-                .check_range(&ctx, table.schema(), table.tuples(), None, Some(&Value::Int(split)))
+        let mut matrix = ThetaMatrix::build(table.schema(), table.tuples(), &dc, 4).unwrap();
+        let ctx = ExecContext::new(3);
+        let mut checked = HashSet::new();
+        let split = Value::Int(split);
+        for (low, high) in [(None, Some(&split)), (Some(&split), None)] {
+            let (found, _) = matrix
+                .check_range(&ctx, table.schema(), table.tuples(), low, high)
                 .unwrap();
-            let second = matrix
-                .check_range(&ctx, table.schema(), table.tuples(), Some(&Value::Int(split)), None)
-                .unwrap();
-            (first, second)
-        };
-        let ((pf, ps), (pt, pu)) = (run(DetectionStrategy::Pairwise), run(DetectionStrategy::Indexed));
-        // Identical violations per call, and identical block bookkeeping;
-        // only the candidate-pair counts may differ between kernels.
-        prop_assert_eq!(&pf.0, &pt.0);
-        prop_assert_eq!(&ps.0, &pu.0);
-        prop_assert_eq!(pf.1.blocks_checked, pt.1.blocks_checked);
-        prop_assert_eq!(pf.1.blocks_pruned, pt.1.blocks_pruned);
-        prop_assert_eq!(ps.1.blocks_checked, pu.1.blocks_checked);
-        prop_assert_eq!(ps.1.blocks_pruned, pu.1.blocks_pruned);
+            let rows = matrix.blocks_overlapping(low, high);
+            let expected =
+                matrix_check_oracle(&matrix, table.schema(), table.tuples(), &rows, &mut checked);
+            prop_assert_eq!(found, expected);
+        }
     }
 }

@@ -13,23 +13,18 @@
 //! other integration suites exercise (SP cleaning, SPJ cleaning, and
 //! general-DC engine workloads).
 
-mod common;
-
 use std::sync::Arc;
 
 use daisy::common::{ColumnId, TupleId, Value};
 use daisy::core::clean_dc::repair_dc_violations;
-use daisy::core::index::id_index;
-use daisy::core::theta::ThetaMatrix;
-use daisy::core::{DetectionMode, DetectionStrategy};
+use daisy::core::index::{canonicalize_violations, id_index};
 use daisy::data::errors::{inject_fd_errors, inject_inequality_errors};
 use daisy::data::ssb::{generate_lineorder, generate_supplier, SsbConfig};
 use daisy::data::workload::non_overlapping_range_queries;
 use daisy::exec::ExecContext;
+use daisy::expr::Violation;
 use daisy::prelude::*;
 use daisy::storage::{CellProvenance, ProvenanceStore, Table, Tuple};
-
-use common::assert_matches_fresh_build;
 
 /// The worker counts every scenario is replayed at; 1 is the sequential
 /// baseline, 7 deliberately does not divide typical block/row counts.
@@ -292,17 +287,6 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
     };
 
     let (engine, qs) = build(1, 1);
-    // The engine resolves the kernel on the whole table, as this build does
-    // (on the row path; its snapshot only discounts the index further).
-    let dc = engine.constraints().rules()[0].clone();
-    let schema = Arc::new(table.schema().qualify("lineorder"));
-    assert_eq!(
-        ThetaMatrix::build(&schema, table.tuples(), &dc, 16)
-            .unwrap()
-            .detection_mode(),
-        DetectionMode::Indexed,
-        "the skewed workload must run the indexed kernel to probe its morsel cuts"
-    );
     let baseline = snapshot(engine, &["lineorder"], &qs);
     assert!(
         baseline.reports.iter().any(|r| r.errors_repaired > 0),
@@ -321,13 +305,11 @@ fn morsel_granularity_is_invariant_on_a_skewed_workload() {
 }
 
 #[test]
-fn dc_detection_matches_the_pairwise_kernel_and_is_thread_count_invariant() {
+fn dc_detection_matches_the_oracle_at_any_thread_count() {
     // An equality-bearing DC (inverted price/discount pairs *within a
-    // supplier*), large and selective enough for the cost model to weigh
-    // the indexed kernel, plus the incremental range flow of the engine.
-    // The session must be invariant across worker counts, and — whatever
-    // kernel the engine picked — repair exactly what the pairwise kernel's
-    // violations call for.
+    // supplier*) through the incremental range flow of the engine.  The
+    // session must be invariant across worker counts and repair exactly
+    // what a brute-force scan's violations call for.
     let ssb = SsbConfig {
         lineorder_rows: 900,
         distinct_orderkeys: 180,
@@ -357,7 +339,7 @@ fn dc_detection_matches_the_pairwise_kernel_and_is_thread_count_invariant() {
     };
     assert_thread_count_invariant("general-dc-detection", &["lineorder"], build);
 
-    // The reference: the pairwise kernel over the whole table.  The first
+    // The reference: every tuple pair of the whole table.  The first
     // query's answer spans every supplier — the partition attribute — so
     // its range check already covers every block pair, and the second
     // query finds nothing left to repair.
@@ -380,15 +362,18 @@ fn dc_detection_matches_the_pairwise_kernel_and_is_thread_count_invariant() {
     let dc = engine.constraints().rules()[0].clone();
     let schema = Arc::new(table.schema().qualify("lineorder"));
     let ctx = ExecContext::new(1);
-    let mut matrix = ThetaMatrix::build_with_strategy(
-        &schema,
-        table.tuples(),
-        &dc,
-        4,
-        DetectionStrategy::Pairwise,
-    )
-    .unwrap();
-    let (violations, _) = matrix.check_all(&ctx, &schema, table.tuples()).unwrap();
+    let rows = table.tuples();
+    let mut violations = Vec::new();
+    for (i, x) in rows.iter().enumerate() {
+        for y in &rows[i + 1..] {
+            for (a, b) in [(x, y), (y, x)] {
+                if dc.violated_by(&schema, &[a, b]).unwrap() {
+                    violations.push(Violation::pair(dc.id, a.id, b.id));
+                }
+            }
+        }
+    }
+    let violations = canonicalize_violations(violations);
     let by_id = id_index(&ctx, table.tuples());
     let mut provenance = ProvenanceStore::default();
     let repair =
@@ -405,13 +390,10 @@ fn dc_detection_matches_the_pairwise_kernel_and_is_thread_count_invariant() {
 }
 
 #[test]
-fn maintained_snapshot_matches_a_fresh_build_and_is_thread_count_invariant() {
-    // A workload that mixes an FD (exercising the snapshot-keyed `cleanσ`
-    // grouping — 1.2k rows clear the snapshot threshold) and an
-    // equality-bearing general DC (exercising the coded violation index and
-    // the snapshot-patched repair loop), replayed at every worker count.
-    // After every query the snapshot the engine patched along its repairs
-    // must hold exactly what a fresh build of the table holds.
+fn fd_and_dc_workload_is_thread_count_invariant() {
+    // A workload that mixes an FD (the `cleanσ` grouping) and an
+    // equality-bearing general DC (the violation index and the repair
+    // loop) over 1.2k rows, replayed at every worker count.
     let ssb = SsbConfig {
         lineorder_rows: 1_200,
         distinct_orderkeys: 120,
@@ -442,17 +424,7 @@ fn maintained_snapshot_matches_a_fresh_build_and_is_thread_count_invariant() {
             .unwrap();
         (engine, queries.clone())
     };
-    assert_thread_count_invariant("fd-and-dc-over-a-snapshot", &["lineorder"], build);
-
-    let (mut engine, queries) = build(1);
-    for query in &queries {
-        engine.execute(query).unwrap();
-        let table = engine.table("lineorder").unwrap();
-        let snap = engine
-            .snapshot("lineorder")
-            .expect("1.2k rows keep a snapshot");
-        assert_matches_fresh_build(snap, table);
-    }
+    assert_thread_count_invariant("fd-and-dc", &["lineorder"], build);
 }
 
 #[test]

@@ -1,26 +1,20 @@
 //! End-to-end query execution through the cleaning engine.
 //!
 //! The same cleaning workload must produce byte-identical answers,
-//! repaired tables and provenance at any worker count, with the engine's
-//! maintained snapshot equal to a fresh build after every request; and a
-//! session must record the same read footprint and answer — and commit
-//! what `run_serial` commits — whether its table sits below the snapshot
-//! threshold or above it.
-
-mod common;
+//! repaired tables and provenance at any worker count; and a session must
+//! record the same read footprint and answer — and commit what
+//! `run_serial` commits — over a small table and over the same rows padded
+//! with rows that cannot interact with them.
 
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
 
 use daisy::common::{ColumnId, DaisyConfig, DataType, Schema, Value};
-use daisy::core::world::SNAPSHOT_MIN_ROWS;
 use daisy::core::DaisyEngine;
 use daisy::query::QueryResult;
 use daisy::service::{CleaningService, ServiceRequest};
-use daisy::storage::{ColumnSnapshot, Footprint, Table};
-
-use common::assert_matches_fresh_build;
+use daisy::storage::{Footprint, Table};
 
 /// Renders a result for byte-level comparison: schema fields plus every
 /// tuple's id, lineage and cells.
@@ -37,7 +31,7 @@ fn dump(result: &QueryResult) -> String {
 
 /// The dirty `t(a, b, c)` of the engine-level tests, its rows repeated
 /// `copies` times with the grouping column shifted so copies never
-/// violate each other — enough copies cross the snapshot threshold.
+/// violate each other.
 fn engine_table(rows: &[(i64, i64, i64)], copies: i64, null_c: bool) -> Table {
     let schema = Schema::from_pairs(&[
         ("a", DataType::Int),
@@ -58,29 +52,12 @@ fn engine_table(rows: &[(i64, i64, i64)], copies: i64, null_c: bool) -> Table {
     Table::from_rows("t", schema, values.collect()).unwrap()
 }
 
-/// Asserts the engine's snapshot of `t` is absent below the threshold and
-/// equal to a fresh build from it on.
-fn assert_snapshot_is_exact(
-    table: &Table,
-    snapshot: Option<&ColumnSnapshot>,
-) -> Result<(), TestCaseError> {
-    match snapshot {
-        None => prop_assert!(table.len() < SNAPSHOT_MIN_ROWS),
-        Some(snap) => {
-            prop_assert!(table.len() >= SNAPSHOT_MIN_ROWS);
-            assert_matches_fresh_build(snap, table);
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// End-to-end engine runs: the same cleaning workload at 1, 2, 4 and 7
     /// workers produces byte-identical query results, repaired tables and
-    /// provenance dumps, and after every query the maintained snapshot
-    /// equals a fresh build.  Cleaning relaxes cells mid-run (the
+    /// provenance dumps.  Cleaning relaxes cells mid-run (the
     /// inequality DC leaves range candidates on `b` and `c`), so the later
     /// reads go through engine-made probabilistic data, the third one
     /// filtering on exactly those range candidates.
@@ -93,7 +70,7 @@ proptest! {
         let table = engine_table(&rows, copies, true);
         let sql_first = format!("SELECT a, b, c FROM t WHERE a <= {split}");
         let sql_third = format!("SELECT a, b FROM t WHERE b >= {} AND c <= {}.5", split * 5, split + 3);
-        let run = |workers: usize| -> Result<_, TestCaseError> {
+        let run = |workers: usize| {
             let mut engine = DaisyEngine::new(
                 DaisyConfig::default()
                     .with_worker_threads(workers)
@@ -108,32 +85,30 @@ proptest! {
             let mut repaired = 0;
             for sql in [&sql_first, &"SELECT a, b, c FROM t".to_string(), &sql_third] {
                 let outcome = engine.execute_sql(sql).unwrap();
-                assert_snapshot_is_exact(engine.table("t").unwrap(), engine.snapshot("t"))?;
                 results.push(dump(&outcome.result));
                 repaired += outcome.report.errors_repaired;
             }
-            Ok((
+            (
                 results,
                 repaired,
                 engine.table("t").unwrap().tuples().to_vec(),
                 engine.provenance("t").unwrap().dump(),
-            ))
+            )
         };
-        let baseline = run(1)?;
+        let baseline = run(1);
         for workers in [2usize, 4, 7] {
-            let replay = run(workers)?;
+            let replay = run(workers);
             prop_assert!(replay == baseline, "engine diverged at {} workers", workers);
         }
     }
 
-    /// The same request in a session over a table below the snapshot
-    /// threshold and over the same rows padded past it with copies that can
-    /// neither violate the rule with them nor match the filter: both record
+    /// The same request in a session over a small table and over the same
+    /// rows padded to 256 or more with copies that can neither violate the rule with them nor match the filter: both record
     /// the same read footprint — the answer rows and the rule's columns —
     /// and the same answer, and each commits what `run_serial` commits for
     /// it.
     #[test]
-    fn session_footprints_agree_below_and_above_the_snapshot_threshold(
+    fn session_footprints_agree_on_a_small_and_a_padded_table(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..25), 8..30),
         split in 0i64..6,
     ) {
@@ -155,7 +130,6 @@ proptest! {
             let shared = engine().into_shared();
             let mut session = shared.session_named("probe");
             let outcome = session.execute_sql(&sql).unwrap();
-            prop_assert_eq!(session.snapshot("t").is_some(), table.len() >= SNAPSHOT_MIN_ROWS);
             let reads = session.read_footprint().clone();
             for tuple in table.tuples() {
                 for column in 0..3 {
@@ -177,7 +151,7 @@ proptest! {
             );
             Ok((dump(&outcome.result), reads))
         };
-        let padded = SNAPSHOT_MIN_ROWS.div_ceil(rows.len()) as i64;
+        let padded = 256usize.div_ceil(rows.len()) as i64;
         let (small_answer, small_reads) = run(engine_table(&rows, 1, false))?;
         let (padded_answer, padded_reads) = run(engine_table(&rows, padded, false))?;
         prop_assert_eq!(small_answer, padded_answer);

@@ -13,12 +13,10 @@
 //! 2. **Engine layer** — `DaisyEngine::ingest_rows` on its maintained
 //!    indexes versus the kernel-level reference (per-batch rebuild sweep
 //!    plus repair): identical final tuples, provenance and cleaning
-//!    reports; and a table grown across the snapshot threshold keeps a
-//!    snapshot equal to a fresh build.
+//!    reports; and a table grown by interleaved ingests and queries ends
+//!    where `run_serial` ends, directly and through sessions.
 //! 3. **Service layer** — mixed SQL + ingest request streams at 1/2/4/7
 //!    scheduler workers: identical outcomes, tables and provenance.
-
-mod common;
 
 use proptest::prelude::*;
 
@@ -27,14 +25,11 @@ use std::sync::Arc;
 use daisy::common::{DaisyConfig, DataType, Schema, Value};
 use daisy::core::clean_dc::repair_dc_violations;
 use daisy::core::index::{canonicalize_violations, id_index, MaintainedIndex, ViolationIndex};
-use daisy::core::world::SNAPSHOT_MIN_ROWS;
 use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::expr::{ComparisonOp, DcPredicate, DenialConstraint, Operand, Violation};
 use daisy::service::{CleaningService, ServiceRequest};
-use daisy::storage::{ColumnSnapshot, Delta, ProvenanceStore, Table};
-
-use common::assert_matches_fresh_build;
+use daisy::storage::{Delta, ProvenanceStore, Table};
 
 /// Builds the shared three-column test table: `a` is a low-cardinality
 /// grouping column, `b` numeric, `c` a float column with occasional NULLs
@@ -261,43 +256,19 @@ proptest! {
     }
 }
 
-/// The rows of the threshold-crossing stream: a fixed, dirty pattern over
+/// The rows of the growing-table stream: a fixed, dirty pattern over
 /// the `equality_dc` columns (19 groups, NULLs in `c`).
 fn threshold_row(i: i64) -> Vec<Value> {
     row_values(&(i % 19, (i * 37) % 101, (i * 53) % 89))
 }
 
-/// After every request of the threshold-crossing stream: the snapshot is
-/// equal to a fresh build whenever the table had at least
-/// [`SNAPSHOT_MIN_ROWS`] rows when the request began (snapshots are
-/// refreshed as a request's cleaning starts and patched along its writes,
-/// so the ingest that crosses the threshold leaves none: the next request
-/// builds it) and absent otherwise.
-fn check_snapshot(table: &Table, snapshot: Option<&ColumnSnapshot>, rows_before: usize) {
-    match snapshot {
-        Some(snap) => {
-            assert!(
-                rows_before >= SNAPSHOT_MIN_ROWS,
-                "snapshot after {rows_before} rows"
-            );
-            assert_matches_fresh_build(snap, table);
-        }
-        None => assert!(
-            rows_before < SNAPSHOT_MIN_ROWS,
-            "no snapshot after {rows_before} rows"
-        ),
-    }
-}
-
-/// A table grown from 200 to 320 rows — across the snapshot threshold —
-/// by ingest batches with cleaning queries in between, once through
-/// `DaisyEngine::ingest_rows` and once through one session per request, at
-/// 1 and 2 engine workers.  After each request the snapshot is checked
-/// against a fresh build; the answers
-/// of both runs agree, and their final tables and provenance equal
+/// A table grown from 200 to 320 rows by ingest batches with cleaning
+/// queries in between, once through `DaisyEngine::ingest_rows` and once
+/// through one session per request, at 1 and 2 engine workers.  The
+/// answers of both runs agree, and their final tables and provenance equal
 /// `run_serial` over the same stream.
 #[test]
-fn a_table_growing_across_the_snapshot_threshold_keeps_its_snapshot_exact() {
+fn growing_table_matches_serial_directly_and_in_sessions() {
     let dc = equality_dc(&[]);
     let base: Vec<Vec<Value>> = (0..200).map(threshold_row).collect();
     let mut requests = Vec::new();
@@ -325,9 +296,7 @@ fn a_table_growing_across_the_snapshot_threshold_keeps_its_snapshot_exact() {
     for workers in [1usize, 2] {
         let mut engine = engine_for(workers);
         let shared = engine_for(workers).into_shared();
-        check_snapshot(engine.table("t").unwrap(), engine.snapshot("t"), 0);
         for request in &requests {
-            let rows_before = engine.table("t").unwrap().len();
             let mut session = shared.session();
             let (direct, staged) = match &request.op {
                 daisy::service::RequestOp::Ingest { table, rows } => (
@@ -341,16 +310,6 @@ fn a_table_growing_across_the_snapshot_threshold_keeps_its_snapshot_exact() {
             };
             assert_eq!(direct.result.tuples, staged.result.tuples);
             assert_eq!(direct.report.errors_repaired, staged.report.errors_repaired);
-            check_snapshot(
-                engine.table("t").unwrap(),
-                engine.snapshot("t"),
-                rows_before,
-            );
-            check_snapshot(
-                session.table("t").unwrap(),
-                session.snapshot("t"),
-                rows_before,
-            );
             session.commit().unwrap();
         }
         assert_eq!(engine.table("t").unwrap().len(), 320);
