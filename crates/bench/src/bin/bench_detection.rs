@@ -2,8 +2,10 @@
 //!
 //! Times four cleaning kernels — the theta DC check, `cleanσ` for FDs
 //! (clean-select), general-DC repair, and the incremental repair loop
-//! (range check → repair → delta) — at 2k/8k/32k rows, plus sustained
-//! streaming ingest and skew-adversarial detection, and writes the
+//! (range check → repair → delta) — plus the violation index's build and
+//! its absorb of a repair-shaped delta under the no-equality-key `dc_theta`
+//! rule, at 2k/8k/32k rows; then sustained streaming ingest and
+//! skew-adversarial detection, and writes the
 //! measurements as `BENCH_detection.json` at the repository root (with the
 //! host's core count) so future changes have a baseline to diff against.
 //!
@@ -15,22 +17,25 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use daisy_bench::skew::{generate_skewed_table, key_histogram};
-use daisy_common::{RuleId, TupleId, Value};
+use daisy_common::{ColumnId, RuleId, TupleId, Value};
 use daisy_core::clean_dc::repair_dc_violations;
 use daisy_core::clean_select::clean_select_fd;
 use daisy_core::fd_index::FdIndex;
-use daisy_core::index::{canonicalize_violations, MaintainedIndex, ViolationIndex};
+use daisy_core::index::MaintainedIndex;
 use daisy_core::relaxation::FilterTarget;
 use daisy_core::theta::ThetaMatrix;
 use daisy_data::errors::{inject_fd_errors, inject_inequality_errors};
 use daisy_data::ssb::{generate_lineorder, SsbConfig};
 use daisy_exec::{chunk_ranges, ExecContext, MorselCounters};
 use daisy_expr::{DenialConstraint, FunctionalDependency};
-use daisy_storage::{Delta, ProvenanceStore, Table, Tuple};
+use daisy_storage::{Cell, Delta, ProvenanceStore, Table, Tuple};
 
 /// One measurement row of the JSON report.
 struct Measurement {
     kernel: &'static str,
+    /// The rule the kernel ran under: `dc` ([`equality_dc`]) or `dc_theta`
+    /// ([`theta_dc`]).
+    rule: &'static str,
     rows: usize,
     seconds: f64,
     /// Kernel-specific work counter (violations found / errors detected).
@@ -110,6 +115,36 @@ fn equality_dc() -> DenialConstraint {
     .unwrap()
 }
 
+/// The no-equality-key rule of the benchmark's `dc_theta` workload: one
+/// partition, swept on `extended_price`.
+fn theta_dc() -> DenialConstraint {
+    DenialConstraint::parse(
+        "dc_theta",
+        "t1.extended_price < t2.extended_price & t1.discount > t2.discount",
+    )
+    .unwrap()
+}
+
+/// A repair-shaped delta over `table`: the value in `column` of every row
+/// but one in twelve (≈ 92 %) moved to a nearby value, so most rows change
+/// place in that column's order.
+fn rewrite_column(table: &Table, column: usize) -> Delta {
+    let mut delta = Delta::new();
+    for (pos, tuple) in table.tuples().iter().enumerate() {
+        if pos % 12 == 0 {
+            continue;
+        }
+        let shift = (pos * 7919 % 201) as i64 - 100;
+        let moved = match tuple.value(column).unwrap() {
+            Value::Int(v) => Value::Int(v + shift),
+            Value::Float(v) => Value::Float(v + shift as f64 / 1000.0),
+            other => other,
+        };
+        delta.push_update(tuple.id, ColumnId::new(column as u64), Cell::from(moved));
+    }
+    delta
+}
+
 fn main() {
     let ctx = ExecContext::sequential();
     let row_counts = [2_000usize, 8_000, 32_000];
@@ -130,6 +165,7 @@ fn main() {
         eprintln!("theta_check rows={rows}: {seconds:.4}s ({work} violations)");
         measurements.push(Measurement {
             kernel: "theta_check",
+            rule: "dc",
             rows,
             seconds,
             work,
@@ -170,6 +206,7 @@ fn main() {
         eprintln!("clean_select rows={rows}: {seconds:.4}s ({work} errors)");
         measurements.push(Measurement {
             kernel: "clean_select",
+            rule: "fd",
             rows,
             seconds,
             work,
@@ -191,6 +228,7 @@ fn main() {
         eprintln!("dc_repair rows={rows}: {seconds:.4}s ({work} errors)");
         measurements.push(Measurement {
             kernel: "dc_repair",
+            rule: "dc",
             rows,
             seconds,
             work,
@@ -233,20 +271,66 @@ fn main() {
         eprintln!("repair_loop rows={rows}: {seconds:.4}s ({work} errors)");
         measurements.push(Measurement {
             kernel: "repair_loop",
+            rule: "dc",
             rows,
             seconds,
             work,
         });
+
+        // Kernels 5–6: the violation index under the no-equality-key
+        // `dc_theta` rule — one partition holding every row.  The build
+        // groups by key and sorts each partition once; the absorb takes a
+        // repair-shaped delta that moves ≈ 92 % of the rows in the sweep
+        // order and rewrites the partition in one merge pass.  Each absorb
+        // starts from an unshared index built outside the timer.
+        let theta = theta_dc();
+        let plan = theta.index_plan().expect("dc_theta has an index plan");
+        let schema = table.schema().as_ref().clone();
+        let (seconds, work) = time_min(|| {
+            MaintainedIndex::build(&schema, &theta, &plan, &table).unwrap();
+            rows
+        });
+        eprintln!("maintained_index_build (dc_theta) rows={rows}: {seconds:.4}s");
+        measurements.push(Measurement {
+            kernel: "maintained_index_build",
+            rule: "dc_theta",
+            rows,
+            seconds,
+            work,
+        });
+        let sweep = plan.sweep.as_ref().and_then(|p| p.left.column()).unwrap();
+        let delta = rewrite_column(&table, schema.index_of(sweep).unwrap());
+        let mut rewritten = table.clone();
+        rewritten.apply_delta(&delta).unwrap();
+        let mut seconds = f64::INFINITY;
+        for _ in 0..runs() {
+            let mut index = MaintainedIndex::build(&schema, &theta, &plan, &table).unwrap();
+            let start = Instant::now();
+            index.absorb_delta(&rewritten, &delta).unwrap();
+            seconds = seconds.min(start.elapsed().as_secs_f64());
+            assert!(index.is_current(&rewritten), "absorb left the index stale");
+        }
+        eprintln!(
+            "maintained_index_absorb_large (dc_theta) rows={rows}: {seconds:.4}s ({} cells)",
+            delta.len()
+        );
+        measurements.push(Measurement {
+            kernel: "maintained_index_absorb_large",
+            rule: "dc_theta",
+            rows,
+            seconds,
+            work: delta.len(),
+        });
     }
 
-    // Kernel 5: sustained streaming ingest — the steady state of
+    // Kernel 7: sustained streaming ingest — the steady state of
     // `DaisyEngine::ingest_rows`.  A 100k-row base table absorbs ten
     // 100-row batches (|Δ| = 0.1%).  The maintained path pays
     // `O(|Δ|·log group)` per batch: absorb the append delta into the
     // persistent violation index, then run delta-restricted detection
-    // against it.  The baseline rebuilds the violation index from scratch
-    // for every batch before running the identical delta-restricted sweep
-    // (`i ∈ Δ ∨ j ∈ Δ`).  Both paths emit byte-identical violations and
+    // against it.  The baseline builds a fresh violation index for every
+    // batch before running the identical delta-restricted detection.  Both
+    // paths emit byte-identical violations and
     // candidate-pair counts per batch — asserted below, so the speedup is
     // pure index reuse, not different work.  The one-off base-index build
     // is reported separately: it is the engine's maintained artifact,
@@ -297,6 +381,7 @@ fn main() {
         eprintln!("maintained_index_build rows={base_rows}: {index_build_seconds:.4}s");
         measurements.push(Measurement {
             kernel: "maintained_index_build",
+            rule: "dc",
             rows: base_rows,
             seconds: index_build_seconds,
             work: base_rows,
@@ -304,8 +389,8 @@ fn main() {
         let base_index = MaintainedIndex::build(&schema, &dc, &plan, &base).unwrap();
 
         // Byte-identity first, un-timed: per batch, the maintained
-        // delta-restricted pass must equal a full rebuild swept with the
-        // delta admit filter — violations and candidate-pair counts.
+        // delta-restricted pass must equal the same pass over a fresh
+        // build — violations and candidate-pair counts.
         {
             let mut table = base.clone();
             let mut index = base_index.clone();
@@ -322,14 +407,12 @@ fn main() {
                         .detect_delta(&ctx, &schema, table.tuples(), &positions)
                         .unwrap(),
                 );
-                let rebuilt =
-                    ViolationIndex::build(&ctx, &schema, &dc, &plan, table.tuples()).unwrap();
-                let (found, pairs) = rebuilt
-                    .sweep_detect(&ctx, &schema, table.tuples(), |i, j| {
-                        i >= start || j >= start
-                    })
-                    .unwrap();
-                rebuild_out.push((canonicalize_violations(found), pairs));
+                let rebuilt = MaintainedIndex::build(&schema, &dc, &plan, &table).unwrap();
+                rebuild_out.push(
+                    rebuilt
+                        .detect_delta(&ctx, &schema, table.tuples(), &positions)
+                        .unwrap(),
+                );
             }
             assert_eq!(
                 maintained_out, rebuild_out,
@@ -362,6 +445,7 @@ fn main() {
         );
         measurements.push(Measurement {
             kernel: "ingest_maintained",
+            rule: "dc",
             rows: base_rows,
             seconds: maintained_seconds,
             work: maintained_work,
@@ -375,13 +459,12 @@ fn main() {
             let mut violations = 0usize;
             for batch in &batches {
                 append_batch(&mut table, batch);
-                let tail = table.len() - batch.len();
-                let rebuilt =
-                    ViolationIndex::build(&ctx, &schema, &dc, &plan, table.tuples()).unwrap();
+                let positions: Vec<usize> = (table.len() - batch.len()..table.len()).collect();
+                let rebuilt = MaintainedIndex::build(&schema, &dc, &plan, &table).unwrap();
                 let (found, _) = rebuilt
-                    .sweep_detect(&ctx, &schema, table.tuples(), |i, j| i >= tail || j >= tail)
+                    .detect_delta(&ctx, &schema, table.tuples(), &positions)
                     .unwrap();
-                violations += canonicalize_violations(found).len();
+                violations += found.len();
             }
             rebuild_seconds = rebuild_seconds.min(start.elapsed().as_secs_f64());
             rebuild_work = violations;
@@ -391,6 +474,7 @@ fn main() {
         );
         measurements.push(Measurement {
             kernel: "ingest_rebuild",
+            rule: "dc",
             rows: base_rows,
             seconds: rebuild_seconds,
             work: rebuild_work,
@@ -409,7 +493,7 @@ fn main() {
         );
     }
 
-    // Kernel 6: skew-adversarial detection.  A zipfian-hot equality key
+    // Kernel 8: skew-adversarial detection.  A zipfian-hot equality key
     // concentrates nearly all candidate-pair mass in one hash partition;
     // static per-worker chunking pins that partition to a single worker
     // (per-worker imbalance approaches the worker count), while the
@@ -441,16 +525,14 @@ fn main() {
         let mean_mass = chunk_masses.iter().sum::<u64>() as f64 / chunk_masses.len() as f64;
         let static_imbalance = *chunk_masses.iter().max().unwrap() as f64 / mean_mass.max(1e-9);
 
-        let index = ViolationIndex::build(&ctx, &schema, &dc, &plan, table.tuples()).unwrap();
+        let index = MaintainedIndex::build(&schema, &dc, &plan, &table).unwrap();
         let mut entries: Vec<SkewEntry> = Vec::new();
         let mut reference: Option<(Vec<_>, usize)> = None;
         for &workers in &[1usize, 4] {
             for &partitions in &[1usize, 16] {
                 let run_ctx = ExecContext::new(workers).with_data_partitions(partitions);
                 let (seconds, _) = time_min(|| {
-                    let (found, _) = index
-                        .sweep_detect(&run_ctx, &schema, table.tuples(), |_, _| true)
-                        .unwrap();
+                    let (found, _) = index.detect(&run_ctx, table.tuples()).unwrap();
                     found.len()
                 });
                 // One instrumented, un-timed pass for the scheduler
@@ -458,9 +540,7 @@ fn main() {
                 // morsel scheduler entirely, so it reports zero morsels).
                 let counters = Arc::new(MorselCounters::new());
                 let run_ctx = run_ctx.with_morsel_counters(Arc::clone(&counters));
-                let (found, pairs) = index
-                    .sweep_detect(&run_ctx, &schema, table.tuples(), |_, _| true)
-                    .unwrap();
+                let (found, pairs) = index.detect(&run_ctx, table.tuples()).unwrap();
                 eprintln!(
                     "skewed_keys workers={workers} partitions={partitions}: {seconds:.4}s \
                      ({} violations, {pairs} pairs, {} morsels, {} steals, \
@@ -582,8 +662,8 @@ fn render_json(measurements: &[Measurement], skew: &SkewReport) -> String {
     for (i, m) in measurements.iter().enumerate() {
         let comma = if i + 1 == measurements.len() { "" } else { "," };
         json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"rows\": {}, \"seconds\": {:.6}, \"work\": {}}}{}\n",
-            m.kernel, m.rows, m.seconds, m.work, comma
+            "    {{\"kernel\": \"{}\", \"rule\": \"{}\", \"rows\": {}, \"seconds\": {:.6}, \"work\": {}}}{}\n",
+            m.kernel, m.rule, m.rows, m.seconds, m.work, comma
         ));
     }
     json.push_str("  ]");

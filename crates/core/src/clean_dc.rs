@@ -16,8 +16,6 @@ use daisy_exec::ExecContext;
 use daisy_expr::{ComparisonOp, DenialConstraint, Literal, Operand, SatSolver, Violation};
 use daisy_storage::{Candidate, CandidateValue, Cell, Delta, ProvenanceStore, RuleEvidence, Tuple};
 
-use crate::theta::ThetaCheckStats;
-
 /// The outcome of repairing a set of general-DC violations.
 #[derive(Debug, Clone, Default)]
 pub struct DcCleanOutcome {
@@ -27,9 +25,6 @@ pub struct DcCleanOutcome {
     pub errors_detected: usize,
     /// The violations that were repaired.
     pub violations: Vec<Violation>,
-    /// Theta-join statistics accumulated during detection (filled by the
-    /// caller; carried here for reporting convenience).
-    pub check_stats: ThetaCheckStats,
 }
 
 /// A candidate-range fix for one cell, produced while examining one

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use daisy_common::{ColumnId, DaisyConfig, DaisyError, Result, RuleId, Schema, TupleId, Value};
 use daisy_exec::ExecContext;
-use daisy_expr::{BoolExpr, DenialConstraint, FunctionalDependency, Violation};
+use daisy_expr::{BoolExpr, DenialConstraint, FunctionalDependency};
 use daisy_query::physical::{aggregate, filter_tuples, hash_join, project, PredicateMode};
 use daisy_query::{parse_query, Query, QueryResult, SelectItem};
 use daisy_storage::{ColumnSnapshot, Delta, Footprint, ProvenanceStore, Table, Tuple};
@@ -674,6 +674,7 @@ impl DaisyEngine {
                 .theta_matrices
                 .insert(key.clone(), Arc::new(matrix));
         }
+        self.ensure_violation_index(table_name, schema, rule)?;
 
         // The value range the answer spans on the partition attribute drives
         // both the incremental matrix check and Algorithm 2's estimate.
@@ -718,14 +719,17 @@ impl DaisyEngine {
         );
         report.estimated_accuracy = estimate.accuracy.min(report.estimated_accuracy);
 
+        // The check sweeps the world's violation index of the rule, which
+        // every write keeps current; it builds nothing.
+        let index = &self.world.violation_indexes[&key];
         let table = self.world.catalog.table(table_name)?;
         let (violations, stats) = if estimate.decision == CleaningDecision::Full {
             report.strategy = CleaningStrategy::FullRemaining;
-            matrix.check_all(&self.ctx, schema, table.tuples())?
+            matrix.sweep_all(&self.ctx, index, table.tuples())?
         } else {
-            matrix.check_range(
+            matrix.sweep_range(
                 &self.ctx,
-                schema,
+                index,
                 table.tuples(),
                 low.as_ref(),
                 high.as_ref(),
@@ -870,16 +874,14 @@ impl DaisyEngine {
                         .schema()
                         .qualify(table_name),
                 );
-                // Detection and repair read the table through its shared
-                // handle, released before the write path detaches it.
+                // Full detection over the rule's violation index, which
+                // later checks and ingests keep using.  Detection and repair
+                // read the table through its shared handle, released before
+                // the write path detaches it.
+                let key = self.ensure_violation_index(table_name, &schema, &constraint)?;
                 let table = self.world.catalog.shared(table_name)?;
-                let mut matrix = ThetaMatrix::build(
-                    &schema,
-                    table.tuples(),
-                    &constraint,
-                    self.config.theta_blocks_per_side(),
-                )?;
-                let (violations, _) = matrix.check_all(&self.ctx, &schema, table.tuples())?;
+                let (violations, _) =
+                    self.world.violation_indexes[&key].detect(&self.ctx, table.tuples())?;
                 let by_id: HashMap<TupleId, &Tuple> =
                     crate::index::id_index(&self.ctx, table.tuples());
                 let provenance = self
@@ -1005,9 +1007,14 @@ impl DaisyEngine {
         // Detection, the id index and the repair read the table through its
         // shared handle; it is released before `apply_delta_patching`, so
         // the write path finds the table as (un)shared as it was.
+        let key = self.ensure_violation_index(table_name, schema, rule)?;
         let table = self.world.catalog.shared(table_name)?;
-        let (violations, _pairs) =
-            self.ingest_detect(table_name, schema, rule, &positions, table.tuples())?;
+        let (violations, _pairs) = self.world.violation_indexes[&key].detect_delta(
+            &self.ctx,
+            schema,
+            table.tuples(),
+            &positions,
+        )?;
         if violations.is_empty() {
             return Ok(());
         }
@@ -1036,21 +1043,16 @@ impl DaisyEngine {
         Ok(())
     }
 
-    /// Delta-restricted detection for one rule: the `Δ × (T ∪ Δ)` candidate
-    /// pairs, via the world's [`MaintainedIndex`] — built on the rule's
-    /// first ingest (or when an out-of-band write left it stale) and
-    /// patched by every write since.
-    fn ingest_detect(
+    /// Makes the world's violation index of `(table, rule)` current — built
+    /// on the rule's first check or ingest, or when an out-of-band write
+    /// left it stale; otherwise as the write path left it — and returns its
+    /// key.  θ-checks and ingest both detect against this one index.
+    fn ensure_violation_index(
         &mut self,
         table_name: &str,
         schema: &Schema,
         rule: &DenialConstraint,
-        positions: &[usize],
-        tuples: &[Tuple],
-    ) -> Result<(Vec<Violation>, usize)> {
-        let plan = rule
-            .index_plan()
-            .expect("ingest_rows only admits rules with an index plan");
+    ) -> Result<RuleKey> {
         let key = (table_name.to_string(), rule.id.raw());
         let table = self.world.catalog.table(table_name)?;
         let current = self
@@ -1059,12 +1061,15 @@ impl DaisyEngine {
             .get(&key)
             .is_some_and(|index| index.is_current(table));
         if !current {
+            let plan = rule
+                .index_plan()
+                .expect("only rules with an index plan reach detection");
             let built = MaintainedIndex::build(schema, rule, &plan, table)?;
             self.world
                 .violation_indexes
                 .insert(key.clone(), Arc::new(built));
         }
-        self.world.violation_indexes[&key].detect_delta(&self.ctx, schema, tuples, positions)
+        Ok(key)
     }
 
     /// Applies a delta to a base table and keeps its maintained violation
@@ -1164,8 +1169,9 @@ fn filter_for_table(query: &Query, _table: &str, allow_whole_filter: bool) -> Bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{canonicalize_violations, ViolationIndex};
+    use crate::index::{canonicalize_violations, BUILDS};
     use daisy_common::DataType;
+    use daisy_expr::Violation;
 
     fn cities_table() -> Table {
         Table::from_rows(
@@ -1363,11 +1369,10 @@ mod tests {
     }
 
     /// Ingests `rows` into `cities` and checks the engine against the
-    /// kernel reference: append the batch, rebuild the violation index over
-    /// the whole table, sweep only the pairs that touch the batch, and
-    /// repair what it finds.  Also checks that the maintained index tracked
-    /// the append and the repairs through the write path.  Returns the
-    /// errors the ingest repaired.
+    /// brute-force reference: append the batch, compare every pair of rows
+    /// that touches it, and repair what violates.  Also checks that the
+    /// maintained index tracked the append and the repairs through the
+    /// write path.  Returns the errors the ingest repaired.
     fn ingest_matches_the_kernel(engine: &mut DaisyEngine, rows: Vec<Vec<Value>>) -> usize {
         let rule = engine.constraints().rules()[0].clone();
         let plan = rule.index_plan().unwrap();
@@ -1381,13 +1386,19 @@ mod tests {
         }
         expected.apply_delta(&append).unwrap();
         let schema = Arc::clone(expected.schema());
-        let batch: HashSet<usize> = (expected.len() - rows.len()..expected.len()).collect();
-        let index = ViolationIndex::build(&ctx, &schema, &rule, &plan, expected.tuples()).unwrap();
-        let (found, _) = index
-            .sweep_detect(&ctx, &schema, expected.tuples(), |i, j| {
-                batch.contains(&i) || batch.contains(&j)
-            })
-            .unwrap();
+        let tuples = expected.tuples();
+        let batch = tuples.len() - rows.len();
+        let mut found = Vec::new();
+        for (i, a) in tuples.iter().enumerate() {
+            for (j, b) in tuples.iter().enumerate() {
+                if i != j
+                    && (i >= batch || j >= batch)
+                    && rule.violated_by(&schema, &[a, b]).unwrap()
+                {
+                    found.push(Violation::pair(rule.id, a.id, b.id));
+                }
+            }
+        }
         let violations = canonicalize_violations(found);
         let by_id = crate::index::id_index(&ctx, expected.tuples());
         let repair =
@@ -1485,6 +1496,76 @@ mod tests {
         let mut rows = on_key(batch - 3, "Springfield");
         rows.extend(on_key(3, "Shelbyville"));
         assert!(ingest_matches_the_kernel(&mut engine, rows) > 0);
+    }
+
+    #[test]
+    fn a_theta_check_after_an_ingest_sweeps_the_maintained_index() {
+        // A DC query builds the rule's violation index and an ingest
+        // appends rows past the θ-matrix's blocks; the second query's check
+        // sweeps that same index, skips the appended positions, and ends
+        // where the serial session replay of `CleaningService::run_serial`
+        // ends.  The table is clean below salary 1300 and inverted above.
+        let queries = [
+            "SELECT salary, tax FROM emp WHERE salary < 1100",
+            "SELECT salary, tax FROM emp WHERE salary >= 1000",
+        ];
+        let rows: Vec<Vec<Value>> = (0..6)
+            .map(|i| vec![Value::Int(1005 + i * 50), Value::Int(39 - i)])
+            .collect();
+        let engine = || {
+            let config = DaisyConfig::default().with_worker_threads(2);
+            let mut engine = DaisyEngine::new(config.with_cost_model(false)).unwrap();
+            let schema = Schema::from_pairs(&[("salary", DataType::Int), ("tax", DataType::Int)]);
+            let data = (0..40)
+                .map(|i| {
+                    vec![
+                        Value::Int(1000 + i * 10),
+                        Value::Int(if i < 30 { i } else { 69 - i }),
+                    ]
+                })
+                .collect();
+            engine.register_table(Table::from_rows("emp", schema.unwrap(), data).unwrap());
+            engine
+                .add_constraint_text("phi", "t1.salary < t2.salary & t1.tax > t2.tax")
+                .unwrap();
+            engine
+        };
+
+        let mut live = engine();
+        let key = ("emp".to_string(), live.constraints().rules()[0].id.raw());
+        live.execute_sql(queries[0]).unwrap();
+        assert!(live.world.violation_indexes.contains_key(&key));
+        live.ingest_rows("emp", rows.clone()).unwrap();
+        let extent: usize = live.world.theta_matrices[&key]
+            .blocks
+            .iter()
+            .map(|b| b.members.len())
+            .sum();
+        assert!(live.table("emp").unwrap().len() > extent);
+        let index = Arc::as_ptr(&live.world.violation_indexes[&key]);
+        let builds = BUILDS.with(|b| b.get());
+        assert!(live.execute_sql(queries[1]).unwrap().report.errors_repaired > 0);
+        assert_eq!(
+            BUILDS.with(|b| b.get()),
+            builds,
+            "the θ-check built an index"
+        );
+        let after = &live.world.violation_indexes[&key];
+        assert!(Arc::as_ptr(after) == index, "the index was replaced");
+        assert!(after.is_current(live.table("emp").unwrap()));
+
+        let shared = engine().into_shared();
+        for step in 0..3 {
+            let mut session = shared.session();
+            match step {
+                1 => session.ingest_rows("emp", rows.clone()).map(|_| ()),
+                _ => session.execute_sql(queries[step / 2]).map(|_| ()),
+            }
+            .unwrap();
+            session.commit().unwrap();
+        }
+        let serial = shared.table("emp").unwrap();
+        assert_eq!(serial.tuples(), live.table("emp").unwrap().tuples());
     }
 
     #[test]

@@ -180,29 +180,6 @@ impl FdIndex {
         self.lhs_given_rhs.values().map(HashMap::len).sum::<usize>() as f64
             / self.lhs_given_rhs.len() as f64
     }
-
-    /// Applies an incremental update to the index after a tuple's
-    /// (lhs, rhs) pair changes its expected values (used when repairs are
-    /// applied back to the table so that later queries see fresh statistics).
-    pub fn retarget(&mut self, old_lhs: &Value, old_rhs: &Value, new_lhs: &Value, new_rhs: &Value) {
-        if old_lhs == new_lhs && old_rhs == new_rhs {
-            return;
-        }
-        decrement(&mut self.rhs_given_lhs, old_lhs, old_rhs);
-        decrement(&mut self.lhs_given_rhs, old_rhs, old_lhs);
-        *self
-            .rhs_given_lhs
-            .entry(new_lhs.clone())
-            .or_default()
-            .entry(new_rhs.clone())
-            .or_insert(0) += 1;
-        *self
-            .lhs_given_rhs
-            .entry(new_rhs.clone())
-            .or_default()
-            .entry(new_lhs.clone())
-            .or_insert(0) += 1;
-    }
 }
 
 fn sorted_counts(map: Option<&HashMap<Value, usize>>) -> Vec<(Value, usize)> {
@@ -211,20 +188,6 @@ fn sorted_counts(map: Option<&HashMap<Value, usize>>) -> Vec<(Value, usize)> {
         .unwrap_or_default();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
-}
-
-fn decrement(map: &mut HashMap<Value, HashMap<Value, usize>>, key: &Value, value: &Value) {
-    if let Some(inner) = map.get_mut(key) {
-        if let Some(count) = inner.get_mut(value) {
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                inner.remove(value);
-            }
-        }
-        if inner.is_empty() {
-            map.remove(key);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -279,30 +242,6 @@ mod tests {
         assert_eq!(index.dirty_tuple_count(), 5);
         assert!((index.mean_candidates() - 2.0).abs() < 1e-12);
         assert!(index.mean_lhs_fanout() > 1.0);
-    }
-
-    #[test]
-    fn retarget_moves_counts() {
-        let mut index = FdIndex::build(&cities(), &fd()).unwrap();
-        // Repair tuple (9001, San Francisco) → (9001, Los Angeles).
-        index.retarget(
-            &Value::Int(9001),
-            &Value::from("San Francisco"),
-            &Value::Int(9001),
-            &Value::from("Los Angeles"),
-        );
-        assert!(!index.lhs_is_dirty(&Value::Int(9001)));
-        assert!(!index.rhs_is_ambiguous(&Value::from("San Francisco")));
-        assert_eq!(index.dirty_group_count(), 1);
-        // No-op retarget keeps counts unchanged.
-        let before = index.dirty_tuple_count();
-        index.retarget(
-            &Value::Int(10001),
-            &Value::from("New York"),
-            &Value::Int(10001),
-            &Value::from("New York"),
-        );
-        assert_eq!(index.dirty_tuple_count(), before);
     }
 
     #[test]

@@ -1,77 +1,132 @@
-//! The **maintained** violation index: the persistent, revision-versioned
-//! sibling of [`ViolationIndex`](super::ViolationIndex).
+//! The violation index of one `(table, rule)`: hash partitions on the
+//! rule's equality key, each sorted for the inequality sweep, kept current
+//! across deltas, and the one enumeration kernel every detector runs over
+//! it.
 //!
-//! A [`ViolationIndex`] is built for one detection pass and dropped; every
-//! check over a changed table pays the full `O(n log n)` rebuild.  A
-//! [`MaintainedIndex`] is owned by the world per `(table, rule)` and
-//! **absorbs** each committed or staged [`Delta`] instead: per delta row it
-//! removes the old
-//! sorted entries and inserts the new ones by binary search, an
-//! `O(|Δ| · log group)` update.  Combined with **delta-restricted
-//! detection** — enumerating only the `Δ × (T ∪ Δ)` candidate pairs — a
-//! streaming ingest batch is detected in time proportional to the batch,
-//! not the table (the `bench_detection` sustained-ingest axis).
+//! The world owns one [`MaintainedIndex`] per `(table, rule)` and every
+//! write **absorbs** its [`Delta`] into it: only the rows the delta touched
+//! are re-read, and each partition they leave or enter is rewritten in one
+//! merge pass.  Discipline:
 //!
-//! Maintenance follows one discipline:
-//!
-//! * entries are keyed by slice **position** (positions are stable: tables
-//!   only grow by appends and mutate cells in place; the wholesale editors
-//!   `replace_tuples` / `tuple_mut` bump the revision, which the guard
-//!   below catches),
-//! * [`MaintainedIndex::absorb_delta`] self-guards on [`Table::revision`]
-//!   — a delta that does not line up with the table leaves the index
-//!   silently stale, and [`MaintainedIndex::is_current`] tells callers to
-//!   rebuild,
+//! * entries are keyed by slice **position** (tables only grow by appends
+//!   and mutate cells in place; the wholesale editors `replace_tuples` /
+//!   `tuple_mut` bump the revision),
+//! * [`MaintainedIndex::absorb_delta`] self-guards on [`Table::revision`]:
+//!   a delta that does not line up leaves the index stale, and
+//!   [`MaintainedIndex::is_current`] tells callers to rebuild,
 //! * sweep values are stored as [`Value`]s, which order identically
-//!   forever, so absorbing a delta never re-sorts untouched entries.
+//!   forever, so an absorb never re-sorts untouched entries.
 //!
-//! **What a clone shares.**  Every partition and every row's cached
-//! contribution sits behind its own pointer, and the plan-derived shape
-//! (columns, operator, residual predicates) behind one more, so cloning an
-//! index copies two pointer tables and no entry; `absorb_delta` on the clone
-//! then detaches only the partitions a delta row leaves or enters.
+//! **What a clone shares.**  Every partition and every 256-row chunk of the
+//! rows' cached contributions sits behind its own pointer, and the
+//! plan-derived shape behind one more; a clone copies the pointer tables,
+//! and an absorb on it detaches only what it writes.
 //!
-//! Delta-restricted detection enumerates, per delta row `d`, the same
-//! directed candidate bindings the full sweep admits with the filter
-//! `i ∈ Δ ∨ j ∈ Δ`: once with `d` in the right-hand probe role (owning all
-//! pairs whose right member is `d`, including `Δ × Δ` pairs) and once with
-//! `d` as the left member against non-Δ probes (the inverse
-//! order-statistics range).  Each directed binding is produced exactly
-//! once, so both the violations **and** the candidate-pair counter match
-//! the rebuild-everything baseline byte for byte — the differential tests
-//! in this module and `tests/integration_streaming_ingest.rs` pin that.
+//! **The kernel.**  A probe row enumerates its candidate bindings in up to
+//! two passes: pass (a) binds it in the right role against the sorted
+//! left-role members of its partition (a prefix or suffix found by binary
+//! search, or the whole list without a sweep), pass (b) in the left role
+//! against the right-role members that are not probes (the inverse range).
+//! Full detection and the θ-check ([`ThetaMatrix`](crate::theta::ThetaMatrix))
+//! run pass (a) over the partitions' members; delta-restricted detection
+//! ([`MaintainedIndex::detect_delta`]) runs both passes over Δ, so pass (a)
+//! owns every pair whose right member is in Δ and pass (b) the rest.  Each
+//! directed binding is produced once, and an `admit(i, j)` filter decides
+//! which are residual-checked and counted.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use daisy_common::{Result, RuleId, Schema, Value};
+use daisy_common::{DaisyError, Result, RuleId, Schema, Value};
 use daisy_exec::ExecContext;
 use daisy_expr::{
-    resolve_predicates, ComparisonOp, DenialConstraint, IndexPlan, ResolvedPredicate, Violation,
+    resolve_predicates, ComparisonOp, DcPredicate, DenialConstraint, IndexPlan, Operand,
+    ResolvedPredicate, Violation,
 };
 use daisy_storage::{Delta, Table, Tuple};
 
-use super::{canonicalize_violations, residual_holds, resolve_sweep, sweep_candidates, SweepEntry};
+use super::canonicalize_violations;
 
-/// One hash-equality partition of the maintained index.  Entries are kept
-/// sorted by `(sweep value, position)` so membership changes are binary
-/// searches; for symmetric plans `right` stays empty and the left list
-/// serves both binding roles.
+/// One member of a sweep list: a tuple position plus its sweep-attribute
+/// value (NULL when the plan has no sweep predicate).
+#[derive(Debug, Clone)]
+struct SweepEntry {
+    pos: usize,
+    value: Value,
+}
+
+/// The `(value, position)` order every sweep list is kept in.
+fn entry_order(a: &SweepEntry, b: &SweepEntry) -> Ordering {
+    a.value.cmp(&b.value).then(a.pos.cmp(&b.pos))
+}
+
+/// One hash-equality partition.  Entries are kept sorted by
+/// `(sweep value, position)`; for symmetric plans `right` stays empty and
+/// the left list serves both binding roles.
 #[derive(Debug, Clone, Default)]
 struct MaintainedPartition {
     left: Vec<SweepEntry>,
     right: Vec<SweepEntry>,
 }
 
-/// What one table position contributes to the index — cached so a later
-/// delta can *remove* the old entries without re-reading pre-update values
-/// (absorption runs after the table has already been mutated).
-#[derive(Debug)]
+/// What one table position contributes to the lists of one binding role:
+/// its partition key and its sweep value — cached so a later delta can find
+/// the old entry without re-reading pre-update values (absorption runs
+/// after the table has already been mutated).
+#[derive(Debug, Clone)]
 struct Contribution {
-    left_key: Arc<[Value]>,
-    left_sweep: Value,
-    right_key: Arc<[Value]>,
-    right_sweep: Value,
+    key: Arc<[Value]>,
+    sweep: Value,
+}
+
+/// Rows per [`Contributions`] chunk.
+const CHUNK_ROWS: usize = 256;
+
+/// One role's contributions by position, in fixed-size chunks behind their
+/// own pointers: a clone copies one pointer per chunk, a write detaches the
+/// one chunk it lands in, and a build allocates per chunk rather than per
+/// row.
+#[derive(Debug, Clone, Default)]
+struct Contributions {
+    chunks: Vec<Arc<Vec<Contribution>>>,
+}
+
+impl Contributions {
+    fn get(&self, pos: usize) -> &Contribution {
+        &self.chunks[pos / CHUNK_ROWS][pos % CHUNK_ROWS]
+    }
+
+    fn get_mut(&mut self, pos: usize) -> &mut Contribution {
+        &mut Arc::make_mut(&mut self.chunks[pos / CHUNK_ROWS])[pos % CHUNK_ROWS]
+    }
+
+    fn push(&mut self, c: Contribution) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK_ROWS => Arc::make_mut(chunk).push(c),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK_ROWS);
+                chunk.push(c);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+    }
+}
+
+/// A binding role: which side of the constraint a list's members bind to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Left,
+    Right,
+}
+
+impl Role {
+    fn other(self) -> Role {
+        match self {
+            Role::Left => Role::Right,
+            Role::Right => Role::Left,
+        }
+    }
 }
 
 /// What the constraint's plan fixes at build time; immutable afterwards and
@@ -87,35 +142,19 @@ struct IndexShape {
     symmetric: bool,
     /// Column indices whose values place a tuple in the index
     /// ([`IndexPlan::maintenance_columns`]); updates outside this set skip
-    /// partition maintenance entirely.
-    maintenance_cols: HashSet<usize>,
+    /// partition maintenance entirely.  A handful of columns: a list scan
+    /// beats hashing.
+    maintenance_cols: Vec<usize>,
     /// The residual predicates, resolved once against the build schema.
     residual: Vec<ResolvedPredicate>,
 }
 
-/// The persistent violation index of one two-tuple denial constraint over
-/// one table: hash partitions on the equality key, each partition sorted
-/// for the inequality sweep, maintained across deltas (see the module docs
-/// for the protocol and for what clones share).
-#[derive(Debug, Clone)]
-pub struct MaintainedIndex {
-    shape: Arc<IndexShape>,
-    partitions: HashMap<Arc<[Value]>, Arc<MaintainedPartition>>,
-    contributions: Vec<Arc<Contribution>>,
-    revision: u64,
-    rows: usize,
-}
-
-impl MaintainedIndex {
-    /// Builds the maintained index for `constraint` (whose plan is `plan`)
-    /// over the current contents of `table`, stamped with the table's
-    /// revision.
-    pub fn build(
+impl IndexShape {
+    fn resolve(
         schema: &Schema,
         constraint: &DenialConstraint,
         plan: &IndexPlan,
-        table: &Table,
-    ) -> Result<MaintainedIndex> {
+    ) -> Result<IndexShape> {
         let left_cols: Vec<usize> = plan
             .key
             .iter()
@@ -135,75 +174,185 @@ impl MaintainedIndex {
             Some((op, l, r)) => (Some(op), Some(l), Some(r)),
             None => (None, None, None),
         };
+        // Same key columns and same (or no) sweep column ⇒ the two binding
+        // roles have identical member lists; keep them once.
         let symmetric = left_cols == right_cols && sweep_left == sweep_right;
-        let maintenance_cols: HashSet<usize> = plan
-            .maintenance_columns()
-            .iter()
-            .map(|name| schema.index_of(name))
-            .collect::<Result<_>>()?;
-        let mut index = MaintainedIndex {
-            shape: Arc::new(IndexShape {
-                rule: constraint.id,
-                sweep_op,
-                left_cols,
-                right_cols,
-                sweep_left,
-                sweep_right,
-                symmetric,
-                maintenance_cols,
-                residual: resolve_predicates(&plan.residual, schema)?,
-            }),
-            partitions: HashMap::new(),
-            contributions: Vec::with_capacity(table.len()),
-            revision: table.revision(),
-            rows: table.len(),
-        };
-        for (pos, tuple) in table.tuples().iter().enumerate() {
-            let c = Arc::new(index.contribution_of(tuple)?);
-            index.insert_position(pos, &c);
-            index.contributions.push(c);
+        Ok(IndexShape {
+            rule: constraint.id,
+            sweep_op,
+            left_cols,
+            right_cols,
+            sweep_left,
+            sweep_right,
+            symmetric,
+            maintenance_cols: plan
+                .maintenance_columns()
+                .iter()
+                .map(|name| schema.index_of(name))
+                .collect::<Result<_>>()?,
+            residual: resolve_predicates(&plan.residual, schema)?,
+        })
+    }
+
+    /// The roles that keep lists and contributions of their own: both, or
+    /// only the left one when it serves both.
+    fn roles(&self) -> &'static [Role] {
+        if self.symmetric {
+            &[Role::Left]
+        } else {
+            &[Role::Left, Role::Right]
         }
+    }
+
+    /// Where the contributions serving `role` are kept (an index into
+    /// [`IndexShape::roles`]).
+    fn stored(&self, role: Role) -> usize {
+        match role {
+            Role::Right if !self.symmetric => 1,
+            _ => 0,
+        }
+    }
+
+    /// Whether a member with this sweep value enters a list.  Order
+    /// comparisons against NULL are never satisfied, so NULL-valued members
+    /// cannot participate in a sweep.
+    fn enters(&self, sweep: &Value) -> bool {
+        self.sweep_op.is_none() || !sweep.is_null()
+    }
+
+    /// What `tuple` contributes to the lists of `role`: its key values and
+    /// its sweep value (NULL without a sweep predicate).
+    fn read(&self, tuple: &Tuple, role: Role) -> Result<(Vec<Value>, Value)> {
+        let (cols, sweep) = match role {
+            Role::Left => (&self.left_cols, self.sweep_left),
+            Role::Right => (&self.right_cols, self.sweep_right),
+        };
+        let key = cols
+            .iter()
+            .map(|&c| Ok(tuple.cell(c)?.expected_ref().clone()))
+            .collect::<Result<_>>()?;
+        let sweep = match sweep {
+            Some(c) => tuple.cell(c)?.expected_ref().clone(),
+            None => Value::Null,
+        };
+        Ok((key, sweep))
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Index builds on this thread, for tests that assert a path builds
+    /// none.
+    pub(crate) static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The probes of one enumeration (see the module docs for the passes).
+pub(crate) enum Probes<'a> {
+    /// Every right-role member the filter accepts, pass (a) only: full
+    /// detection and the θ-check.
+    Members(&'a (dyn Fn(usize) -> bool + Sync)),
+    /// These rows, Δ, in both passes; pass (b) skips right-role members in
+    /// Δ.  Delta-restricted detection.
+    Delta(&'a [usize]),
+}
+
+/// One probe row with its candidates in pass (a) and pass (b).
+struct Probe<'a> {
+    pos: usize,
+    right_role: &'a [SweepEntry],
+    left_role: &'a [SweepEntry],
+}
+
+/// The persistent violation index of one two-tuple denial constraint over
+/// one table: hash partitions on the equality key, each partition sorted
+/// for the inequality sweep, maintained across deltas (see the module docs
+/// for the protocol, for what clones share and for the kernel).
+#[derive(Debug, Clone)]
+pub struct MaintainedIndex {
+    shape: Arc<IndexShape>,
+    partitions: HashMap<Arc<[Value]>, Arc<MaintainedPartition>>,
+    /// Every row's contributions, one [`Contributions`] per role of
+    /// [`IndexShape::roles`].
+    contributions: Vec<Contributions>,
+    revision: u64,
+    rows: usize,
+}
+
+impl MaintainedIndex {
+    /// Builds the maintained index for `constraint` (whose plan is `plan`)
+    /// over the current contents of `table`, stamped with the table's
+    /// revision: rows are grouped by key, then every partition is sorted
+    /// once.
+    pub fn build(
+        schema: &Schema,
+        constraint: &DenialConstraint,
+        plan: &IndexPlan,
+        table: &Table,
+    ) -> Result<MaintainedIndex> {
+        let mut index =
+            MaintainedIndex::over_tuples(schema, constraint, plan, table.tuples(), |_| true)?;
+        index.revision = table.revision();
         Ok(index)
     }
 
-    /// The constraint this index serves.
-    pub fn rule(&self) -> RuleId {
-        self.shape.rule
-    }
-
-    /// The table revision the index reflects.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// The number of table rows the index covers.
-    pub fn rows(&self) -> usize {
-        self.rows
+    /// Builds an index over a bare tuple slice whose partitions hold only
+    /// the positions `member` accepts.  Every position still gets its
+    /// contribution, so any position may probe; only members are ever
+    /// enumerated as candidates.  The result is tied to no table revision
+    /// and is meant to be dropped after detection.
+    pub(crate) fn over_tuples(
+        schema: &Schema,
+        constraint: &DenialConstraint,
+        plan: &IndexPlan,
+        tuples: &[Tuple],
+        member: impl Fn(usize) -> bool,
+    ) -> Result<MaintainedIndex> {
+        #[cfg(test)]
+        BUILDS.with(|builds| builds.set(builds.get() + 1));
+        let shape = IndexShape::resolve(schema, constraint, plan)?;
+        // Keys are interned to a slot, so a row costs one hash lookup per
+        // role, its entries go straight to their partition's lists, and its
+        // contributions share the partition's key.
+        let mut groups: Keyed<MaintainedPartition> = Keyed::default();
+        let mut contributions = vec![Contributions::default(); shape.roles().len()];
+        for (pos, tuple) in tuples.iter().enumerate() {
+            for (&role, stored) in shape.roles().iter().zip(contributions.iter_mut()) {
+                let (key, sweep) = shape.read(tuple, role)?;
+                let (key, part) = groups.get(&key, None);
+                if member(pos) && shape.enters(&sweep) {
+                    list_mut(part, role).push(SweepEntry {
+                        pos,
+                        value: sweep.clone(),
+                    });
+                }
+                stored.push(Contribution {
+                    key: Arc::clone(key),
+                    sweep,
+                });
+            }
+        }
+        let partitions = groups
+            .items
+            .into_iter()
+            .filter(|(_, part)| !part.left.is_empty() || !part.right.is_empty())
+            .map(|(key, mut part)| {
+                part.left.sort_unstable_by(entry_order);
+                part.right.sort_unstable_by(entry_order);
+                (key, Arc::new(part))
+            })
+            .collect();
+        Ok(MaintainedIndex {
+            shape: Arc::new(shape),
+            partitions,
+            contributions,
+            revision: 0,
+            rows: tuples.len(),
+        })
     }
 
     /// Number of non-empty hash-equality partitions.
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// Mean partition size — the candidate-fanout estimate the detection
-    /// cost model uses to price a delta-restricted pass.
-    pub fn mean_partition_size(&self) -> f64 {
-        if self.partitions.is_empty() {
-            0.0
-        } else {
-            self.rows as f64 / self.partitions.len() as f64
-        }
-    }
-
-    /// Size of the largest partition (both binding roles) — the worst-case
-    /// candidate fanout of a single delta row.
-    pub fn max_partition_size(&self) -> usize {
-        self.partitions
-            .values()
-            .map(|p| p.left.len().max(p.right.len()))
-            .max()
-            .unwrap_or(0)
     }
 
     /// How many of this index's partitions are the same allocation in
@@ -228,12 +377,14 @@ impl MaintainedIndex {
         self.revision == table.revision() && self.rows == table.len()
     }
 
-    /// Absorbs one applied delta: appended rows are inserted at the tail
-    /// positions, updated rows whose maintenance columns changed are
-    /// re-placed (remove old entries, re-read the table, insert new ones).
-    /// Self-guarding: if the table's revision or length does not line up with "this index + exactly this
-    /// delta", the index is left untouched (and stale) for
-    /// [`MaintainedIndex::is_current`] to report.
+    /// Absorbs one applied delta: appended rows enter at the tail
+    /// positions; updated rows whose maintenance columns changed are
+    /// re-read, and a role whose key or sweep value really moved leaves
+    /// its old partition and enters its new one.  Each partition a row
+    /// leaves or enters is rewritten in one merge pass.
+    /// Self-guarding: if the table's revision or length does not line up
+    /// with "this index + exactly this delta", the index is left untouched
+    /// (and stale) for [`MaintainedIndex::is_current`] to report.
     pub fn absorb_delta(&mut self, table: &Table, delta: &Delta) -> Result<()> {
         let expected = self.revision + u64::from(!delta.is_empty());
         if table.revision() != expected || table.len() != self.rows + delta.appends().len() {
@@ -242,54 +393,78 @@ impl MaintainedIndex {
         if delta.is_empty() {
             return Ok(());
         }
+        let shape = Arc::clone(&self.shape);
+        let roles = shape.roles();
+        let mut changes: Vec<RoleChanges> = roles.iter().map(|_| RoleChanges::default()).collect();
         // Appends land at the tail in delta order (`apply_delta` applies
         // them before updates and checks the id contract).
         for (offset, append) in delta.appends().iter().enumerate() {
             let pos = self.rows + offset;
             debug_assert_eq!(table.tuples()[pos].id, append.id);
-            let c = Arc::new(self.contribution_of(&table.tuples()[pos])?);
-            self.insert_position(pos, &c);
-            self.contributions.push(c);
+            for (r, &role) in roles.iter().enumerate() {
+                let (values, sweep) = shape.read(&table.tuples()[pos], role)?;
+                let key = intern(&self.partitions, values);
+                changes[r].enter(&shape, &key, &sweep, pos);
+                self.contributions[r].push(Contribution { key, sweep });
+            }
         }
-        // Re-place each updated row at most once, in ascending position
-        // order, skipping updates that cannot move the tuple.
+        // Re-read each updated row at most once, skipping updates that
+        // cannot move the tuple, and a role whose key and sweep value came
+        // out unchanged.
         let mut touched: Vec<usize> = delta
             .updates()
             .iter()
-            .filter(|u| self.shape.maintenance_cols.contains(&u.column.index()))
+            .filter(|u| shape.maintenance_cols.contains(&u.column.index()))
             .filter_map(|u| table.position_of(u.tuple))
             .collect();
         touched.sort_unstable();
         touched.dedup();
         for pos in touched {
-            let old = Arc::clone(&self.contributions[pos]);
-            self.remove_position(pos, &old);
-            let c = Arc::new(self.contribution_of(&table.tuples()[pos])?);
-            self.insert_position(pos, &c);
-            self.contributions[pos] = c;
+            for (r, &role) in roles.iter().enumerate() {
+                let (values, sweep) = shape.read(&table.tuples()[pos], role)?;
+                let old = self.contributions[r].get(pos);
+                let same_key = old.key[..] == values[..];
+                if same_key && old.sweep == sweep {
+                    continue;
+                }
+                if shape.enters(&old.sweep) {
+                    changes[r].leave(&old.key, pos, table.len());
+                }
+                if same_key {
+                    // The key keeps its allocation; only the sweep moved.
+                    changes[r].enter(&shape, &old.key, &sweep, pos);
+                    self.contributions[r].get_mut(pos).sweep = sweep;
+                } else {
+                    let key = intern(&self.partitions, values);
+                    changes[r].enter(&shape, &key, &sweep, pos);
+                    *self.contributions[r].get_mut(pos) = Contribution { key, sweep };
+                }
+            }
+        }
+        for (role_changes, &role) in changes.into_iter().zip(roles) {
+            role_changes.apply(&mut self.partitions, role);
         }
         self.rows = table.len();
         self.revision = table.revision();
         Ok(())
     }
 
+    /// Full detection with canonical output: pass (a) for every row.
+    /// Returns the violations plus the number of residual-checked
+    /// candidate bindings.
+    pub fn detect(&self, ctx: &ExecContext, tuples: &[Tuple]) -> Result<(Vec<Violation>, usize)> {
+        let (found, pairs) =
+            self.enumerate(ctx, tuples, Probes::Members(&|_| true), |_, _| true)?;
+        Ok((canonicalize_violations(found), pairs))
+    }
+
     /// Delta-restricted detection: emits exactly the violations among
     /// candidate pairs with at least one member in `delta_positions`
     /// (ascending slice positions), plus the number of residual-checked
-    /// candidate bindings.  Equals a full index rebuild swept with the
-    /// admit filter `i ∈ Δ ∨ j ∈ Δ` — violations *and* pair count — which
-    /// is the byte-identity the differential tests pin.  Output is
-    /// canonical ([`canonicalize_violations`](super::canonicalize_violations)).
-    /// The residual predicates were resolved at build, so `_schema` is only
-    /// kept for call-site symmetry with the build.
-    ///
-    /// Delta rows are enumerated as weighted morsels on `ctx`: each row is
-    /// weighted by its partitions' member counts (its candidate fanout), so
-    /// a batch that hammers one hot equality key splits into morsels of
-    /// roughly equal work that the scheduler can steal, instead of pinning
-    /// one worker.  Morsel outputs are merged in delta order before
-    /// canonicalisation, and the pair counter is an order-independent sum,
-    /// so the result is identical for every worker count and granularity.
+    /// candidate bindings — both passes of the kernel over Δ.  Output is
+    /// canonical ([`canonicalize_violations`]).  The residual predicates
+    /// were resolved at build, so `_schema` is only kept for call-site
+    /// symmetry with the build.
     pub fn detect_delta(
         &self,
         ctx: &ExecContext,
@@ -297,36 +472,97 @@ impl MaintainedIndex {
         tuples: &[Tuple],
         delta_positions: &[usize],
     ) -> Result<(Vec<Violation>, usize)> {
-        let in_delta: HashSet<usize> = delta_positions.iter().copied().collect();
-        if ctx.workers() == 1 {
-            let (found, pairs) = self.detect_delta_rows(tuples, delta_positions, &in_delta)?;
-            return Ok((canonicalize_violations(found), pairs));
-        }
-        let weights: Vec<u64> = delta_positions
-            .iter()
-            .map(|&d| {
-                let c = &self.contributions[d];
-                let right_fanout = self
-                    .partitions
-                    .get(&*c.right_key)
-                    .map_or(0, |p| p.left.len());
-                let left_fanout = self.partitions.get(&*c.left_key).map_or(0, |p| {
-                    if self.shape.symmetric {
-                        p.left.len()
+        let (found, pairs) =
+            self.enumerate(ctx, tuples, Probes::Delta(delta_positions), |_, _| true)?;
+        Ok((canonicalize_violations(found), pairs))
+    }
+
+    /// The enumeration kernel: runs the passes of `probes` and
+    /// residual-checks each candidate binding `(i, j)` that `admit`
+    /// accepts.  Returns the violations in discovery order — callers
+    /// canonicalise — plus the number of admitted bindings.
+    ///
+    /// At one worker the probes run in order on the calling thread.
+    /// Otherwise they are cut into weighted morsels: each probe weighs the
+    /// length of its candidate ranges (`+1` for the probe itself), so a
+    /// skewed partition's probes spread over several stealable tasks while
+    /// runs of cheap probes pack into one.  Morsel outputs merge in probe
+    /// order and the pair counter is a sum, so violations and counter are
+    /// identical for every worker count and morsel granularity.
+    pub(crate) fn enumerate<F>(
+        &self,
+        ctx: &ExecContext,
+        tuples: &[Tuple],
+        probes: Probes<'_>,
+        admit: F,
+    ) -> Result<(Vec<Violation>, usize)>
+    where
+        F: Fn(usize, usize) -> bool + Sync,
+    {
+        let (probes, delta): (Vec<Probe<'_>>, HashSet<usize>) = match probes {
+            Probes::Members(is_probe) => {
+                // Partition by partition, so the rows one probe reads are
+                // still cached for the next.
+                let mut parts: Vec<_> = self.partitions.iter().collect();
+                parts.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                let mut out = Vec::new();
+                for (_, part) in parts {
+                    let right = if self.shape.symmetric {
+                        &part.left
                     } else {
-                        p.right.len()
+                        &part.right
+                    };
+                    for r in right.iter().filter(|r| is_probe(r.pos)) {
+                        out.push(Probe {
+                            pos: r.pos,
+                            right_role: self.sweep(&part.left, &r.value, Role::Right),
+                            left_role: &[],
+                        });
                     }
-                });
-                (right_fanout + left_fanout) as u64 + 1
-            })
+                }
+                (out, HashSet::new())
+            }
+            Probes::Delta(rows) => {
+                let out = rows
+                    .iter()
+                    .map(|&p| Probe {
+                        pos: p,
+                        right_role: self.candidates(p, Role::Right),
+                        left_role: self.candidates(p, Role::Left),
+                    })
+                    .collect();
+                (out, rows.iter().copied().collect())
+            }
+        };
+        let run = |probes: &[Probe<'_>]| -> Result<(Vec<Violation>, usize)> {
+            let mut found = Vec::new();
+            let mut pairs = 0usize;
+            for probe in probes {
+                for l in probe.right_role {
+                    self.check(tuples, l.pos, probe.pos, &admit, &mut found, &mut pairs)?;
+                }
+                for r in probe.left_role {
+                    if !delta.contains(&r.pos) {
+                        self.check(tuples, probe.pos, r.pos, &admit, &mut found, &mut pairs)?;
+                    }
+                }
+            }
+            Ok((found, pairs))
+        };
+        if ctx.workers() == 1 {
+            return run(&probes);
+        }
+        let weights: Vec<u64> = probes
+            .iter()
+            .map(|p| (p.right_role.len() + p.left_role.len() + 1) as u64)
             .collect();
-        let ranges = daisy_exec::weighted_ranges(&weights, ctx.morsel_count(delta_positions.len()));
+        let ranges = daisy_exec::weighted_ranges(&weights, ctx.morsel_count(probes.len()));
         let partials = daisy_exec::try_run_tasks(ctx, &ranges, |&(start, end)| {
-            let out = self.detect_delta_rows(tuples, &delta_positions[start..end], &in_delta)?;
+            let out = run(&probes[start..end])?;
             if let Some(counters) = ctx.morsel_counters() {
                 counters.record_work(out.1 as u64);
             }
-            Ok::<_, daisy_common::DaisyError>(out)
+            Ok::<_, DaisyError>(out)
         })?;
         let mut found = Vec::new();
         let mut pairs = 0usize;
@@ -334,192 +570,234 @@ impl MaintainedIndex {
             found.extend(partial);
             pairs += count;
         }
-        Ok((canonicalize_violations(found), pairs))
-    }
-
-    /// Enumerates the directed candidate bindings of a contiguous run of
-    /// delta rows (the body one morsel executes).  Concatenating runs in
-    /// delta order equals the full sequential enumeration.
-    fn detect_delta_rows(
-        &self,
-        tuples: &[Tuple],
-        delta_positions: &[usize],
-        in_delta: &HashSet<usize>,
-    ) -> Result<(Vec<Violation>, usize)> {
-        let mut found = Vec::new();
-        let mut pairs = 0usize;
-        for &d in delta_positions {
-            let c = &self.contributions[d];
-            // Pass (a): `d` in the right-hand probe role.  Owns every pair
-            // whose right member is `d` — including Δ×Δ pairs, so pass (b)
-            // can skip Δ probes without losing any binding.
-            if self.shape.sweep_op.is_none() || !c.right_sweep.is_null() {
-                if let Some(part) = self.partitions.get(&*c.right_key) {
-                    let left = &part.left;
-                    let candidates = match self.shape.sweep_op {
-                        Some(op) => sweep_candidates(left, op, &c.right_sweep),
-                        None => left.as_slice(),
-                    };
-                    for l in candidates {
-                        self.check(tuples, l.pos, d, &mut found, &mut pairs)?;
-                    }
-                }
-            }
-            // Pass (b): `d` as the left member against non-Δ right probes
-            // (the inverse order-statistics range of pass (a)).
-            if self.shape.sweep_op.is_none() || !c.left_sweep.is_null() {
-                if let Some(part) = self.partitions.get(&*c.left_key) {
-                    let right = if self.shape.symmetric {
-                        &part.left
-                    } else {
-                        &part.right
-                    };
-                    let candidates = match self.shape.sweep_op {
-                        Some(op) => right_probes(right, op, &c.left_sweep),
-                        None => right.as_slice(),
-                    };
-                    for r in candidates {
-                        if in_delta.contains(&r.pos) {
-                            continue;
-                        }
-                        self.check(tuples, d, r.pos, &mut found, &mut pairs)?;
-                    }
-                }
-            }
-        }
         Ok((found, pairs))
     }
 
-    /// Residual-checks one directed candidate binding, mirroring the
-    /// `scan_partition` accounting of [`ViolationIndex`](super::ViolationIndex):
-    /// self-pairs are skipped before the pair counter, residuals after.
-    fn check(
+    /// The candidates of probe `p` bound in `role`: for the right role
+    /// (pass (a)) the left-role members of its partition that its sweep
+    /// value pairs with, for the left role (pass (b)) the right-role ones.
+    fn candidates(&self, p: usize, role: Role) -> &[SweepEntry] {
+        let c = self.contributions[self.shape.stored(role)].get(p);
+        if !self.shape.enters(&c.sweep) {
+            return &[];
+        }
+        let Some(part) = self.partitions.get(&*c.key) else {
+            return &[];
+        };
+        let list = match role {
+            Role::Left if !self.shape.symmetric => &part.right,
+            _ => &part.left,
+        };
+        self.sweep(list, &c.sweep, role)
+    }
+
+    /// The contiguous slice of the ascending-sorted `list` that a probe
+    /// with sweep value `probe`, bound in `role`, pairs with: the members
+    /// `m` with `m op probe` for a right-role probe, `probe op m` for a
+    /// left-role one; all of them without a sweep predicate.
+    fn sweep<'a>(&self, list: &'a [SweepEntry], probe: &Value, role: Role) -> &'a [SweepEntry] {
+        let op = match (self.shape.sweep_op, role) {
+            (None, _) => return list,
+            (Some(op), Role::Right) => op,
+            (Some(op), Role::Left) => op.flip(),
+        };
+        match op {
+            ComparisonOp::Lt => &list[..list.partition_point(|e| e.value < *probe)],
+            ComparisonOp::Le => &list[..list.partition_point(|e| e.value <= *probe)],
+            ComparisonOp::Gt => &list[list.partition_point(|e| e.value <= *probe)..],
+            ComparisonOp::Ge => &list[list.partition_point(|e| e.value < *probe)..],
+            // Equality operators never become sweep predicates.
+            ComparisonOp::Eq | ComparisonOp::Neq => list,
+        }
+    }
+
+    /// Residual-checks one directed candidate binding: self-pairs and
+    /// bindings `admit` refuses are skipped before the pair counter,
+    /// residuals after.
+    fn check<F>(
         &self,
         tuples: &[Tuple],
         i: usize,
         j: usize,
+        admit: &F,
         out: &mut Vec<Violation>,
         pairs: &mut usize,
-    ) -> Result<()> {
-        if i == j {
+    ) -> Result<()>
+    where
+        F: Fn(usize, usize) -> bool,
+    {
+        if i == j || !admit(i, j) {
             return Ok(());
         }
         *pairs += 1;
-        if residual_holds(&self.shape.residual, [&tuples[i], &tuples[j]])? {
-            out.push(Violation::pair(self.shape.rule, tuples[i].id, tuples[j].id));
+        for pred in &self.shape.residual {
+            if !pred.eval([&tuples[i], &tuples[j]])? {
+                return Ok(());
+            }
         }
+        out.push(Violation::pair(self.shape.rule, tuples[i].id, tuples[j].id));
         Ok(())
     }
+}
 
-    /// Reads what `tuple` contributes to each binding role.
-    fn contribution_of(&self, tuple: &Tuple) -> Result<Contribution> {
-        let key = |cols: &[usize]| -> Result<Arc<[Value]>> {
-            cols.iter().map(|&c| tuple.value(c)).collect()
+/// Values of type `T` keyed by partition key, in first-seen order.
+#[derive(Default)]
+struct Keyed<T> {
+    items: Vec<(Arc<[Value]>, T)>,
+    slots: HashMap<Arc<[Value]>, usize>,
+}
+
+impl<T: Default> Keyed<T> {
+    /// The value of `key`, created on first sight.  Runs of rows mostly
+    /// share one key allocation, so the last slot is tried by pointer
+    /// first.
+    fn get(&mut self, key: &[Value], shared: Option<&Arc<[Value]>>) -> &mut (Arc<[Value]>, T) {
+        let last = self.items.len().wrapping_sub(1);
+        let slot = match (self.items.last(), shared) {
+            (Some((k, _)), Some(shared)) if Arc::ptr_eq(k, shared) => last,
+            _ => match self.slots.get(key) {
+                Some(&slot) => slot,
+                None => {
+                    let key = shared.map_or_else(|| Arc::from(key), Arc::clone);
+                    self.slots.insert(Arc::clone(&key), self.items.len());
+                    self.items.push((key, T::default()));
+                    self.items.len() - 1
+                }
+            },
         };
-        let sweep = |col: Option<usize>| -> Result<Value> {
-            match col {
-                Some(c) => tuple.value(c),
-                None => Ok(Value::Null),
-            }
-        };
-        let left_key = key(&self.shape.left_cols)?;
-        let right_key = if self.shape.left_cols == self.shape.right_cols {
-            Arc::clone(&left_key)
-        } else {
-            key(&self.shape.right_cols)?
-        };
-        Ok(Contribution {
-            left_key,
-            left_sweep: sweep(self.shape.sweep_left)?,
-            right_key,
-            right_sweep: sweep(self.shape.sweep_right)?,
-        })
+        &mut self.items[slot]
+    }
+}
+
+/// What one absorb changes in the lists of one binding role.
+#[derive(Default)]
+struct RoleChanges {
+    /// The lists to rewrite, with the entries entering each.
+    lists: Keyed<Vec<SweepEntry>>,
+    /// Which positions leave their list.  A position has one entry per
+    /// role, so whichever list is rewritten drops exactly the entries
+    /// marked here.
+    leaving: Vec<bool>,
+}
+
+impl RoleChanges {
+    fn enter(&mut self, shape: &IndexShape, key: &Arc<[Value]>, sweep: &Value, pos: usize) {
+        if shape.enters(sweep) {
+            self.lists.get(key, Some(key)).1.push(SweepEntry {
+                pos,
+                value: sweep.clone(),
+            });
+        }
     }
 
-    /// Inserts a position's entries.  NULL sweep values never satisfy an
-    /// order predicate and are excluded from sweep-bearing lists, exactly
-    /// like the build-time exclusion of [`ViolationIndex`](super::ViolationIndex).
-    fn insert_position(&mut self, pos: usize, c: &Contribution) {
-        if self.shape.sweep_op.is_none() || !c.left_sweep.is_null() {
-            let part = self.partitions.entry(Arc::clone(&c.left_key)).or_default();
-            insert_sorted(
-                &mut Arc::make_mut(part).left,
-                SweepEntry {
-                    pos,
-                    value: c.left_sweep.clone(),
-                },
-            );
+    /// Marks the entry of `pos` (one of the table's `rows` positions) as
+    /// leaving the list of `key`.
+    fn leave(&mut self, key: &Arc<[Value]>, pos: usize, rows: usize) {
+        if self.leaving.is_empty() {
+            self.leaving.resize(rows, false);
         }
-        if !self.shape.symmetric && (self.shape.sweep_op.is_none() || !c.right_sweep.is_null()) {
-            let part = self.partitions.entry(Arc::clone(&c.right_key)).or_default();
-            insert_sorted(
-                &mut Arc::make_mut(part).right,
-                SweepEntry {
-                    pos,
-                    value: c.right_sweep.clone(),
-                },
-            );
-        }
+        self.leaving[pos] = true;
+        self.lists.get(key, Some(key));
     }
 
-    /// Removes a position's entries (inverse of
-    /// [`MaintainedIndex::insert_position`]), pruning partitions that
-    /// become empty so [`MaintainedIndex::partition_count`] stays honest.
-    fn remove_position(&mut self, pos: usize, c: &Contribution) {
-        if self.shape.sweep_op.is_none() || !c.left_sweep.is_null() {
-            if let Some(part) = self.partitions.get_mut(&*c.left_key) {
-                let part = Arc::make_mut(part);
-                remove_sorted(&mut part.left, &c.left_sweep, pos);
-                if part.left.is_empty() && part.right.is_empty() {
-                    self.partitions.remove(&*c.left_key);
+    /// Rewrites every list of this role that an entry leaves or enters in
+    /// one merge pass, dropping partitions that end up empty.
+    fn apply(self, partitions: &mut HashMap<Arc<[Value]>, Arc<MaintainedPartition>>, role: Role) {
+        for (key, mut entering) in self.lists.items {
+            entering.sort_unstable_by(entry_order);
+            let slot = partitions.entry(Arc::clone(&key)).or_default();
+            match Arc::get_mut(slot) {
+                Some(part) => {
+                    let list = list_mut(part, role);
+                    *list = merge_list(std::mem::take(list).into_iter(), &self.leaving, entering);
+                }
+                None => {
+                    // Shared with another version: merge from the shared
+                    // list and copy only the other role's.
+                    let mut part = MaintainedPartition::default();
+                    *list_mut(&mut part, role) =
+                        merge_list(list(slot, role).iter().cloned(), &self.leaving, entering);
+                    *list_mut(&mut part, role.other()) = list(slot, role.other()).to_vec();
+                    *slot = Arc::new(part);
                 }
             }
-        }
-        if !self.shape.symmetric && (self.shape.sweep_op.is_none() || !c.right_sweep.is_null()) {
-            if let Some(part) = self.partitions.get_mut(&*c.right_key) {
-                let part = Arc::make_mut(part);
-                remove_sorted(&mut part.right, &c.right_sweep, pos);
-                if part.left.is_empty() && part.right.is_empty() {
-                    self.partitions.remove(&*c.right_key);
-                }
+            if slot.left.is_empty() && slot.right.is_empty() {
+                partitions.remove(&key);
             }
         }
     }
 }
 
-/// Binary-search insertion keeping the `(value, position)` order the sweep
-/// relies on.
-fn insert_sorted(list: &mut Vec<SweepEntry>, entry: SweepEntry) {
-    let at = list.partition_point(|e| (&e.value, e.pos) < (&entry.value, entry.pos));
-    list.insert(at, entry);
-}
-
-/// Binary-search removal of the entry inserted for `(value, pos)`.
-fn remove_sorted(list: &mut Vec<SweepEntry>, value: &Value, pos: usize) {
-    let at = list.partition_point(|e| (&e.value, e.pos) < (value, pos));
-    if at < list.len() && list[at].pos == pos && &list[at].value == value {
-        list.remove(at);
+/// The key of an existing partition equal to `values`, shared, or a new
+/// one.
+fn intern(
+    partitions: &HashMap<Arc<[Value]>, Arc<MaintainedPartition>>,
+    values: Vec<Value>,
+) -> Arc<[Value]> {
+    match partitions.get_key_value(values.as_slice()) {
+        Some((key, _)) => Arc::clone(key),
+        None => values.into(),
     }
 }
 
-/// The right-role probes an entry with left-role sweep value `probe` pairs
-/// with: the inverse of [`sweep_candidates`](super::sweep_candidates) —
-/// `probe op r.value` must hold, so `Lt`/`Le` select a suffix and `Gt`/`Ge`
-/// a prefix of the ascending-sorted right list.
-fn right_probes<'a>(right: &'a [SweepEntry], op: ComparisonOp, probe: &Value) -> &'a [SweepEntry] {
-    match op {
-        ComparisonOp::Lt => &right[right.partition_point(|e| e.value <= *probe)..],
-        ComparisonOp::Le => &right[right.partition_point(|e| e.value < *probe)..],
-        ComparisonOp::Gt => &right[..right.partition_point(|e| e.value < *probe)],
-        ComparisonOp::Ge => &right[..right.partition_point(|e| e.value <= *probe)],
-        // Equality operators never become sweep predicates.
-        ComparisonOp::Eq | ComparisonOp::Neq => right,
+fn list(part: &MaintainedPartition, role: Role) -> &[SweepEntry] {
+    match role {
+        Role::Left => &part.left,
+        Role::Right => &part.right,
     }
 }
 
+fn list_mut(part: &mut MaintainedPartition, role: Role) -> &mut Vec<SweepEntry> {
+    match role {
+        Role::Left => &mut part.left,
+        Role::Right => &mut part.right,
+    }
+}
+
+/// One merge pass over a sorted list: drops the entries whose position is
+/// marked in `leaving` and merges the sorted `entering` entries in.
+fn merge_list(
+    old: impl ExactSizeIterator<Item = SweepEntry>,
+    leaving: &[bool],
+    entering: Vec<SweepEntry>,
+) -> Vec<SweepEntry> {
+    let mut out = Vec::with_capacity(old.len() + entering.len());
+    let mut entering = entering.into_iter().peekable();
+    for e in old {
+        if leaving.get(e.pos).copied().unwrap_or(false) {
+            continue;
+        }
+        while let Some(n) = entering.next_if(|n| entry_order(n, &e) == Ordering::Less) {
+            out.push(n);
+        }
+        out.push(e);
+    }
+    out.extend(entering);
+    out
+}
+
+/// Resolves a normalized sweep predicate into `(op, t1 column, t2 column)`.
+fn resolve_sweep(schema: &Schema, pred: &DcPredicate) -> Result<(ComparisonOp, usize, usize)> {
+    let (
+        Operand::Attr {
+            tuple: 0,
+            column: lc,
+        },
+        Operand::Attr {
+            tuple: 1,
+            column: rc,
+        },
+    ) = (&pred.left, &pred.right)
+    else {
+        return Err(DaisyError::Plan(format!(
+            "sweep predicate `{pred}` is not a normalized cross-tuple comparison"
+        )));
+    };
+    Ok((pred.op, schema.index_of(lc)?, schema.index_of(rc)?))
+}
 #[cfg(test)]
 mod tests {
-    use super::super::ViolationIndex;
+    use super::super::tests::candidate_bindings;
     use super::*;
     use daisy_common::{DataType, Schema, TupleId};
     use daisy_exec::ExecContext;
@@ -574,24 +852,23 @@ mod tests {
         canonicalize_violations(expected)
     }
 
-    /// The rebuild-everything baseline: a fresh [`ViolationIndex`] swept
-    /// with the Δ admit filter.
+    /// The rebuild-everything baseline: the brute-force violations among
+    /// pairs touching the delta rows, and the brute-force count of the
+    /// candidate bindings a sweep admits with the filter `i ∈ Δ ∨ j ∈ Δ`.
     fn rebuild_baseline(
         table: &Table,
         constraint: &DenialConstraint,
         delta_positions: &[usize],
     ) -> (Vec<Violation>, usize) {
-        let plan = constraint.index_plan().unwrap();
-        let index =
-            ViolationIndex::build(&ctx(), table.schema(), constraint, &plan, table.tuples())
-                .unwrap();
         let in_delta: HashSet<usize> = delta_positions.iter().copied().collect();
-        let (found, pairs) = index
-            .sweep_detect(&ctx(), table.schema(), table.tuples(), |i, j| {
-                in_delta.contains(&i) || in_delta.contains(&j)
-            })
-            .unwrap();
-        (canonicalize_violations(found), pairs)
+        let ids: HashSet<TupleId> = delta_positions
+            .iter()
+            .map(|&p| table.tuples()[p].id)
+            .collect();
+        let pairs = candidate_bindings(table.schema(), table.tuples(), constraint, |i, j| {
+            in_delta.contains(&i) || in_delta.contains(&j)
+        });
+        (delta_oracle(table, constraint, &ids), pairs)
     }
 
     #[test]

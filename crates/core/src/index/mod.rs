@@ -9,47 +9,49 @@
 //!
 //! 1. **Hash-equality partitioning** — the cross-tuple equality predicates
 //!    of the constraint form a composite key
-//!    ([`DenialConstraint::index_plan`]); tuples are hash-partitioned on it
-//!    (in parallel, via the order-preserving
-//!    [`par_group_by_sharded`](daisy_exec::par_group_by_sharded)), so a
-//!    candidate pair must share a partition.
+//!    ([`DenialConstraint::index_plan`]); tuples are hash-partitioned on it,
+//!    so a candidate pair must share a partition.
 //! 2. **Sort-based inequality sweep** — within each partition, one order
 //!    predicate (`t1.a < t2.a`, …) is satisfied by sorting the members on
 //!    the sweep attribute and enumerating only the order-compatible pairs
 //!    (an order-statistics prefix/suffix per probe, found by binary search).
 //! 3. **Residual predicates** — everything else (same-tuple atoms, constants,
 //!    cross-tuple `≠`) is resolved once to column ordinals
-//!    ([`ResolvedPredicate`]) and evaluated per surviving candidate pair.
+//!    ([`ResolvedPredicate`](daisy_expr::ResolvedPredicate)) and evaluated
+//!    per surviving candidate pair.
 //!
 //! For an equality-bearing DC over `n` tuples with `d` distinct keys this
 //! enumerates `O(n·n/d)` candidates after an `O(n log n)` build instead of
 //! the pairwise `O(n²)` — the difference the `bench_detection` harness
 //! records in `BENCH_detection.json`.
 //!
-//! Everything here is deterministic for any worker count: partitions are
-//! processed in sorted key order, per-partition scans are order-preserving,
-//! and callers canonicalise the emitted violations with
-//! [`canonicalize_violations`].  The same guarantees back the two reusable
-//! building blocks the rest of the crate consumes:
+//! There is one index type, [`MaintainedIndex`]: the world keeps one per
+//! `(table, rule)`, absorbs every write into it, and both the θ-matrix
+//! check and streaming ingest enumerate candidates through its kernel.
+//!
+//! Everything here is deterministic for any worker count: the kernel merges
+//! its morsels in probe order, and callers canonicalise the emitted
+//! violations with [`canonicalize_violations`].  The same guarantees back
+//! the two reusable building blocks the rest of the crate consumes:
 //!
 //! * [`partition_by_key`] — the parallel fallible key-partitioning stage,
-//!   also used by `cleanσ` for FD violation grouping,
+//!   used by `cleanσ` for FD violation grouping,
 //! * [`id_index`] — the tuple-id lookup index used by the candidate-range
 //!   repair path to resolve the tuples of a violation.
 
 mod maintained;
 
 pub use maintained::MaintainedIndex;
+pub(crate) use maintained::Probes;
+#[cfg(test)]
+pub(crate) use maintained::BUILDS;
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use daisy_common::{DaisyError, Result, RuleId, Schema, TupleId, Value};
+use daisy_common::{Result, Schema, TupleId};
 use daisy_exec::ExecContext;
-use daisy_expr::{
-    resolve_predicates, ComparisonOp, DcPredicate, DenialConstraint, IndexPlan, Operand,
-    ResolvedPredicate, Violation,
-};
+use daisy_expr::{DenialConstraint, IndexPlan, Violation};
 use daisy_storage::Tuple;
 
 /// Partitions `items` by a fallible key function, in parallel: keys are
@@ -100,440 +102,44 @@ pub fn canonicalize_violations(mut violations: Vec<Violation>) -> Vec<Violation>
     violations
 }
 
-/// One member of a sweep partition: a tuple position plus its sweep-attribute
-/// value (NULL when the plan has no sweep predicate).
+/// A [`MaintainedIndex`] over a bare tuple slice, built for one detection
+/// pass.  It exists for the benchmark package, whose probes time `build`
+/// and `detect` on a tuple slice; every other caller uses
+/// [`MaintainedIndex`] directly.
 #[derive(Debug, Clone)]
-struct SweepEntry {
-    pos: usize,
-    value: Value,
-}
-
-/// One hash-equality partition, with members sorted on the sweep attribute.
-///
-/// `left` holds the positions whose *left-role* key (tuple-1 columns of the
-/// plan) equals the partition key, sorted by the sweep predicate's left
-/// attribute; `right` symmetrically for the tuple-2 role.  For symmetric
-/// plans (same key columns, same sweep column) the member lists coincide
-/// and `right` is `None`, sharing `left` instead of storing a copy.
-#[derive(Debug, Clone)]
-struct SweepPartition {
-    left: Vec<SweepEntry>,
-    right: Option<Vec<SweepEntry>>,
-}
-
-impl SweepPartition {
-    fn right(&self) -> &[SweepEntry] {
-        self.right.as_deref().unwrap_or(&self.left)
-    }
-}
-
-/// The violation index of one two-tuple denial constraint over one tuple
-/// slice: hash partitions on the equality key, each sorted for the
-/// inequality sweep, plus the residual predicates resolved once to column
-/// ordinals (see the module docs for the algorithm).
-///
-/// The index is built against a specific `tuples` slice; detection must be
-/// run with the same slice (positions are slice indices).
-#[derive(Debug, Clone)]
-pub struct ViolationIndex {
-    rule: RuleId,
-    sweep_op: Option<ComparisonOp>,
-    partitions: Vec<SweepPartition>,
-    residual: Vec<ResolvedPredicate>,
-}
+pub struct ViolationIndex(MaintainedIndex);
 
 impl ViolationIndex {
-    /// Builds the index for `constraint` (whose plan is `plan`) over all of
-    /// `tuples`, partitioning and sorting in parallel on `ctx`.
+    /// Builds the index over all of `tuples` ([`MaintainedIndex::build`]
+    /// without a table); `_ctx` keeps the benchmark's call shape.
     pub fn build(
-        ctx: &ExecContext,
+        _ctx: &ExecContext,
         schema: &Schema,
         constraint: &DenialConstraint,
         plan: &IndexPlan,
         tuples: &[Tuple],
     ) -> Result<ViolationIndex> {
-        let all: Vec<usize> = (0..tuples.len()).collect();
-        ViolationIndex::build_over(ctx, schema, constraint, plan, tuples, &all)
+        MaintainedIndex::over_tuples(schema, constraint, plan, tuples, |_| true).map(ViolationIndex)
     }
 
-    /// Builds the index over a subset of `tuples` given by `positions`
-    /// (ascending slice indices).  Incremental checks use this to index only
-    /// the tuples of the blocks still under consideration, so a range check
-    /// against a mostly-checked matrix pays for its submatrix rather than
-    /// the whole table.
-    pub fn build_over(
-        ctx: &ExecContext,
-        schema: &Schema,
-        constraint: &DenialConstraint,
-        plan: &IndexPlan,
-        tuples: &[Tuple],
-        positions: &[usize],
-    ) -> Result<ViolationIndex> {
-        let left_cols: Vec<usize> = plan
-            .key
-            .iter()
-            .map(|(l, _)| schema.index_of(l))
-            .collect::<Result<_>>()?;
-        let right_cols: Vec<usize> = plan
-            .key
-            .iter()
-            .map(|(_, r)| schema.index_of(r))
-            .collect::<Result<_>>()?;
-        let sweep = plan
-            .sweep
-            .as_ref()
-            .map(|pred| resolve_sweep(schema, pred))
-            .transpose()?;
-        let (sweep_op, sweep_left, sweep_right) = match sweep {
-            Some((op, l, r)) => (Some(op), Some(l), Some(r)),
-            None => (None, None, None),
-        };
-        // Same key columns and same (or no) sweep column ⇒ the two binding
-        // roles have identical member lists; build them once.
-        let symmetric = left_cols == right_cols && sweep_left == sweep_right;
-        let roles = BuildRoles {
-            left_cols: &left_cols,
-            right_cols: &right_cols,
-            sweep_left,
-            sweep_right,
-            symmetric,
-        };
-        Ok(ViolationIndex {
-            rule: constraint.id,
-            sweep_op,
-            partitions: build_partitions(ctx, tuples, positions, &roles)?,
-            residual: resolve_predicates(&plan.residual, schema)?,
-        })
-    }
-
-    /// Number of hash-equality partitions that can produce candidate pairs.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Emits the violating bindings among the candidate pairs admitted by
-    /// `admit` (a positional predicate; [`ThetaMatrix`](crate::theta)
-    /// restricts it to not-yet-checked block pairs).  Returns the violations
-    /// in a deterministic discovery order — callers canonicalise with
-    /// [`canonicalize_violations`] — plus the number of candidate bindings
-    /// that were residual-checked.  The residual predicates were resolved
-    /// against the build schema, so `_schema` is only kept for call-site
-    /// symmetry with the build.
-    ///
-    /// Partitions are scanned in parallel on `ctx`; per-partition results
-    /// are merged in partition order, so the output is identical for every
-    /// worker count.
-    pub fn sweep_detect<F>(
+    /// Full detection with canonical output ([`MaintainedIndex::detect`]).
+    pub fn detect(
         &self,
         ctx: &ExecContext,
         _schema: &Schema,
         tuples: &[Tuple],
-        admit: F,
-    ) -> Result<(Vec<Violation>, usize)>
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        self.run_sweep(ctx, tuples, &admit)
-    }
-
-    /// Drives the partition sweep: sequentially at one worker, otherwise as
-    /// **skew-sharded morsel tasks** — per-probe candidate weights cut the
-    /// flat outer-position space into morsels of roughly equal candidate
-    /// mass ([`daisy_exec::weighted_ranges`]), so one giant hash-equality
-    /// partition is split across several stealable tasks while runs of tiny
-    /// partitions are packed into one.  Task outputs are merged in task
-    /// order, which equals the sequential enumeration order, so violations
-    /// **and** the pair counter are byte-identical for every worker count
-    /// and morsel granularity.
-    fn run_sweep<F>(
-        &self,
-        ctx: &ExecContext,
-        tuples: &[Tuple],
-        admit: &F,
-    ) -> Result<(Vec<Violation>, usize)>
-    where
-        F: Fn(usize, usize) -> bool + Sync,
-    {
-        if ctx.workers() == 1 {
-            let mut found = Vec::new();
-            let mut pairs = 0usize;
-            for part in &self.partitions {
-                let outer = match self.sweep_op {
-                    Some(_) => part.right().len(),
-                    None => part.left.len(),
-                };
-                self.scan_partition(tuples, part, 0..outer, admit, &mut found, &mut pairs)?;
-            }
-            return Ok((found, pairs));
-        }
-        let tasks = self.skew_tasks(ctx);
-        let partials = daisy_exec::try_run_tasks(ctx, &tasks, |segments| {
-            let mut found = Vec::new();
-            let mut pairs = 0usize;
-            for &(p, start, end) in segments {
-                self.scan_partition(
-                    tuples,
-                    &self.partitions[p],
-                    start..end,
-                    admit,
-                    &mut found,
-                    &mut pairs,
-                )?;
-            }
-            if let Some(counters) = ctx.morsel_counters() {
-                counters.record_work(pairs as u64);
-            }
-            Ok::<_, DaisyError>((found, pairs))
-        })?;
-        let mut violations = Vec::new();
-        let mut pairs = 0usize;
-        for (found, count) in partials {
-            violations.extend(found);
-            pairs += count;
-        }
-        Ok((violations, pairs))
-    }
-
-    /// Cuts the sweep into weighted morsel tasks.  Each task is a list of
-    /// `(partition, outer_start, outer_end)` segments over the flat
-    /// outer-position space (right-role probes under a sweep, left members
-    /// otherwise), weighted per position by its candidate count (`+1` for
-    /// the probe itself), so cuts land where the candidate mass is: a
-    /// skewed partition's sweep is split mid-partition across several
-    /// stealable tasks instead of pinning one worker.
-    fn skew_tasks(&self, ctx: &ExecContext) -> Vec<Vec<(usize, usize, usize)>> {
-        let mut weights: Vec<u64> = Vec::new();
-        let mut owner: Vec<(usize, usize)> = Vec::new();
-        for (p, part) in self.partitions.iter().enumerate() {
-            match self.sweep_op {
-                Some(op) => {
-                    for (o, probe) in part.right().iter().enumerate() {
-                        let candidates = sweep_candidates(&part.left, op, &probe.value).len();
-                        weights.push(candidates as u64 + 1);
-                        owner.push((p, o));
-                    }
-                }
-                None => {
-                    let inner = part.right().len() as u64;
-                    for o in 0..part.left.len() {
-                        weights.push(inner + 1);
-                        owner.push((p, o));
-                    }
-                }
-            }
-        }
-        daisy_exec::weighted_ranges(&weights, ctx.morsel_count(weights.len()))
-            .into_iter()
-            .map(|(start, end)| {
-                let mut segments: Vec<(usize, usize, usize)> = Vec::new();
-                for &(p, o) in &owner[start..end] {
-                    match segments.last_mut() {
-                        Some(seg) if seg.0 == p && seg.2 == o => seg.2 = o + 1,
-                        _ => segments.push((p, o, o + 1)),
-                    }
-                }
-                segments
-            })
-            .collect()
-    }
-
-    /// Full detection over the whole index with canonical output — the
-    /// standalone entry point used by benches and differential tests.
-    pub fn detect(
-        &self,
-        ctx: &ExecContext,
-        schema: &Schema,
-        tuples: &[Tuple],
     ) -> Result<(Vec<Violation>, usize)> {
-        let (violations, pairs) = self.sweep_detect(ctx, schema, tuples, |_, _| true)?;
-        Ok((canonicalize_violations(violations), pairs))
+        self.0.detect(ctx, tuples)
     }
-
-    /// Enumerates one partition's candidate bindings for the outer
-    /// positions in `outer` — all left×right pairs when the plan has no
-    /// sweep predicate (outer = left members), otherwise, per right-role
-    /// probe, the order-statistics prefix/suffix of the sorted left-role
-    /// members that satisfies the sweep — and residual-checks each admitted
-    /// binding.  `pairs` counts residual-checked bindings.  Restricting
-    /// `outer` is what lets [`ViolationIndex::skew_tasks`] split one skewed
-    /// partition across several morsels: concatenating range scans in order
-    /// equals the full scan.
-    fn scan_partition<F>(
-        &self,
-        tuples: &[Tuple],
-        part: &SweepPartition,
-        outer: std::ops::Range<usize>,
-        admit: &F,
-        out: &mut Vec<Violation>,
-        pairs: &mut usize,
-    ) -> Result<()>
-    where
-        F: Fn(usize, usize) -> bool,
-    {
-        let mut check = |i: usize, j: usize| -> Result<()> {
-            if i == j || !admit(i, j) {
-                return Ok(());
-            }
-            *pairs += 1;
-            if residual_holds(&self.residual, [&tuples[i], &tuples[j]])? {
-                out.push(Violation::pair(self.rule, tuples[i].id, tuples[j].id));
-            }
-            Ok(())
-        };
-        match self.sweep_op {
-            None => {
-                for l in &part.left[outer] {
-                    for r in part.right() {
-                        check(l.pos, r.pos)?;
-                    }
-                }
-            }
-            Some(op) => {
-                for r in &part.right()[outer] {
-                    for l in sweep_candidates(&part.left, op, &r.value) {
-                        check(l.pos, r.pos)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `true` when every residual predicate holds for the binding `(t1, t2)`.
-fn residual_holds(residual: &[ResolvedPredicate], binding: [&Tuple; 2]) -> Result<bool> {
-    for pred in residual {
-        if !pred.eval(binding)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// The resolved column roles of an index build.
-struct BuildRoles<'a> {
-    left_cols: &'a [usize],
-    right_cols: &'a [usize],
-    sweep_left: Option<usize>,
-    sweep_right: Option<usize>,
-    symmetric: bool,
-}
-
-/// Builds the partition/sweep structure of the index over `positions`:
-/// tuples are hash-partitioned on each role's (possibly composite) equality
-/// key and every partition's members are sorted on the sweep attribute.
-fn build_partitions(
-    ctx: &ExecContext,
-    tuples: &[Tuple],
-    positions: &[usize],
-    roles: &BuildRoles<'_>,
-) -> Result<Vec<SweepPartition>> {
-    let key_of = |cols: &[usize], pos: usize| -> Result<Vec<Value>> {
-        cols.iter().map(|&c| tuples[pos].value(c)).collect()
-    };
-    // The group-by yields indices into `positions`; remap them to slice
-    // positions right away (lists stay ascending because `positions` is).
-    let remap = |groups: HashMap<Vec<Value>, Vec<usize>>| -> HashMap<Vec<Value>, Vec<usize>> {
-        groups
-            .into_iter()
-            .map(|(k, idxs)| (k, idxs.into_iter().map(|i| positions[i]).collect()))
-            .collect()
-    };
-    let left_groups = remap(partition_by_key(ctx, positions, |p| {
-        key_of(roles.left_cols, *p)
-    })?);
-    let right_groups = if roles.symmetric {
-        None
-    } else {
-        Some(remap(partition_by_key(ctx, positions, |p| {
-            key_of(roles.right_cols, *p)
-        })?))
-    };
-
-    // Only keys present in both roles can form candidate pairs; sorting
-    // the surviving keys keeps the partition order deterministic.
-    let mut keys: Vec<&Vec<Value>> = match &right_groups {
-        None => left_groups.keys().collect(),
-        Some(right) => left_groups
-            .keys()
-            .filter(|k| right.contains_key(*k))
-            .collect(),
-    };
-    keys.sort();
-
-    let entries = |members: &[usize], col: Option<usize>| -> Result<Vec<SweepEntry>> {
-        let mut out = Vec::with_capacity(members.len());
-        for &pos in members {
-            let value = match col {
-                Some(c) => tuples[pos].value(c)?,
-                None => Value::Null,
-            };
-            // Order comparisons against NULL are never satisfied, so
-            // NULL-valued members cannot participate in a sweep.
-            if col.is_some() && value.is_null() {
-                continue;
-            }
-            out.push(SweepEntry { pos, value });
-        }
-        if col.is_some() {
-            out.sort_by(|a, b| a.value.cmp(&b.value).then(a.pos.cmp(&b.pos)));
-        }
-        Ok(out)
-    };
-    let mut partitions = Vec::with_capacity(keys.len());
-    for key in keys {
-        let left = entries(&left_groups[key], roles.sweep_left)?;
-        let right = match &right_groups {
-            None => None,
-            Some(right) => Some(entries(&right[key], roles.sweep_right)?),
-        };
-        partitions.push(SweepPartition { left, right });
-    }
-    Ok(partitions)
-}
-
-/// The contiguous slice of ascending-sorted left-role members whose sweep
-/// value satisfies `value_left op probe` for a right-role probe value.
-fn sweep_candidates<'a>(
-    left: &'a [SweepEntry],
-    op: ComparisonOp,
-    probe: &Value,
-) -> &'a [SweepEntry] {
-    match op {
-        ComparisonOp::Lt => &left[..left.partition_point(|e| e.value < *probe)],
-        ComparisonOp::Le => &left[..left.partition_point(|e| e.value <= *probe)],
-        ComparisonOp::Gt => &left[left.partition_point(|e| e.value <= *probe)..],
-        ComparisonOp::Ge => &left[left.partition_point(|e| e.value < *probe)..],
-        // Equality operators never become sweep predicates.
-        ComparisonOp::Eq | ComparisonOp::Neq => left,
-    }
-}
-
-/// Resolves a normalized sweep predicate into `(op, t1 column, t2 column)`.
-fn resolve_sweep(schema: &Schema, pred: &DcPredicate) -> Result<(ComparisonOp, usize, usize)> {
-    let (
-        Operand::Attr {
-            tuple: 0,
-            column: lc,
-        },
-        Operand::Attr {
-            tuple: 1,
-            column: rc,
-        },
-    ) = (&pred.left, &pred.right)
-    else {
-        return Err(DaisyError::Plan(format!(
-            "sweep predicate `{pred}` is not a normalized cross-tuple comparison"
-        )));
-    };
-    Ok((pred.op, schema.index_of(lc)?, schema.index_of(rc)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_common::{DataType, Schema};
+    use daisy_common::{DaisyError, DataType, RuleId, Schema, Value};
+    use daisy_expr::Operand;
     use daisy_storage::Table;
+    use std::collections::HashSet;
 
     fn ctx() -> ExecContext {
         ExecContext::new(4)
@@ -565,6 +171,95 @@ mod tests {
             }
         }
         canonicalize_violations(expected)
+    }
+
+    /// Brute-force count of the candidate bindings the kernel
+    /// residual-checks: directed pairs of distinct positions whose
+    /// equality keys are equal and whose sweep predicate holds on non-NULL
+    /// values, among those `admit` accepts.
+    pub(super) fn candidate_bindings(
+        schema: &Schema,
+        tuples: &[Tuple],
+        dc: &DenialConstraint,
+        admit: impl Fn(usize, usize) -> bool,
+    ) -> usize {
+        let plan = dc.index_plan().unwrap();
+        let key: Vec<(usize, usize)> = plan
+            .key
+            .iter()
+            .map(|(l, r)| (schema.index_of(l).unwrap(), schema.index_of(r).unwrap()))
+            .collect();
+        let sweep = plan
+            .sweep
+            .as_ref()
+            .map(|pred| match (&pred.left, &pred.right) {
+                (Operand::Attr { column: l, .. }, Operand::Attr { column: r, .. }) => (
+                    pred.op,
+                    schema.index_of(l).unwrap(),
+                    schema.index_of(r).unwrap(),
+                ),
+                _ => panic!("sweep predicates compare two attributes"),
+            });
+        let value = |pos: usize, col: usize| tuples[pos].value(col).unwrap();
+        let mut count = 0;
+        for i in 0..tuples.len() {
+            for j in 0..tuples.len() {
+                let keys_equal = key.iter().all(|&(l, r)| value(i, l) == value(j, r));
+                let sweeps = sweep.is_none_or(|(op, l, r)| {
+                    let (a, b) = (value(i, l), value(j, r));
+                    !a.is_null() && !b.is_null() && op.eval(&a, &b)
+                });
+                if i != j && keys_equal && sweeps && admit(i, j) {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
+    /// Full detection over a fresh index of `table`, with the pair count
+    /// checked against the brute-force candidate counter.
+    fn detect(table: &Table, dc: &DenialConstraint, workers: usize) -> (Vec<Violation>, usize) {
+        let plan = dc.index_plan().unwrap();
+        let index = MaintainedIndex::build(table.schema(), dc, &plan, table).unwrap();
+        let (found, pairs) = index
+            .detect(&ExecContext::new(workers), table.tuples())
+            .unwrap();
+        let expected = candidate_bindings(table.schema(), table.tuples(), dc, |_, _| true);
+        assert_eq!(pairs, expected, "candidate enumeration");
+        (found, pairs)
+    }
+
+    /// Detection over an index whose partitions hold only `positions`,
+    /// probed by exactly those positions: the subset's own violations, with
+    /// the pair count checked against the brute-force counter.
+    fn detect_subset(table: &Table, dc: &DenialConstraint, positions: &[usize]) -> Vec<Violation> {
+        let plan = dc.index_plan().unwrap();
+        let subset: HashSet<usize> = positions.iter().copied().collect();
+        let index = MaintainedIndex::over_tuples(table.schema(), dc, &plan, table.tuples(), |p| {
+            subset.contains(&p)
+        })
+        .unwrap();
+        let (found, pairs) = index
+            .enumerate(
+                &ctx(),
+                table.tuples(),
+                Probes::Members(&|_| true),
+                |_, _| true,
+            )
+            .unwrap();
+        let expected = candidate_bindings(table.schema(), table.tuples(), dc, |i, j| {
+            subset.contains(&i) && subset.contains(&j)
+        });
+        assert_eq!(pairs, expected, "candidate enumeration");
+        let ids: HashSet<TupleId> = positions.iter().map(|&p| table.tuples()[p].id).collect();
+        let oracle: Vec<Violation> = oracle(table, dc)
+            .into_iter()
+            .filter(|v| v.tuples.iter().all(|t| ids.contains(t)))
+            .collect();
+        let found = canonicalize_violations(found);
+        assert_eq!(found, oracle);
+        found
     }
 
     #[test]
@@ -611,12 +306,9 @@ mod tests {
         )
         .unwrap();
         let plan = dc.index_plan().unwrap();
-        let index =
-            ViolationIndex::build(&ctx(), table.schema(), &dc, &plan, table.tuples()).unwrap();
+        let index = MaintainedIndex::build(table.schema(), &dc, &plan, &table).unwrap();
         assert_eq!(index.partition_count(), 5);
-        let (found, pairs) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
+        let (found, pairs) = detect(&table, &dc, 4);
         let expected = oracle(&table, &dc);
         assert_eq!(found, expected);
         assert!(!found.is_empty());
@@ -631,13 +323,8 @@ mod tests {
         let table = emp_table(rows);
         let dc =
             DenialConstraint::parse("fd", "t1.dept = t2.dept & t1.salary != t2.salary").unwrap();
-        let plan = dc.index_plan().unwrap();
-        assert!(plan.sweep.is_none());
-        let index =
-            ViolationIndex::build(&ctx(), table.schema(), &dc, &plan, table.tuples()).unwrap();
-        let (found, _) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
+        assert!(dc.index_plan().unwrap().sweep.is_none());
+        let (found, _) = detect(&table, &dc, 4);
         assert_eq!(found, oracle(&table, &dc));
         assert_eq!(found.len(), 2); // tuples {0,2} × tuple 1
     }
@@ -648,12 +335,9 @@ mod tests {
         let dc = DenialConstraint::parse("phi", "t1.salary < t2.salary & t1.tax > t2.tax").unwrap();
         let plan = dc.index_plan().unwrap();
         assert!(!plan.has_equality_key());
-        let index =
-            ViolationIndex::build(&ctx(), table.schema(), &dc, &plan, table.tuples()).unwrap();
+        let index = MaintainedIndex::build(table.schema(), &dc, &plan, &table).unwrap();
         assert_eq!(index.partition_count(), 1);
-        let (found, _) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
+        let (found, _) = detect(&table, &dc, 4);
         assert_eq!(found, oracle(&table, &dc));
         assert_eq!(found.len(), 1);
     }
@@ -669,30 +353,10 @@ mod tests {
             "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
         )
         .unwrap();
-        let plan = dc.index_plan().unwrap();
         // Index only the even positions: detection must equal the oracle
         // restricted to pairs of even-position tuples.
         let positions: Vec<usize> = (0..40).step_by(2).collect();
-        let index = ViolationIndex::build_over(
-            &ctx(),
-            table.schema(),
-            &dc,
-            &plan,
-            table.tuples(),
-            &positions,
-        )
-        .unwrap();
-        let (found, _) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
-        let subset_ids: std::collections::HashSet<_> =
-            positions.iter().map(|&p| table.tuples()[p].id).collect();
-        let expected: Vec<Violation> = oracle(&table, &dc)
-            .into_iter()
-            .filter(|v| v.tuples.iter().all(|t| subset_ids.contains(t)))
-            .collect();
-        assert_eq!(found, expected);
-        assert!(!found.is_empty());
+        assert!(!detect_subset(&table, &dc, &positions).is_empty());
     }
 
     #[test]
@@ -706,16 +370,9 @@ mod tests {
             "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
         )
         .unwrap();
-        let plan = dc.index_plan().unwrap();
-        let run = |workers: usize| {
-            let c = ExecContext::new(workers);
-            let index =
-                ViolationIndex::build(&c, table.schema(), &dc, &plan, table.tuples()).unwrap();
-            index.detect(&c, table.schema(), table.tuples()).unwrap()
-        };
-        let baseline = run(1);
+        let baseline = detect(&table, &dc, 1);
         for workers in [2, 4, 7] {
-            assert_eq!(run(workers), baseline);
+            assert_eq!(detect(&table, &dc, workers), baseline);
         }
     }
 
@@ -746,12 +403,7 @@ mod tests {
             "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax",
         )
         .unwrap();
-        let plan = dc.index_plan().unwrap();
-        let index =
-            ViolationIndex::build(&ctx(), table.schema(), &dc, &plan, table.tuples()).unwrap();
-        let (found, _) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
+        let (found, _) = detect(&table, &dc, 4);
         assert_eq!(found, oracle(&table, &dc));
         // The NULL-dept pair (100, 0.9) vs (200, 0.1) violates.
         assert_eq!(found.len(), 1);
@@ -795,12 +447,7 @@ mod tests {
             "t1.dept = t2.dept & t1.salary < t2.salary & t1.tax > t2.tax & t1.tax > 0.5",
         )
         .unwrap();
-        let plan = dc.index_plan().unwrap();
-        let index =
-            ViolationIndex::build(&ctx(), table.schema(), &dc, &plan, table.tuples()).unwrap();
-        let (found, _) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
+        let (found, _) = detect(&table, &dc, 4);
         assert_eq!(found, oracle(&table, &dc));
         assert!(!found.is_empty());
     }
@@ -829,28 +476,8 @@ mod tests {
             "t1.city = t2.city & t1.salary < t2.salary & t1.tax > t2.tax",
         )
         .unwrap();
-        let plan = dc.index_plan().unwrap();
         let positions: Vec<usize> = (0..50).step_by(3).collect();
-        let index = ViolationIndex::build_over(
-            &ctx(),
-            table.schema(),
-            &dc,
-            &plan,
-            table.tuples(),
-            &positions,
-        )
-        .unwrap();
-        let (found, _) = index
-            .detect(&ctx(), table.schema(), table.tuples())
-            .unwrap();
-        let subset_ids: std::collections::HashSet<_> =
-            positions.iter().map(|&p| table.tuples()[p].id).collect();
-        let expected: Vec<Violation> = oracle(&table, &dc)
-            .into_iter()
-            .filter(|v| v.tuples.iter().all(|t| subset_ids.contains(t)))
-            .collect();
-        assert_eq!(found, expected);
-        assert!(!found.is_empty());
+        assert!(!detect_subset(&table, &dc, &positions).is_empty());
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! its result's value range and the unseen part of the dataset (Fig. 1 and
 //! Fig. 2 of the paper).
 //!
-//! Within a check, candidate pairs are enumerated by the hash-equality /
-//! sort-sweep scan of [`crate::index::ViolationIndex`], restricted to the
-//! not-yet-checked block pairs that survive pruning.  A matrix exists only
-//! for rules with an index plan (two quantified tuples); that shape is the
-//! only choice the engine makes about detection.
+//! Within a check, candidate pairs are enumerated by the kernel of the
+//! world's [`MaintainedIndex`] for the rule — the same index streaming
+//! ingest detects against — probed by the members of the not-yet-checked
+//! blocks and restricted to the block pairs that survive pruning.  A matrix
+//! exists only for rules with an index plan (two quantified tuples); that
+//! shape is the only choice the engine makes about detection.
 
 use std::collections::{HashMap, HashSet};
 
@@ -29,7 +30,7 @@ use daisy_exec::ExecContext;
 use daisy_expr::{DenialConstraint, IndexPlan, Operand, Violation};
 use daisy_storage::Tuple;
 
-use crate::index::{canonicalize_violations, ViolationIndex};
+use crate::index::{canonicalize_violations, MaintainedIndex, Probes};
 
 /// Per-block bounds of one attribute.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +99,15 @@ impl ThetaCheckStats {
         self.blocks_pruned += other.blocks_pruned;
         self.pairs_compared += other.pairs_compared;
     }
+}
+
+/// Where a check enumerates its candidate bindings.
+enum Candidates<'a> {
+    /// The world's maintained index of the rule.
+    Maintained(&'a MaintainedIndex),
+    /// A fresh index over the check's active blocks, resolved against this
+    /// schema.
+    Fresh(&'a Schema),
 }
 
 /// The partitioned cartesian-product matrix of one table under one DC.
@@ -275,8 +285,40 @@ impl ThetaMatrix {
         Ok(self.dc_columns[idx])
     }
 
-    /// Checks the whole upper-diagonal matrix (full cleaning).  Violations
-    /// are returned in canonical (sorted tuple id) form, de-duplicated.
+    /// Checks the whole upper-diagonal matrix (full cleaning) against
+    /// `index`, the maintained violation index of this rule over `tuples`.
+    /// Violations are returned in canonical (sorted tuple id) form,
+    /// de-duplicated.
+    pub fn sweep_all(
+        &mut self,
+        ctx: &ExecContext,
+        index: &MaintainedIndex,
+        tuples: &[Tuple],
+    ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
+        let rows: Vec<usize> = (0..self.blocks.len()).collect();
+        self.check_blocks(ctx, Candidates::Maintained(index), tuples, &rows)
+    }
+
+    /// Incrementally checks the sub-matrix relevant to a query whose result
+    /// spans `[low, high]` on the partition attribute against `index`: every
+    /// block pair whose row block overlaps the range and that has not been
+    /// checked before.
+    pub fn sweep_range(
+        &mut self,
+        ctx: &ExecContext,
+        index: &MaintainedIndex,
+        tuples: &[Tuple],
+        low: Option<&Value>,
+        high: Option<&Value>,
+    ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
+        let rows = self.blocks_overlapping(low, high);
+        self.check_blocks(ctx, Candidates::Maintained(index), tuples, &rows)
+    }
+
+    /// [`ThetaMatrix::sweep_all`] against a fresh index over the active
+    /// blocks of `tuples`.  It exists for the benchmark package, whose
+    /// probes time a check on a bare tuple slice; the engine sweeps the
+    /// world's maintained index.
     pub fn check_all(
         &mut self,
         ctx: &ExecContext,
@@ -284,12 +326,12 @@ impl ThetaMatrix {
         tuples: &[Tuple],
     ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
         let rows: Vec<usize> = (0..self.blocks.len()).collect();
-        self.check_blocks(ctx, schema, tuples, &rows)
+        self.check_blocks(ctx, Candidates::Fresh(schema), tuples, &rows)
     }
 
-    /// Incrementally checks the sub-matrix relevant to a query whose result
-    /// spans `[low, high]` on the partition attribute: every block pair whose
-    /// row block overlaps the range and that has not been checked before.
+    /// [`ThetaMatrix::sweep_range`] against a fresh index over the active
+    /// blocks of `tuples`; like [`ThetaMatrix::check_all`], it exists for
+    /// the benchmark package.
     pub fn check_range(
         &mut self,
         ctx: &ExecContext,
@@ -299,18 +341,18 @@ impl ThetaMatrix {
         high: Option<&Value>,
     ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
         let rows = self.blocks_overlapping(low, high);
-        self.check_blocks(ctx, schema, tuples, &rows)
+        self.check_blocks(ctx, Candidates::Fresh(schema), tuples, &rows)
     }
 
     /// Checks the not-yet-checked block pairs reachable from `rows`: one
-    /// hash-equality / sort-sweep pass of a [`ViolationIndex`] over the
-    /// tuples of the block pairs that survive pruning, admitting only
-    /// bindings whose blocks form one of those pairs.  The index is built
-    /// per call over the active blocks only, so it always reads the
-    /// expected values earlier repairs left behind, and a range check
-    /// against a mostly-checked matrix pays for its submatrix.
+    /// pass of the violation-index kernel, probed by the members of the
+    /// blocks in some pair that survives pruning and admitting only
+    /// bindings whose blocks form one of those pairs.  Positions at or past
+    /// the matrix's extent (rows appended after it was built) belong to no
+    /// block and are never admitted.  The index reads the expected values
+    /// earlier repairs left behind, so the check does too.
     ///
-    /// The sweep merges its morsels in order and the violations are
+    /// The kernel merges its morsels in order and the violations are
     /// canonicalised by [`canonicalize_violations`], so the output is
     /// byte-identical for every worker count.  Already-checked pairs
     /// (`checked` is global state shared between incremental and full
@@ -318,7 +360,7 @@ impl ThetaMatrix {
     fn check_blocks(
         &mut self,
         ctx: &ExecContext,
-        schema: &Schema,
+        candidates: Candidates<'_>,
         tuples: &[Tuple],
         rows: &[usize],
     ) -> Result<(Vec<Violation>, ThetaCheckStats)> {
@@ -357,25 +399,30 @@ impl ThetaMatrix {
             return Ok((Vec::new(), stats));
         }
         // Only tuples of a block in some surviving pair can appear in an
-        // admitted binding; index just those.
-        let mut positions: Vec<usize> = (0..side)
-            .filter(|&b| active[b])
-            .flat_map(|b| self.blocks[b].members.iter().copied())
-            .collect();
-        positions.sort_unstable();
-        let index = ViolationIndex::build_over(
-            ctx,
-            schema,
-            &self.constraint,
-            &self.plan,
-            tuples,
-            &positions,
-        )?;
+        // admitted binding; they are the probes.
         let block_of = &self.block_of;
-        let (violations, pairs) = index.sweep_detect(ctx, schema, tuples, |i, j| {
-            let (a, b) = (block_of[i], block_of[j]);
-            allowed[a.min(b) * side + a.max(b)]
-        })?;
+        let is_active = |p: usize| block_of.get(p).is_some_and(|&b| active[b]);
+        let fresh;
+        let index = match candidates {
+            Candidates::Maintained(index) => index,
+            Candidates::Fresh(schema) => {
+                fresh = MaintainedIndex::over_tuples(
+                    schema,
+                    &self.constraint,
+                    &self.plan,
+                    tuples,
+                    is_active,
+                )?;
+                &fresh
+            }
+        };
+        let (violations, pairs) =
+            index.enumerate(ctx, tuples, Probes::Members(&is_active), |i, j| {
+                match (block_of.get(i), block_of.get(j)) {
+                    (Some(&a), Some(&b)) => allowed[a.min(b) * side + a.max(b)],
+                    _ => false,
+                }
+            })?;
         stats.pairs_compared = pairs;
         self.checked.extend(keys);
         Ok((canonicalize_violations(violations), stats))

@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | table (`Arc<Table>` in the catalog) | the table | the row *table* — one `(id, cells pointer, lineage)` record per row, no cell — then the cells of each row it updates ([`Cells`](daisy_storage::Cells)), once per row; the id index only for appends |
 //! | provenance ([`ProvenanceStore`] handle) | the key map and every entry | the key map (pointers) and the entry recorded — *inside the recording call*; a pass that records nothing leaves the handle pointer-equal |
-//! //! | violation index (`Arc<MaintainedIndex>`) | every partition, every row's contribution, the plan shape | the two pointer tables, then only the partitions a delta row leaves or enters |
+//! | violation index (`Arc<MaintainedIndex>`), shared by θ-checks and ingest | every partition, every 256-row chunk of row contributions, the plan shape | the pointer tables, then only the partitions a delta row leaves or enters and the chunks of the rows it touches |
 //! | FD index, θ-matrix (`Arc`) | the whole structure | FD indexes are immutable once built; a θ-matrix is copied by the first check that marks blocks |
 //! | constraints (`Arc<ConstraintSet>`) | the set | the set, when a rule is registered |
 //!
@@ -82,9 +82,9 @@ pub struct WorldState {
     pub(crate) trackers: HashMap<RuleKey, CostTracker>,
     /// (table, rule) pairs already cleaned in full.
     pub(crate) fully_cleaned: HashSet<RuleKey>,
-    /// Maintained violation indexes per (table, rule), absorbed delta by
-    /// delta and rebuilt when stale — the streaming
-    /// ingest path detects against these instead of rebuilding per batch.
+    /// The violation index per (table, rule), absorbed delta by delta and
+    /// rebuilt only when stale: θ-matrix checks and streaming ingest both
+    /// detect against it, and neither builds one of its own.
     pub(crate) violation_indexes: HashMap<RuleKey, Arc<MaintainedIndex>>,
 }
 

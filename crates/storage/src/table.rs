@@ -203,9 +203,16 @@ impl Table {
 
     /// The slice position of a tuple id, if present.  Positional structures
     /// (maintained violation indexes, snapshots) use this to translate the
-    /// tuple ids of a [`Delta`] into the rows they maintain.
+    /// tuple ids of a [`Delta`] into the rows they maintain.  A table that
+    /// only grew by appends holds its ids in ascending runs, so the id's
+    /// offset from the first one is tried, and verified, before the id
+    /// index is asked.
     pub fn position_of(&self, id: TupleId) -> Option<usize> {
-        self.index.get(&id).copied()
+        let first = self.tuples.first()?.id.raw();
+        match id.raw().checked_sub(first).map(|offset| offset as usize) {
+            Some(pos) if self.tuples.get(pos).is_some_and(|t| t.id == id) => Some(pos),
+            _ => self.index.get(&id).copied(),
+        }
     }
 
     /// Looks up a tuple by id mutably.  Conservatively bumps the revision:
@@ -370,6 +377,25 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn position_of_resolves_dense_and_reordered_ids() {
+        let mut t = cities();
+        for (pos, tup) in t.tuples().iter().enumerate() {
+            assert_eq!(t.position_of(tup.id), Some(pos));
+        }
+        assert_eq!(t.position_of(TupleId::new(5)), None);
+        // Reordered ids with a gap: the id offset guesses wrong, and the
+        // id index answers.
+        let mut rows = t.tuples().to_vec();
+        rows.reverse();
+        rows.remove(2);
+        t.replace_tuples(rows);
+        for (pos, tup) in t.tuples().iter().enumerate() {
+            assert_eq!(t.position_of(tup.id), Some(pos));
+        }
+        assert_eq!(t.position_of(TupleId::new(2)), None);
     }
 
     #[test]

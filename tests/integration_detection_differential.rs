@@ -19,14 +19,14 @@ use std::sync::Arc;
 use daisy::common::{DaisyConfig, DataType, Schema, Value};
 use daisy::core::accuracy::{estimate_accuracy, CleaningDecision};
 use daisy::core::clean_dc::repair_dc_violations;
-use daisy::core::index::id_index;
+use daisy::core::index::{id_index, MaintainedIndex};
 use daisy::core::theta::ThetaMatrix;
 use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::expr::{ComparisonOp, DcPredicate, DenialConstraint, Operand, Violation};
 use daisy::storage::{ProvenanceStore, Table};
 
-use common::matrix_check_oracle;
+use common::{candidate_bindings, matrix_check_oracle};
 
 /// Builds a three-column table: `a` is a low-cardinality grouping column,
 /// `b` a numeric column, `c` a float column with occasional NULLs so the
@@ -215,7 +215,14 @@ proptest! {
         let dc = DenialConstraint::new("dc", 2, predicates);
         let expected = oracle(&table, &dc);
         let indexed = check_all(&table, &dc, 4);
-        prop_assert_eq!(indexed, expected);
+        prop_assert_eq!(&indexed, &expected);
+        // Full detection on the maintained index: the same violations, and
+        // exactly the candidate bindings the brute-force counter admits.
+        let plan = dc.index_plan().unwrap();
+        let index = MaintainedIndex::build(table.schema(), &dc, &plan, &table).unwrap();
+        let (found, pairs) = index.detect(&ExecContext::new(2), table.tuples()).unwrap();
+        prop_assert_eq!(&found, &expected);
+        prop_assert_eq!(pairs, candidate_bindings(table.schema(), table.tuples(), &dc, |_, _| true));
     }
 
     /// End-to-end engine over random tables of up to 300 rows.  A

@@ -7,16 +7,19 @@
 //!
 //! Three layers, matching how the incremental path is assembled:
 //!
-//! 1. **Index layer** — `absorb_delta` + `detect_delta` versus a fresh
-//!    [`ViolationIndex`] swept with the delta admit filter, versus the
-//!    quadratic oracle restricted to pairs touching the delta.
+//! 1. **Index layer** — `absorb_delta` + `detect_delta` versus the
+//!    quadratic oracle restricted to pairs touching the delta, with the
+//!    candidate-pair count checked against the brute-force binding counter
+//!    under the delta admit filter.
 //! 2. **Engine layer** — `DaisyEngine::ingest_rows` on its maintained
-//!    indexes versus the kernel-level reference (per-batch rebuild sweep
-//!    plus repair): identical final tuples, provenance and cleaning
-//!    reports; and a table grown by interleaved ingests and queries ends
-//!    where `run_serial` ends, directly and through sessions.
+//!    indexes versus the brute-force reference (the delta oracle plus
+//!    repair): identical final tuples, provenance and cleaning reports; and
+//!    a table grown by interleaved ingests and queries ends where
+//!    `run_serial` ends, directly and through sessions.
 //! 3. **Service layer** — mixed SQL + ingest request streams at 1/2/4/7
 //!    scheduler workers: identical outcomes, tables and provenance.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -24,12 +27,14 @@ use std::sync::Arc;
 
 use daisy::common::{DaisyConfig, DataType, Schema, Value};
 use daisy::core::clean_dc::repair_dc_violations;
-use daisy::core::index::{canonicalize_violations, id_index, MaintainedIndex, ViolationIndex};
+use daisy::core::index::{id_index, MaintainedIndex};
 use daisy::core::DaisyEngine;
 use daisy::exec::ExecContext;
 use daisy::expr::{ComparisonOp, DcPredicate, DenialConstraint, Operand, Violation};
 use daisy::service::{CleaningService, ServiceRequest};
 use daisy::storage::{Delta, ProvenanceStore, Table};
+
+use common::candidate_bindings;
 
 /// Builds the shared three-column test table: `a` is a low-cardinality
 /// grouping column, `b` numeric, `c` a float column with occasional NULLs
@@ -149,10 +154,9 @@ proptest! {
 
     /// Index layer: across a stream of append batches, the maintained
     /// index (absorbed delta by delta, never rebuilt) finds exactly the
-    /// violations of (a) a fresh per-batch index rebuild swept with the
-    /// delta admit filter `i ∈ Δ ∨ j ∈ Δ` — including the candidate-pair
-    /// counts — and (b) the brute-force quadratic oracle restricted to
-    /// pairs touching the delta.
+    /// violations of the brute-force quadratic oracle restricted to pairs
+    /// touching the delta, and compares exactly the candidate bindings the
+    /// brute-force counter admits under the delta filter `i ∈ Δ ∨ j ∈ Δ`.
     #[test]
     fn maintained_index_matches_rebuild_and_oracle_across_batches(
         base in prop::collection::vec((0i64..5, 0i64..30, 0i64..25), 2..50),
@@ -179,16 +183,10 @@ proptest! {
                 .detect_delta(&ctx, &schema, table.tuples(), &positions)
                 .unwrap();
 
-            let rebuilt = ViolationIndex::build(&ctx, &schema, &dc, &plan, table.tuples()).unwrap();
-            let (found, rebuild_pairs) = rebuilt
-                .sweep_detect(&ctx, &schema, table.tuples(), |i, j| {
-                    i >= delta_from || j >= delta_from
-                })
-                .unwrap();
-            let rebuild = canonicalize_violations(found);
-
-            prop_assert_eq!(&incremental, &rebuild);
-            prop_assert_eq!(incremental_pairs, rebuild_pairs);
+            let pairs = candidate_bindings(&schema, table.tuples(), &dc, |i, j| {
+                i >= delta_from || j >= delta_from
+            });
+            prop_assert_eq!(incremental_pairs, pairs);
             prop_assert_eq!(&incremental, &delta_oracle(&table, &dc, delta_from));
         }
     }
@@ -199,10 +197,9 @@ proptest! {
 
     /// Engine layer: an ingest stream through `DaisyEngine::ingest_rows`
     /// (on its maintained indexes) produces the repaired tables,
-    /// provenance and per-batch cleaning reports of the kernel-level
-    /// reference: append the batch, rebuild the violation index over the
-    /// whole table, sweep only the pairs that touch the batch, repair what
-    /// it finds.
+    /// provenance and per-batch cleaning reports of the brute-force
+    /// reference: append the batch, compare every pair that touches it,
+    /// repair what violates.
     #[test]
     fn incremental_ingest_matches_rebuild_mode_end_to_end(
         base in prop::collection::vec((0i64..5, 0i64..30, 0i64..25), 2..40),
@@ -214,7 +211,6 @@ proptest! {
     ) {
         let ctx = ExecContext::new(1);
         let dc = equality_dc(&tail);
-        let plan = dc.index_plan().expect("two-tuple DCs always have a plan");
         let mut engine = engine_with(&base, &dc);
         let mut table = table_from_rows(&base);
         let schema = Arc::clone(table.schema());
@@ -227,13 +223,7 @@ proptest! {
             }
             append_batch(&mut table, batch);
             let delta_from = table.len() - batch.len();
-            let index = ViolationIndex::build(&ctx, &schema, &dc, &plan, table.tuples()).unwrap();
-            let (found, _) = index
-                .sweep_detect(&ctx, &schema, table.tuples(), |i, j| {
-                    i >= delta_from || j >= delta_from
-                })
-                .unwrap();
-            let violations = canonicalize_violations(found);
+            let violations = delta_oracle(&table, &dc, delta_from);
             let (errors, cells) = if violations.is_empty() {
                 (0, 0)
             } else {
