@@ -52,11 +52,7 @@ fn bench_statistics(c: &mut Criterion) {
             |b, _| {
                 // The naive alternative: group and compare without the
                 // pre-computed dirty flags (scan + rebuild every time).
-                b.iter(|| {
-                    daisy_storage::TableStatistics::fd_groups(&table, &["orderkey"], "suppkey")
-                        .unwrap()
-                        .dirty_group_count()
-                })
+                b.iter(|| FdIndex::build(&table, &fd).unwrap().dirty_group_count())
             },
         );
     }

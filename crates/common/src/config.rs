@@ -154,20 +154,15 @@ pub const SERVICE_WORKERS_ENV: &str = "DAISY_SERVICE_WORKERS";
 /// Tunable knobs of the Daisy engine.
 ///
 /// The defaults mirror the setup of the paper's evaluation (§7): the
-/// theta-join matrix is split into `p = 64` partitions, the accuracy
-/// threshold that triggers full cleaning of general DCs is 0.5, and the cost
-/// model is enabled so that the engine may switch from incremental to full
-/// cleaning mid-workload (Fig. 7 / Fig. 12).
+/// theta-join matrix is split into `p = 64` partitions and the cost model is
+/// enabled so that the engine may switch from incremental to full cleaning
+/// mid-workload (Fig. 7 / Fig. 12).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DaisyConfig {
     /// Number of partitions of the theta-join cartesian-product matrix
     /// (`p` in §4.2).  Must be a positive perfect square so that the matrix
     /// splits into `sqrt(p) × sqrt(p)` blocks.
     pub theta_partitions: usize,
-    /// Accuracy threshold `th` of Algorithm 2: if the estimated accuracy of
-    /// a query result under a general DC falls below this threshold, the
-    /// engine cleans the whole dataset instead of only the relaxed result.
-    pub accuracy_threshold: f64,
     /// Enables the cost model of §5.2.3.  When disabled, Daisy always cleans
     /// incrementally ("Daisy w/o cost" in Fig. 7).
     pub use_cost_model: bool,
@@ -186,9 +181,6 @@ pub struct DaisyConfig {
     /// Maximum number of relaxation iterations (safety bound for the
     /// transitive-closure loop of Algorithm 1).
     pub max_relaxation_iterations: usize,
-    /// When `true`, cleaning operators are pushed below joins and group-bys
-    /// (§5.1).  Disabling this is only useful for ablation benchmarks.
-    pub push_down_cleaning: bool,
     /// Number of scheduler workers the multi-session service uses to execute
     /// cleaning requests concurrently; the default honours
     /// [`SERVICE_WORKERS_ENV`] and otherwise matches the machine's available
@@ -222,12 +214,10 @@ impl Default for DaisyConfig {
     fn default() -> Self {
         DaisyConfig {
             theta_partitions: 64,
-            accuracy_threshold: 0.5,
             use_cost_model: true,
             worker_threads: default_threads(),
             data_partitions: default_data_partitions(),
             max_relaxation_iterations: 64,
-            push_down_cleaning: true,
             service_workers: default_service_workers(),
             service_fairness: ServiceFairness::from_env().unwrap_or_default(),
             commit_log_capacity: DaisyConfig::env_commit_log_capacity()
@@ -347,12 +337,6 @@ impl DaisyConfig {
                 self.theta_partitions
             )));
         }
-        if !(0.0..=1.0).contains(&self.accuracy_threshold) {
-            return Err(DaisyError::Config(format!(
-                "accuracy_threshold must be in [0, 1], got {}",
-                self.accuracy_threshold
-            )));
-        }
         if self.worker_threads == 0 {
             return Err(DaisyError::Config("worker_threads must be > 0".into()));
         }
@@ -385,12 +369,6 @@ impl DaisyConfig {
     /// Builder-style setter for the number of theta-join partitions.
     pub fn with_theta_partitions(mut self, p: usize) -> Self {
         self.theta_partitions = p;
-        self
-    }
-
-    /// Builder-style setter for the accuracy threshold.
-    pub fn with_accuracy_threshold(mut self, th: f64) -> Self {
-        self.accuracy_threshold = th;
         self
     }
 
@@ -459,18 +437,6 @@ mod tests {
         let cfg = DaisyConfig::default().with_theta_partitions(49);
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.theta_blocks_per_side(), 7);
-    }
-
-    #[test]
-    fn threshold_out_of_range_rejected() {
-        assert!(DaisyConfig::default()
-            .with_accuracy_threshold(1.5)
-            .validate()
-            .is_err());
-        assert!(DaisyConfig::default()
-            .with_accuracy_threshold(-0.1)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! the query.  Algorithm 2 therefore estimates, from partition-boundary
 //! overlaps alone, how many unseen errors affect the ranges the query
 //! answer falls into, turns that into an *accuracy* estimate, and compares
-//! it against a user threshold to decide between partial and full cleaning.
+//! it against [`ACCURACY_THRESHOLD`] to decide between partial and full
+//! cleaning.
 
 use serde::{Deserialize, Serialize};
 
 use daisy_common::Value;
 
 use crate::theta::ThetaMatrix;
+
+/// Algorithm 2's accuracy threshold `th`: a query whose estimated accuracy
+/// under a general DC falls below it cleans the whole matrix instead of
+/// only the part the query touches.
+pub const ACCURACY_THRESHOLD: f64 = 0.5;
 
 /// The decision Algorithm 2 reaches for one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -7,10 +7,10 @@
 //! configuration, registered on the bootstrap engine before
 //! [`EngineShared::recover`](crate::session::EngineShared::recover) is
 //! called.  Recovery therefore combines the bootstrap world's constraints
-//! with the log's tables and provenance, and clears every derived
-//! structure (indexes, θ-matrices, trackers) so it is rebuilt
-//! lazily — recovered tables restart at revision zero, and a stale cache
-//! claiming currency against them would be silently wrong.
+//! with the log's tables and provenance, and drops every rule's derived
+//! state so it is rebuilt lazily — recovered tables restart at revision
+//! zero, and a stale cache claiming currency against them would be
+//! silently wrong.
 
 use std::collections::HashSet;
 
@@ -95,11 +95,7 @@ pub(crate) fn restore_world(bootstrap: &WorldState, persisted: &PersistedWorld) 
         .collect();
     // Recovered tables restart at revision zero; every derived structure is
     // keyed to revisions and must be rebuilt lazily rather than trusted.
-    world.fd_indexes.clear();
-    world.theta_matrices.clear();
-    world.trackers.clear();
-    world.fully_cleaned.clear();
-    world.violation_indexes.clear();
+    world.rules.clear();
     world
 }
 

@@ -32,7 +32,7 @@ use daisy_query::physical::{aggregate, filter_tuples, hash_join, project, Predic
 use daisy_query::{parse_query, Query, QueryResult, SelectItem};
 use daisy_storage::{ColumnSnapshot, Delta, Footprint, ProvenanceStore, Table, Tuple};
 
-use crate::accuracy::{estimate_accuracy, CleaningDecision};
+use crate::accuracy::{estimate_accuracy, CleaningDecision, ACCURACY_THRESHOLD};
 use crate::clean_dc::{repair_dc_violations, DcCleanOutcome};
 use crate::clean_select::clean_select_fd;
 use crate::cost::{CostParameters, CostTracker};
@@ -43,7 +43,7 @@ use crate::relaxation::FilterTarget;
 use crate::report::{CleaningReport, CleaningStrategy, SessionReport};
 use crate::session::EngineShared;
 use crate::theta::ThetaMatrix;
-use crate::world::{RuleKey, WorldState};
+use crate::world::{QueryState, RuleKey, WorldState};
 
 /// The outcome of one query: its (cleaned) result plus the cleaning report.
 #[derive(Debug, Clone)]
@@ -516,7 +516,12 @@ impl DaisyEngine {
         let mut working = answer;
         for step in steps {
             let key = (table_name.to_string(), step.rule.raw());
-            if self.world.fully_cleaned.contains(&key) {
+            if self
+                .world
+                .rules
+                .get(&key)
+                .is_some_and(|state| state.fully_cleaned)
+            {
                 continue;
             }
             match &step.fd {
@@ -559,30 +564,7 @@ impl DaisyEngine {
             self.touched_rules.insert(key.clone());
             self.record_rule_columns(table_name, &fd.attributes());
         }
-        // Build (or reuse) the FD group index: the pre-computed statistics.
-        // The index is computed over original values (via provenance) so a
-        // rule added after other rules already repaired cells still sees the
-        // dirty groups of the original data (§4.3).
-        if !self.world.fd_indexes.contains_key(&key) {
-            let provenance = self
-                .world
-                .provenance
-                .entry(table_name.to_string())
-                .or_default();
-            let table = self.world.catalog.table(table_name)?;
-            let index = FdIndex::build_with_provenance(table, fd, provenance)?;
-            let params = CostParameters {
-                n: table.len(),
-                epsilon: index.dirty_tuple_count(),
-                p: index.mean_candidates().max(index.mean_lhs_fanout()),
-                is_fd: true,
-            };
-            self.world
-                .trackers
-                .insert(key.clone(), CostTracker::new(params));
-            self.world.fd_indexes.insert(key.clone(), Arc::new(index));
-        }
-        let index = Arc::clone(self.world.fd_indexes.get(&key).expect("just inserted"));
+        let index = self.fd_index(table_name, fd, &key)?;
         let outcome = {
             // The store is a shared handle that detaches inside a recording
             // call: a pass that repairs nothing leaves it pointer-equal.
@@ -615,7 +597,8 @@ impl DaisyEngine {
         report.cells_updated += cells_updated;
 
         // Cost model: record and possibly switch to full cleaning.
-        if let Some(tracker) = self.world.trackers.get_mut(&key) {
+        let state = self.world.rules.get_mut(&key);
+        if let Some(QueryState::Fd { tracker, .. }) = state.and_then(|s| s.query.as_mut()) {
             tracker.record_query(
                 outcome.answer_len,
                 outcome.cleaned.len() - outcome.answer_len,
@@ -627,7 +610,6 @@ impl DaisyEngine {
             if self.config.use_cost_model && tracker.should_switch_to_full() {
                 report.strategy = CleaningStrategy::FullRemaining;
                 self.clean_remaining_fd(table_name, fd, rule)?;
-                self.world.fully_cleaned.insert(key.clone());
             }
         }
         if self.record_deltas {
@@ -653,7 +635,8 @@ impl DaisyEngine {
             self.reads
                 .record_rows(table_name, answer.iter().map(|t| t.id));
         }
-        if !self.world.theta_matrices.contains_key(&key) {
+        let state = self.world.rules.entry(key.clone()).or_default();
+        if state.query.is_none() {
             let table = self.world.catalog.table(table_name)?;
             let matrix = ThetaMatrix::build(
                 schema,
@@ -661,29 +644,20 @@ impl DaisyEngine {
                 rule,
                 self.config.theta_blocks_per_side(),
             )?;
-            let params = CostParameters {
-                n: table.len(),
-                epsilon: 0,
-                p: 2.0,
-                is_fd: false,
-            };
-            self.world
-                .trackers
-                .insert(key.clone(), CostTracker::new(params));
-            self.world
-                .theta_matrices
-                .insert(key.clone(), Arc::new(matrix));
+            state.query = Some(QueryState::Dc {
+                matrix: Arc::new(matrix),
+            });
         }
         self.ensure_violation_index(table_name, schema, rule)?;
+        let state = self.world.rules.get_mut(&key).expect("built above");
+        let (Some(index), Some(QueryState::Dc { matrix })) = (&state.index, &mut state.query)
+        else {
+            unreachable!("a general DC's state holds its violation index and θ-matrix");
+        };
 
         // The value range the answer spans on the partition attribute drives
         // both the incremental matrix check and Algorithm 2's estimate.
-        let partition_column = self
-            .world
-            .theta_matrices
-            .get(&key)
-            .expect("just inserted")
-            .partition_column;
+        let partition_column = matrix.partition_column;
         let mut low: Option<Value> = None;
         let mut high: Option<Value> = None;
         for tuple in &answer {
@@ -704,26 +678,20 @@ impl DaisyEngine {
         // The matrix is detached copy-on-write: a session touching this rule
         // for the first time pays one matrix copy, after which the checked
         // block bookkeeping is private to its world.
-        let matrix = Arc::make_mut(
-            self.world
-                .theta_matrices
-                .get_mut(&key)
-                .expect("just inserted"),
-        );
+        let matrix = Arc::make_mut(matrix);
         let estimate = estimate_accuracy(
             matrix,
             answer.len(),
             low.as_ref(),
             high.as_ref(),
-            self.config.accuracy_threshold,
+            ACCURACY_THRESHOLD,
         );
         report.estimated_accuracy = estimate.accuracy.min(report.estimated_accuracy);
 
         // The check sweeps the world's violation index of the rule, which
         // every write keeps current; it builds nothing.
-        let index = &self.world.violation_indexes[&key];
         let table = self.world.catalog.table(table_name)?;
-        let (violations, stats) = if estimate.decision == CleaningDecision::Full {
+        let (violations, _) = if estimate.decision == CleaningDecision::Full {
             report.strategy = CleaningStrategy::FullRemaining;
             matrix.sweep_all(&self.ctx, index, table.tuples())?
         } else {
@@ -755,22 +723,11 @@ impl DaisyEngine {
         };
 
         let cells_updated = outcome.delta.len();
-        let candidates_written = outcome.delta.total_candidates();
         if !outcome.delta.is_empty() {
             self.apply_delta_patching(table_name, &outcome.delta)?;
         }
         report.errors_repaired += outcome.errors_detected;
         report.cells_updated += cells_updated;
-        if let Some(tracker) = self.world.trackers.get_mut(&key) {
-            tracker.record_query(
-                answer.len(),
-                0,
-                0,
-                outcome.errors_detected,
-                candidates_written,
-                stats.pairs_compared,
-            );
-        }
 
         // Return the answer with the fresh candidate cells (re-read the
         // updated tuples from the base table so later operators see them).
@@ -794,19 +751,7 @@ impl DaisyEngine {
             self.touched_rules.insert(key.clone());
             self.reads.record_table(table_name);
         }
-        if !self.world.fd_indexes.contains_key(&key) {
-            let provenance = self
-                .world
-                .provenance
-                .entry(table_name.to_string())
-                .or_default();
-            let table = self.world.catalog.table(table_name)?;
-            self.world.fd_indexes.insert(
-                key.clone(),
-                Arc::new(FdIndex::build_with_provenance(table, fd, provenance)?),
-            );
-        }
-        let index = Arc::clone(self.world.fd_indexes.get(&key).expect("present"));
+        let index = self.fd_index(table_name, fd, &key)?;
         let outcome = {
             let provenance = self
                 .world
@@ -829,8 +774,45 @@ impl DaisyEngine {
         if !outcome.delta.is_empty() {
             self.apply_delta_patching(table_name, &outcome.delta)?;
         }
-        self.world.fully_cleaned.insert(key);
+        self.world.rules.entry(key).or_default().fully_cleaned = true;
         Ok(repaired)
+    }
+
+    /// The FD group index of `(table, rule)` — the statistics Daisy
+    /// pre-computes (§6) — built on the rule's first clean step together
+    /// with the cost tracker that reads it.  The index is computed over
+    /// original values (via provenance) so a rule added after other rules
+    /// already repaired cells still sees the dirty groups of the original
+    /// data (§4.3).
+    fn fd_index(
+        &mut self,
+        table_name: &str,
+        fd: &FunctionalDependency,
+        key: &RuleKey,
+    ) -> Result<Arc<FdIndex>> {
+        if let Some(QueryState::Fd { index, .. }) =
+            self.world.rules.get(key).and_then(|s| s.query.as_ref())
+        {
+            return Ok(Arc::clone(index));
+        }
+        let provenance = self
+            .world
+            .provenance
+            .entry(table_name.to_string())
+            .or_default();
+        let table = self.world.catalog.table(table_name)?;
+        let index = Arc::new(FdIndex::build_with_provenance(table, fd, provenance)?);
+        let tracker = CostTracker::new(CostParameters {
+            n: table.len(),
+            epsilon: index.dirty_tuple_count(),
+            p: index.mean_candidates().max(index.mean_lhs_fanout()),
+            is_fd: true,
+        });
+        self.world.rules.entry(key.clone()).or_default().query = Some(QueryState::Fd {
+            index: Arc::clone(&index),
+            tracker,
+        });
+        Ok(index)
     }
 
     /// Adds a new rule after some cleaning has already happened and cleans
@@ -880,8 +862,10 @@ impl DaisyEngine {
                 // the write path detaches it.
                 let key = self.ensure_violation_index(table_name, &schema, &constraint)?;
                 let table = self.world.catalog.shared(table_name)?;
-                let (violations, _) =
-                    self.world.violation_indexes[&key].detect(&self.ctx, table.tuples())?;
+                let (violations, _) = self
+                    .world
+                    .violation_index(&key)
+                    .detect(&self.ctx, table.tuples())?;
                 let by_id: HashMap<TupleId, &Tuple> =
                     crate::index::id_index(&self.ctx, table.tuples());
                 let provenance = self
@@ -903,9 +887,7 @@ impl DaisyEngine {
                 if !outcome.delta.is_empty() {
                     self.apply_delta_patching(table_name, &outcome.delta)?;
                 }
-                self.world
-                    .fully_cleaned
-                    .insert((table_name.to_string(), rule.raw()));
+                self.world.rules.entry(key).or_default().fully_cleaned = true;
                 Ok(repaired)
             }
         }
@@ -1009,7 +991,7 @@ impl DaisyEngine {
         // the write path finds the table as (un)shared as it was.
         let key = self.ensure_violation_index(table_name, schema, rule)?;
         let table = self.world.catalog.shared(table_name)?;
-        let (violations, _pairs) = self.world.violation_indexes[&key].detect_delta(
+        let (violations, _pairs) = self.world.violation_index(&key).detect_delta(
             &self.ctx,
             schema,
             table.tuples(),
@@ -1055,19 +1037,18 @@ impl DaisyEngine {
     ) -> Result<RuleKey> {
         let key = (table_name.to_string(), rule.id.raw());
         let table = self.world.catalog.table(table_name)?;
-        let current = self
-            .world
-            .violation_indexes
-            .get(&key)
-            .is_some_and(|index| index.is_current(table));
-        if !current {
+        let state = self.world.rules.entry(key.clone()).or_default();
+        if !state
+            .index
+            .as_ref()
+            .is_some_and(|index| index.is_current(table))
+        {
             let plan = rule
                 .index_plan()
                 .expect("only rules with an index plan reach detection");
-            let built = MaintainedIndex::build(schema, rule, &plan, table)?;
-            self.world
-                .violation_indexes
-                .insert(key.clone(), Arc::new(built));
+            state.index = Some(Arc::new(MaintainedIndex::build(
+                schema, rule, &plan, table,
+            )?));
         }
         Ok(key)
     }
@@ -1088,13 +1069,7 @@ impl DaisyEngine {
         table_name: &str,
         delta: &Delta,
     ) -> Result<usize> {
-        let table = self.world.catalog.table_mut(table_name)?;
-        let applied = table.apply_delta(delta)?;
-        for (key, index) in self.world.violation_indexes.iter_mut() {
-            if key.0 == table_name {
-                Arc::make_mut(index).absorb_delta(table, delta)?;
-            }
-        }
+        let applied = self.world.apply_delta(table_name, delta)?;
         if self.record_deltas {
             self.delta_log.push((table_name.to_string(), delta.clone()));
         }
@@ -1416,7 +1391,7 @@ mod tests {
             provenance.dump()
         );
         let key = ("cities".to_string(), rule.id.raw());
-        let maintained = engine.world.violation_indexes.get(&key).expect("cached");
+        let maintained = engine.world.violation_index(&key);
         assert!(maintained.is_current(table));
         let fresh = MaintainedIndex::build(&schema, &rule, &plan, table).unwrap();
         assert_eq!(maintained.partition_count(), fresh.partition_count());
@@ -1534,15 +1509,14 @@ mod tests {
         let mut live = engine();
         let key = ("emp".to_string(), live.constraints().rules()[0].id.raw());
         live.execute_sql(queries[0]).unwrap();
-        assert!(live.world.violation_indexes.contains_key(&key));
+        assert!(live.world.rules[&key].index.is_some());
         live.ingest_rows("emp", rows.clone()).unwrap();
-        let extent: usize = live.world.theta_matrices[&key]
-            .blocks
-            .iter()
-            .map(|b| b.members.len())
-            .sum();
+        let Some(QueryState::Dc { matrix }) = &live.world.rules[&key].query else {
+            panic!("the DC query built the rule's θ-matrix");
+        };
+        let extent: usize = matrix.blocks.iter().map(|b| b.members.len()).sum();
         assert!(live.table("emp").unwrap().len() > extent);
-        let index = Arc::as_ptr(&live.world.violation_indexes[&key]);
+        let index: *const MaintainedIndex = live.world.violation_index(&key);
         let builds = BUILDS.with(|b| b.get());
         assert!(live.execute_sql(queries[1]).unwrap().report.errors_repaired > 0);
         assert_eq!(
@@ -1550,8 +1524,8 @@ mod tests {
             builds,
             "the θ-check built an index"
         );
-        let after = &live.world.violation_indexes[&key];
-        assert!(Arc::as_ptr(after) == index, "the index was replaced");
+        let after = live.world.violation_index(&key);
+        assert!(std::ptr::eq(after, index), "the index was replaced");
         assert!(after.is_current(live.table("emp").unwrap()));
 
         let shared = engine().into_shared();

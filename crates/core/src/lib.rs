@@ -7,7 +7,7 @@
 //! * [`fd_index::FdIndex`] — pre-computed lhs/rhs group indexes for a
 //!   functional dependency (the statistics Daisy pre-computes, §6),
 //! * [`relaxation`] — Algorithm 1: query-result relaxation for FDs, with the
-//!   iteration / result-size estimates of Lemmas 1–3,
+//!   iteration estimates of Lemmas 1–2,
 //! * [`clean_select`] — the `cleanσ` operator for FDs (§4.1),
 //! * [`index`] — the violation-index subsystem: hash-equality partitioning
 //!   plus sort-based inequality sweeps for near-linear general-DC detection,
@@ -17,8 +17,6 @@
 //! * [`accuracy`] — Algorithm 2: error estimation, accuracy, and support,
 //! * [`clean_dc`] — the `cleanσ` operator for general DCs with holistic,
 //!   SAT-assisted candidate-range fixes (§4.2),
-//! * [`clean_join`] — the `clean⋈` operator (§4.4),
-//! * [`multirule`] — probability merging across overlapping rules (§4.3),
 //! * [`repair`] — materialising probabilistic repairs into a deterministic
 //!   relation (the `DaisyP` selection of Table 5 plus human-in-the-loop
 //!   accepts),
@@ -27,7 +25,8 @@
 //! * [`engine`] — [`engine::DaisyEngine`], the query-driven cleaning session
 //!   that gradually turns a dirty dataset probabilistic (§6),
 //! * [`world`] — [`world::WorldState`], the engine's cheaply cloneable
-//!   (copy-on-write) bundle of tables and derived cleaning structures,
+//!   (copy-on-write) bundle of tables, provenance and one rule state per
+//!   `(table, rule)`,
 //! * [`session`] — the concurrent multi-session layer:
 //!   [`session::EngineShared`] (the versioned canonical world) and
 //!   [`session::CleaningSession`] (per-request copy-on-write handles with a
@@ -41,14 +40,12 @@
 
 pub mod accuracy;
 pub mod clean_dc;
-pub mod clean_join;
 pub mod clean_select;
 pub mod cost;
 pub mod durability;
 pub mod engine;
 pub mod fd_index;
 pub mod index;
-pub mod multirule;
 pub mod planner;
 pub mod relaxation;
 pub mod repair;

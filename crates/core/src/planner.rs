@@ -2,12 +2,11 @@
 //!
 //! The planner inspects a parsed query and the registered constraints and
 //! decides, per table, which rules "affect query correctness" (their
-//! attributes overlap the query's attributes) and where the corresponding
-//! cleaning operator is placed:
+//! attributes overlap the query's attributes):
 //!
-//! * cleaning is pushed **below joins and group-bys** (closer to the data)
-//!   so that errors are fixed before they propagate (`push_down_cleaning`),
-//! * for group-by queries, cleaning always happens before the aggregation,
+//! * the engine cleans each table's qualifying part **below joins and
+//!   group-bys** (closer to the data), so that errors are fixed before they
+//!   propagate,
 //! * rules that do not overlap the query are skipped entirely, and so are
 //!   general DCs without an index plan (rules that do not quantify exactly
 //!   two tuples): no detector checks them, the same rules streaming ingest
@@ -23,16 +22,6 @@ use daisy_query::{Catalog, Query};
 
 use crate::relaxation::FilterTarget;
 
-/// Where a cleaning step is placed relative to the query operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CleaningPlacement {
-    /// Directly above the table's scan/filter, before any join (push-down).
-    BeforeJoin,
-    /// After the joins, on the joined result (only used when push-down is
-    /// disabled for ablation).
-    AfterJoin,
-}
-
 /// One cleaning step the engine must perform for a query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CleaningStep {
@@ -45,8 +34,6 @@ pub struct CleaningStep {
     /// Which FD side the query's filter restricts (drives relaxation
     /// iterations); meaningless for general DCs.
     pub filter_target: FilterTarget,
-    /// Where the step sits in the plan.
-    pub placement: CleaningPlacement,
 }
 
 /// The cleaning-aware plan for one query.
@@ -58,20 +45,17 @@ pub struct CleaningPlan {
 }
 
 impl CleaningPlan {
-    /// Builds the plan for a query given the registered constraints.
+    /// Builds the plan for a query given the registered constraints.  No
+    /// configuration knob changes the plan; the engine passes its
+    /// configuration so one can without a signature change.
     pub fn build(
         query: &Query,
         constraints: &ConstraintSet,
         catalog: &Catalog,
-        config: &DaisyConfig,
+        _config: &DaisyConfig,
     ) -> Result<CleaningPlan> {
         let query_attrs = query.referenced_attributes();
         let query_attr_refs: Vec<&str> = query_attrs.iter().map(String::as_str).collect();
-        let placement = if config.push_down_cleaning {
-            CleaningPlacement::BeforeJoin
-        } else {
-            CleaningPlacement::AfterJoin
-        };
         let mut steps = Vec::new();
         for table_name in query.tables() {
             let table = catalog.table(table_name)?;
@@ -99,7 +83,6 @@ impl CleaningPlan {
                     rule: rule.id,
                     fd,
                     filter_target,
-                    placement,
                 });
             }
         }
@@ -173,7 +156,6 @@ mod tests {
         assert_eq!(plan.steps.len(), 1);
         assert_eq!(plan.steps[0].table, "lineorder");
         assert_eq!(plan.steps[0].filter_target, FilterTarget::Rhs);
-        assert_eq!(plan.steps[0].placement, CleaningPlacement::BeforeJoin);
 
         // Filter on the lhs (orderkey) of phi.
         let q = parse_query("SELECT suppkey FROM lineorder WHERE orderkey < 100").unwrap();
@@ -241,17 +223,5 @@ mod tests {
         // Only the FD over suppkey remains.
         assert_eq!(plan.steps.len(), 1);
         assert!(plan.steps[0].fd.is_some());
-    }
-
-    #[test]
-    fn push_down_can_be_disabled() {
-        let (catalog, constraints) = setup();
-        let config = DaisyConfig {
-            push_down_cleaning: false,
-            ..DaisyConfig::default()
-        };
-        let q = parse_query("SELECT suppkey FROM lineorder WHERE orderkey < 100").unwrap();
-        let plan = CleaningPlan::build(&q, &constraints, &catalog, &config).unwrap();
-        assert_eq!(plan.steps[0].placement, CleaningPlacement::AfterJoin);
     }
 }

@@ -1,5 +1,5 @@
 //! Query-result relaxation (Algorithm 1) and its analytical estimates
-//! (Lemmas 1–3).
+//! (Lemmas 1–2).
 //!
 //! Given a functional dependency `lhs → rhs` and a (dirty) query answer,
 //! relaxation enhances the answer with the *correlated tuples* of the
@@ -12,7 +12,7 @@
 use std::collections::HashSet;
 
 use daisy_common::{Result, TupleId, Value};
-use daisy_storage::{ColumnStatistics, Tuple};
+use daisy_storage::Tuple;
 
 use crate::fd_index::FdIndex;
 
@@ -171,32 +171,12 @@ pub fn probability_more_violations(n: usize, violations: usize, relaxed_size: us
     1.0 - log_pr0.exp()
 }
 
-/// Lemma 3: an upper bound on the relaxed-result size.
-///
-/// For each constrained attribute, the bound adds the dataset frequency of
-/// every distinct value appearing in the answer minus the frequency already
-/// present in the answer: `R = Σ_i (Σ_j D_ij − Σ_j Dq_ij)`.
-pub fn relaxed_size_upper_bound(
-    dataset_stats: &[&ColumnStatistics],
-    answer_values_per_attr: &[Vec<Value>],
-) -> usize {
-    let mut bound = 0usize;
-    for (stats, answer_values) in dataset_stats.iter().zip(answer_values_per_attr) {
-        let mut distinct: Vec<&Value> = answer_values.iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        let dataset_freq: usize = distinct.iter().map(|v| stats.frequency(v)).sum();
-        bound += dataset_freq.saturating_sub(answer_values.len());
-    }
-    bound
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use daisy_common::{DataType, Schema};
     use daisy_expr::FunctionalDependency;
-    use daisy_storage::{Table, TableStatistics};
+    use daisy_storage::Table;
 
     fn cities() -> Table {
         Table::from_rows(
@@ -320,43 +300,5 @@ mod tests {
         // A single-tuple sample of a half-dirty dataset: exactly 1/2.
         let p = probability_more_violations(2, 1, 1);
         assert!((p - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relaxed_size_bound_boundary_inputs() {
-        // No constrained attributes → nothing can be pulled in.
-        assert_eq!(relaxed_size_upper_bound(&[], &[]), 0);
-
-        let table = cities();
-        let stats = TableStatistics::compute(&table).unwrap();
-        let zip_stats = stats.column("zip").unwrap();
-
-        // Empty answer: no values to correlate on, bound is zero.
-        assert_eq!(relaxed_size_upper_bound(&[zip_stats], &[vec![]]), 0);
-
-        // The answer already contains every tuple of its group: the
-        // subtraction saturates at zero instead of wrapping.
-        let answer = vec![Value::Int(9001), Value::Int(9001), Value::Int(9001)];
-        assert_eq!(relaxed_size_upper_bound(&[zip_stats], &[answer]), 0);
-
-        // An answer value absent from the dataset contributes zero
-        // frequency, and the (over-counted) answer occurrences saturate.
-        let answer = vec![Value::Int(424242)];
-        assert_eq!(relaxed_size_upper_bound(&[zip_stats], &[answer]), 0);
-    }
-
-    #[test]
-    fn relaxed_size_bound_matches_lemma3_shape() {
-        let table = cities();
-        let stats = TableStatistics::compute(&table).unwrap();
-        let zip_stats = stats.column("zip").unwrap();
-        let city_stats = stats.column("city").unwrap();
-        // Answer = the two Los Angeles tuples (zip 9001).
-        let answer_zip = vec![Value::Int(9001), Value::Int(9001)];
-        let answer_city = vec![Value::from("Los Angeles"), Value::from("Los Angeles")];
-        let bound = relaxed_size_upper_bound(&[zip_stats, city_stats], &[answer_zip, answer_city]);
-        // zip 9001 appears 3 times (1 extra), Los Angeles appears 2 times
-        // (0 extra) → bound 1, matching the single extra tuple of Example 2.
-        assert_eq!(bound, 1);
     }
 }

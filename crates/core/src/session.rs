@@ -238,8 +238,9 @@ impl EngineShared {
     /// checkpoint is loaded, the commit-log suffix is replayed on top, a
     /// torn (unsynced) tail is self-truncated, and any damage to
     /// acknowledged state surfaces as [`DaisyError::CorruptLog`].  Every
-    /// derived structure (indexes, θ-matrices, trackers) is
-    /// dropped and rebuilt lazily against the recovered tables.
+    /// rule's derived state (violation index, FD index or θ-matrix,
+    /// fully-cleaned mark) is dropped and rebuilt lazily against the
+    /// recovered tables.
     ///
     /// Subsequent commits append to the write-ahead log *before*
     /// installing (per [`DaisyConfig::durability`]) and periodically write
@@ -761,10 +762,9 @@ impl CleaningSession {
         let Some(records) = state.records_since(self.base_version) else {
             return CommitCause::FullRebase;
         };
-        // Any `(table, rule)` cleaning state both an intervening commit and
-        // this session advanced makes the session's derived structures
-        // (group indexes, θ-matrices, cost trackers, fully-cleaned marks)
-        // unmergeable: full replay.
+        // Any `(table, rule)` state both an intervening commit and this
+        // session advanced makes the session's rule state unmergeable: full
+        // replay.
         let touched = self.engine.touched_rules();
         if records
             .iter()
@@ -855,16 +855,17 @@ fn cell_equal(
 /// Rebases a validated session's effects onto the current shared world in
 /// `O(|delta| + |touched rules|)`:
 ///
-/// * staged deltas re-apply through the same table/index write protocol
-///   the engine uses (`apply_delta` + `absorb_delta` for every maintained
-///   violation index),
+/// * staged deltas re-apply through the engine's write path
+///   ([`WorldState::apply_delta`]: the table, then every violation index
+///   over it),
 /// * provenance entries graft cell-by-cell (the session's additions are
 ///   confined to its staged cells),
-/// * derived cleaning state (`FdIndex`, `ThetaMatrix`, cost trackers,
-///   fully-cleaned marks) swaps in wholesale for the rules only this
-///   session touched,
-/// * session-built maintained violation indexes carry over when their
-///   revision still matches the merged table.
+/// * per [`RuleState`](crate::world::RuleState): a rule only this session
+///   touched takes the session's query-time state (FD index and cost
+///   tracker, or θ-matrix) and fully-cleaned mark; the violation index
+///   stays the current world's, absorbed above, and the session's is taken
+///   only where the current world has none and the session's still matches
+///   the merged table.
 ///
 /// Footprint validation already proved the inputs of all of the above are
 /// identical to what a serial replay would have consumed, so the merged
@@ -876,30 +877,8 @@ fn merge_world(
     touched: &HashSet<RuleKey>,
 ) -> Result<WorldState> {
     let mut merged = current.clone();
-    for key in touched {
-        if let Some(index) = session.fd_indexes.get(key) {
-            merged.fd_indexes.insert(key.clone(), Arc::clone(index));
-        }
-        if let Some(matrix) = session.theta_matrices.get(key) {
-            merged
-                .theta_matrices
-                .insert(key.clone(), Arc::clone(matrix));
-        }
-        if let Some(tracker) = session.trackers.get(key) {
-            merged.trackers.insert(key.clone(), tracker.clone());
-        }
-        if session.fully_cleaned.contains(key) {
-            merged.fully_cleaned.insert(key.clone());
-        }
-    }
     for (name, delta) in staged {
-        let table = merged.catalog.table_mut(name)?;
-        table.apply_delta(delta)?;
-        for (key, index) in merged.violation_indexes.iter_mut() {
-            if key.0 == *name {
-                Arc::make_mut(index).absorb_delta(table, delta)?;
-            }
-        }
+        merged.apply_delta(name, delta)?;
         if let Some(session_prov) = session.provenance.get(name) {
             merged
                 .provenance
@@ -911,15 +890,26 @@ fn merge_world(
                 );
         }
     }
-    // An index the session built rides along when its revision matches the merged table
-    // (stale ones are dropped on the floor — the next ingest rebuilds).
-    for (key, index) in &session.violation_indexes {
-        if !merged.violation_indexes.contains_key(key)
-            && index.is_current(merged.catalog.table(&key.0)?)
-        {
-            merged
-                .violation_indexes
-                .insert(key.clone(), Arc::clone(index));
+    for (key, theirs) in &session.rules {
+        if touched.contains(key) {
+            let ours = merged.rules.entry(key.clone()).or_default();
+            if let Some(query) = &theirs.query {
+                ours.query = Some(query.clone());
+            }
+            ours.fully_cleaned |= theirs.fully_cleaned;
+        }
+        // An index the session built rides along when the current world has
+        // none and it matches the merged table (a stale one is dropped — the
+        // next check rebuilds).
+        let Some(index) = &theirs.index else {
+            continue;
+        };
+        let has_index = merged
+            .rules
+            .get(key)
+            .is_some_and(|ours| ours.index.is_some());
+        if !has_index && index.is_current(merged.catalog.table(&key.0)?) {
+            merged.rules.entry(key.clone()).or_default().index = Some(Arc::clone(index));
         }
     }
     Ok(merged)
@@ -928,6 +918,7 @@ fn merge_world(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::QueryState;
     use daisy_common::{DataType, Schema, Value};
     use daisy_expr::FunctionalDependency;
     use daisy_storage::Cell;
@@ -1095,7 +1086,7 @@ mod tests {
     fn a_write_detaches_only_the_index_partitions_it_touches() {
         let shared = warmed_groups();
         let base = root(&shared);
-        let before = base.violation_indexes.values().next().unwrap();
+        let before = base.rules.values().find_map(|s| s.index.as_ref()).unwrap();
         let mut session = shared.session();
         // One clean row under an existing key: exactly that key's partition
         // takes a new member.
@@ -1108,9 +1099,9 @@ mod tests {
         let after = session
             .engine
             .world()
-            .violation_indexes
+            .rules
             .values()
-            .next()
+            .find_map(|s| s.index.as_ref())
             .unwrap();
         assert!(after.is_current(session.table("t").unwrap()));
         assert_eq!(after.partition_count(), before.partition_count());
@@ -1337,6 +1328,12 @@ mod tests {
         let mut b = shared.session();
         a.execute_sql(east_sql).unwrap();
         b.execute_sql(west_sql).unwrap();
+        let rule = shared.lock().world.constraints.rules()[0].id.raw();
+        let west_fd_index = |world: &WorldState| match &world.rules[&("west".into(), rule)].query {
+            Some(QueryState::Fd { index, .. }) => Arc::as_ptr(index),
+            _ => panic!("the west query built the rule's FD index"),
+        };
+        let built = west_fd_index(b.engine.world());
         assert_eq!(a.commit().unwrap().cause, CommitCause::Clean);
         let receipt = b.commit().unwrap();
         // The interleaved cleaning of a *different* table never replays.
@@ -1344,6 +1341,8 @@ mod tests {
         assert!(!receipt.rebased);
         assert!(receipt.cells_committed > 0);
         assert_eq!(shared.version(), 2);
+        // The merge took the rule state b built for `west`.
+        assert_eq!(west_fd_index(&shared.lock().world), built);
 
         // The merged world is byte-identical to the serial replay.
         let serial = {
@@ -1571,10 +1570,10 @@ mod tests {
         let west = state.world.catalog.table("west").unwrap();
         let index = state
             .world
-            .violation_indexes
+            .rules
             .iter()
             .find(|((table, _), _)| table == "west")
-            .map(|(_, index)| index)
+            .and_then(|(_, rule)| rule.index.as_ref())
             .expect("west's maintained index carried through the merge");
         assert!(index.is_current(west));
     }

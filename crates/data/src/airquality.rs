@@ -96,7 +96,8 @@ pub fn generate_airquality(config: &AirQualityConfig) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_storage::TableStatistics;
+    use daisy_core::FdIndex;
+    use daisy_expr::FunctionalDependency;
 
     #[test]
     fn dirty_group_fraction_controls_violations() {
@@ -112,15 +113,10 @@ mod tests {
             ..AirQualityConfig::default()
         })
         .unwrap();
-        let fd_low =
-            TableStatistics::fd_groups(&low, &["state_code", "county_code"], "county_name")
-                .unwrap();
-        let fd_high =
-            TableStatistics::fd_groups(&high, &["state_code", "county_code"], "county_name")
-                .unwrap();
-        let frac = |fd: &daisy_storage::FdGroupStatistics| {
-            fd.dirty_group_count() as f64 / fd.group_count() as f64
-        };
+        let fd = FunctionalDependency::new(&["state_code", "county_code"], "county_name");
+        let fd_low = FdIndex::build(&low, &fd).unwrap();
+        let fd_high = FdIndex::build(&high, &fd).unwrap();
+        let frac = |fd: &FdIndex| fd.dirty_group_count() as f64 / fd.rhs_given_lhs.len() as f64;
         assert!(frac(&fd_low) > 0.15 && frac(&fd_low) < 0.5);
         assert!(frac(&fd_high) > 0.85);
     }

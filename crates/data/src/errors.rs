@@ -133,7 +133,8 @@ pub fn inject_inequality_errors(
 mod tests {
     use super::*;
     use daisy_common::{DataType, Schema};
-    use daisy_storage::TableStatistics;
+    use daisy_core::FdIndex;
+    use daisy_expr::FunctionalDependency;
 
     fn clean_table(groups: usize, per_group: usize) -> Table {
         let schema =
@@ -153,7 +154,8 @@ mod tests {
         let report = inject_fd_errors(&mut table, "orderkey", "suppkey", 1.0, 0.1, 7).unwrap();
         assert_eq!(report.dirty_groups, 50);
         assert!(report.cells_edited >= 50);
-        let fd = TableStatistics::fd_groups(&table, &["orderkey"], "suppkey").unwrap();
+        let fd =
+            FdIndex::build(&table, &FunctionalDependency::new(&["orderkey"], "suppkey")).unwrap();
         assert_eq!(fd.dirty_group_count(), 50);
     }
 
@@ -162,7 +164,8 @@ mod tests {
         let mut table = clean_table(100, 5);
         let report = inject_fd_errors(&mut table, "orderkey", "suppkey", 0.4, 0.2, 7).unwrap();
         assert_eq!(report.dirty_groups, 40);
-        let fd = TableStatistics::fd_groups(&table, &["orderkey"], "suppkey").unwrap();
+        let fd =
+            FdIndex::build(&table, &FunctionalDependency::new(&["orderkey"], "suppkey")).unwrap();
         assert_eq!(fd.dirty_group_count(), 40);
     }
 

@@ -155,7 +155,8 @@ pub fn generate_hospital(config: &HospitalConfig) -> Result<(Table, Table, Const
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_storage::TableStatistics;
+    use daisy_core::FdIndex;
+    use daisy_expr::FunctionalDependency;
 
     #[test]
     fn truth_satisfies_the_fds_and_dirty_violates_them() {
@@ -168,9 +169,10 @@ mod tests {
         .unwrap();
         assert_eq!(dirty.len(), truth.len());
         assert_eq!(constraints.len(), 3);
-        let clean_fd = TableStatistics::fd_groups(&truth, &["zip"], "city").unwrap();
+        let zip_city = FunctionalDependency::new(&["zip"], "city");
+        let clean_fd = FdIndex::build(&truth, &zip_city).unwrap();
         assert_eq!(clean_fd.dirty_group_count(), 0);
-        let dirty_fd = TableStatistics::fd_groups(&dirty, &["zip"], "city").unwrap();
+        let dirty_fd = FdIndex::build(&dirty, &zip_city).unwrap();
         assert!(dirty_fd.dirty_group_count() > 0);
     }
 

@@ -88,7 +88,8 @@ pub fn generate_nestle(config: &NestleConfig) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_storage::TableStatistics;
+    use daisy_core::FdIndex;
+    use daisy_expr::FunctionalDependency;
 
     #[test]
     fn most_material_groups_conflict() {
@@ -100,14 +101,18 @@ mod tests {
             seed: 1,
         })
         .unwrap();
-        let fd = TableStatistics::fd_groups(&table, &["material"], "category").unwrap();
+        let fd = FdIndex::build(
+            &table,
+            &FunctionalDependency::new(&["material"], "category"),
+        )
+        .unwrap();
         // With 10% corruption and ~50 rows per material, nearly every group
         // contains at least one conflicting category (the paper's "95% of
         // conflicting entities").
-        assert!(fd.dirty_group_count() as f64 / fd.group_count() as f64 > 0.9);
+        let materials = fd.rhs_given_lhs.len();
+        assert!(fd.dirty_group_count() as f64 / materials as f64 > 0.9);
         // Category has very low selectivity compared to material.
-        let stats = TableStatistics::compute(&table).unwrap();
-        assert!(stats.column("category").unwrap().distinct_count() < 10);
-        assert!(stats.column("material").unwrap().distinct_count() >= 90);
+        assert!(fd.lhs_given_rhs.len() < 10);
+        assert!(materials >= 90);
     }
 }

@@ -240,7 +240,12 @@ pub fn generate_lineorder_supplier(config: &SsbConfig) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daisy_storage::TableStatistics;
+    use daisy_core::FdIndex;
+    use daisy_expr::FunctionalDependency;
+
+    fn fd_index(table: &Table, lhs: &str, rhs: &str) -> FdIndex {
+        FdIndex::build(table, &FunctionalDependency::new(&[lhs], rhs)).unwrap()
+    }
 
     #[test]
     fn clean_lineorder_satisfies_the_fd() {
@@ -252,9 +257,9 @@ mod tests {
         };
         let table = generate_lineorder(&config).unwrap();
         assert_eq!(table.len(), 2_000);
-        let fd = TableStatistics::fd_groups(&table, &["orderkey"], "suppkey").unwrap();
+        let fd = fd_index(&table, "orderkey", "suppkey");
         assert_eq!(fd.dirty_group_count(), 0);
-        assert!(fd.group_count() <= 200);
+        assert!(fd.rhs_given_lhs.len() <= 200);
     }
 
     #[test]
@@ -285,7 +290,7 @@ mod tests {
         assert!(generate_date().unwrap().len() > 2000);
         // The supplier address → suppkey FD holds on clean data.
         let supplier = generate_supplier(&config).unwrap();
-        let fd = TableStatistics::fd_groups(&supplier, &["address"], "suppkey").unwrap();
+        let fd = fd_index(&supplier, "address", "suppkey");
         assert_eq!(fd.dirty_group_count(), 0);
     }
 
@@ -298,8 +303,8 @@ mod tests {
         let table = generate_lineorder_supplier(&config).unwrap();
         assert_eq!(table.len(), 500);
         assert!(table.schema().contains("address"));
-        let fd1 = TableStatistics::fd_groups(&table, &["orderkey"], "suppkey").unwrap();
-        let fd2 = TableStatistics::fd_groups(&table, &["address"], "suppkey").unwrap();
+        let fd1 = fd_index(&table, "orderkey", "suppkey");
+        let fd2 = fd_index(&table, "address", "suppkey");
         assert_eq!(fd1.dirty_group_count() + fd2.dirty_group_count(), 0);
     }
 }

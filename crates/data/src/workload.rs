@@ -304,9 +304,9 @@ mod tests {
                 .unwrap();
         assert_eq!(workload.len(), 50);
         // Together the filters cover every orderkey value.
-        let stats = daisy_storage::TableStatistics::compute(&table).unwrap();
-        let min = stats.column("orderkey").unwrap().min.clone().unwrap();
-        let max = stats.column("orderkey").unwrap().max.clone().unwrap();
+        let orderkeys = table.column_values("orderkey").unwrap();
+        let min = orderkeys.iter().min().unwrap().clone();
+        let max = orderkeys.iter().max().unwrap().clone();
         let first = workload
             .queries
             .first()

@@ -15,8 +15,8 @@
 //! * [`provenance::ProvenanceStore`] — per-cell provenance (original value,
 //!   which rule produced which candidates, which tuples conflicted), enabling
 //!   incremental merging when new rules appear (Table 7 of the paper),
-//! * [`statistics::TableStatistics`] — the pre-computed group-by statistics
-//!   Daisy uses to prune error checks and drive its cost model,
+//! * [`statistics::composite_key`] — the grouping key of a (possibly
+//!   multi-attribute) FD lhs,
 //! * [`snapshot::ColumnSnapshot`] — a typed, dictionary-encoded columnar
 //!   copy of a table's expected values, versioned by the table revision
 //!   and maintained incrementally from [`delta::Delta`]s (no engine path
@@ -48,7 +48,6 @@ pub use delta::{CellUpdate, Delta, RowAppend};
 pub use footprint::{Footprint, RowSet, TableFootprint};
 pub use provenance::{CellProvenance, ProvenanceStore, RuleEvidence};
 pub use snapshot::{ColumnCode, ColumnSnapshot, StringDictionary};
-pub use statistics::{ColumnStatistics, FdGroupStatistics, TableStatistics};
 pub use table::Table;
 pub use tuple::{Cells, Tuple};
 pub use worlds::{

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use daisy::common::{DaisyConfig, DataType, Schema, Value};
-use daisy::core::accuracy::{estimate_accuracy, CleaningDecision};
+use daisy::core::accuracy::{estimate_accuracy, CleaningDecision, ACCURACY_THRESHOLD};
 use daisy::core::clean_dc::repair_dc_violations;
 use daisy::core::index::{id_index, MaintainedIndex};
 use daisy::core::theta::ThetaMatrix;
@@ -111,14 +111,14 @@ fn check_all(table: &Table, dc: &DenialConstraint, blocks: usize) -> Vec<Violati
 
 /// The engine's incremental flow on table `t` — `SELECT … WHERE a <=
 /// split`, then the whole table — replayed against the brute-force matrix
-/// oracle with the block layout and accuracy threshold of `config`: per
-/// request, the oracle over the blocks the answer spans on the partition
-/// attribute `a` (every block when the accuracy estimate asks for the full
-/// check), then the repair of what the oracle found.  The matrix runs the
-/// same checks alongside, so its checked bookkeeping — which the accuracy
-/// estimate reads — carries over to the next request, and each of its
-/// checks must find what the oracle finds.  Returns each request's error
-/// count and the table and provenance after it.
+/// oracle with the block layout of `config` and the engine's accuracy
+/// threshold: per request, the oracle over the blocks the answer spans on
+/// the partition attribute `a` (every block when the accuracy estimate asks
+/// for the full check), then the repair of what the oracle found.  The
+/// matrix runs the same checks alongside, so its checked bookkeeping — which
+/// the accuracy estimate reads — carries over to the next request, and each
+/// of its checks must find what the oracle finds.  Returns each request's
+/// error count and the table and provenance after it.
 fn oracle_range_then_full(
     config: &DaisyConfig,
     table: &Table,
@@ -151,7 +151,7 @@ fn oracle_range_then_full(
             answer,
             low.as_ref(),
             high.as_ref(),
-            config.accuracy_threshold,
+            ACCURACY_THRESHOLD,
         );
         let (rows, (found, _)) = if estimate.decision == CleaningDecision::Full {
             let rows: Vec<usize> = (0..matrix.block_count()).collect();
